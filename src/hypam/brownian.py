@@ -63,11 +63,6 @@ class BridgeSpec:
 
 # --- full simulator ----------------------------------------------------------
 
-def _bm_step(x, coeffs):
-    """One geodesic-random-walk step from points x with tangent coefficients."""
-    return geo.frame_step(x, coeffs)
-
-
 def simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0, start=None,
                       record=True):
     """Vectorized geodesic random walk; returns (times, points array).
@@ -91,11 +86,11 @@ def simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0, start=None,
         out = np.empty((n_steps + 1, n_paths, d + 1))
         out[0] = x
         for i in range(n_steps):
-            x = _bm_step(x, scale * rng.standard_normal((n_paths, d)))
+            x = geo.frame_step(x, scale * rng.standard_normal((n_paths, d)))
             out[i + 1] = x
         return times, out
     for _ in range(n_steps):
-        x = _bm_step(x, scale * rng.standard_normal((n_paths, d)))
+        x = geo.frame_step(x, scale * rng.standard_normal((n_paths, d)))
     return times, x
 
 
@@ -140,22 +135,6 @@ def simulate_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0,
     if record_max:
         return r, running_max
     return r
-
-
-def simulate_radial(d, t, dt, r0, seed):
-    """Single radial path as (times, values)."""
-    n_steps = int(round(t / dt))
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    rng = stream(seed, "radial", 0)
-    path = np.empty(n_steps + 1)
-    path[0] = r0
-    scale = math.sqrt(2.0 * dt)
-    r = float(r0)
-    for i in range(n_steps):
-        r = abs(r + float(_radial_drift(np.array([r]), d, dt)[0]) * dt
-                + scale * rng.standard_normal())
-        path[i + 1] = r
-    return times, path
 
 
 @functools.cache
@@ -278,7 +257,7 @@ def simulate_bridge_batch(spec, dt, seed, n_paths, n_candidates=16, stream_id=0)
     for i in range(1, n_steps):
         remaining = spec.s - times[i]
         coeffs = scale * rng.standard_normal((n_paths, n_candidates, d))
-        cands = _bm_step(x[:, None, :], coeffs)
+        cands = geo.frame_step(x[:, None, :], coeffs)
         rho = geo.distance(cands, spec.end[None, None, :], validate=False)
         logw = log_kernel(remaining, rho, d)
         logw -= logw.max(axis=1, keepdims=True)
@@ -357,10 +336,6 @@ def path_energy(points, times=None):
     return float(np.sum(seg ** 2 / np.diff(v)))
 
 
-def trajectory_energy(traj):
-    return path_energy(traj.points, traj.times)
-
-
 # --- energy excess under forced deviation -------------------------------------
 
 @dataclass
@@ -384,6 +359,23 @@ def check_eta_zeta(K_star, delta, eta, zeta):
     return bool(ok)
 
 
+def _offset_path_energy(K_star, d, n):
+    """Endpoints o, y at distance K_star and the energy of offset paths.
+
+    Node i of the path (i = 1..n) is the geodesic step from the uniform node
+    gamma(i/n) of [o, y] with orthonormal-frame coefficients z[i-1]; node 0
+    is o.  ``energy_of`` takes the flattened (n, d) coefficients.
+    """
+    x = geo.origin(d)
+    y = geo.point_at(d, K_star, np.eye(d)[0])
+    gamma = geo.geodesic_point(x, y, np.linspace(0.0, 1.0, n + 1))
+
+    def energy_of(z):
+        return path_energy(np.vstack([x, geo.frame_step(gamma[1:], z.reshape(n, d))]))
+
+    return x, y, energy_of
+
+
 def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
                         n_segments=16, enforce_constraints=False):
     """Minimum discrete energy of paths forced off the geodesic.
@@ -403,31 +395,12 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
         raise ConstraintViolation(
             "deviation parameters inadmissible: need delta < K_star and "
             "eta < min(delta/24, delta^2/(2560*K_star)) with zeta small")
-    x = geo.origin(d)
-    direction = np.zeros(d)
-    direction[0] = 1.0
-    y = geo.point_at(d, K_star, direction)
+    n = n_segments
+    x, y, energy_of = _offset_path_energy(K_star, d, n)
     slack = 3.0 * eta + 2.0 * K_star * zeta
     dev = delta / 4.0
     base = float(geo.distance(x, y))
     bound = base ** 2 + delta ** 2 / 128.0 - 4.0 * K_star * (5.0 * eta + 2.0 * K_star * zeta)
-
-    n = n_segments
-    fracs = np.linspace(0.0, 1.0, n + 1)
-    gamma = geo.geodesic_point(x, y, fracs)
-    frames = [_tangent_frame(gamma[i]) for i in range(n + 1)]
-
-    def assemble(offsets):
-        pts = np.empty((n + 1, d + 1))
-        pts[0] = x
-        for i in range(1, n + 1):
-            v = frames[i] @ offsets[i - 1]
-            pts[i] = geo.exp_map(gamma[i], v,
-                                 norm=np.linalg.norm(offsets[i - 1]))
-        return pts
-
-    def energy_of(z):
-        return path_energy(assemble(z.reshape(n, d)))
 
     rng = stream(seed, "energy")
     best = np.inf
@@ -456,26 +429,10 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
                               constraints_ok, n)
 
 
-def geodesic_baseline_energy(K_star, d=2, n_segments=16, slack=0.0, seed=0):
+def geodesic_baseline_energy(K_star, d=2, n_segments=16, slack=0.0):
     """Unconstrained minimum with optional endpoint slack (sanity oracle)."""
-    x = geo.origin(d)
-    direction = np.zeros(d)
-    direction[0] = 1.0
-    y = geo.point_at(d, K_star, direction)
     n = n_segments
-    fracs = np.linspace(0.0, 1.0, n + 1)
-    gamma = geo.geodesic_point(x, y, fracs)
-    frames = [_tangent_frame(gamma[i]) for i in range(n + 1)]
-
-    def energy_of(z):
-        offs = z.reshape(n, d)
-        pts = np.empty((n + 1, d + 1))
-        pts[0] = x
-        for i in range(1, n + 1):
-            pts[i] = geo.exp_map(gamma[i], frames[i] @ offs[i - 1],
-                                 norm=np.linalg.norm(offs[i - 1]))
-        return path_energy(pts)
-
+    x, y, energy_of = _offset_path_energy(K_star, d, n)
     cons = [{"type": "ineq",
              "fun": lambda z: slack - np.linalg.norm(z.reshape(n, d)[n - 1])}]
     lim = float(geo.distance(x, y)) + 2.0
@@ -483,20 +440,3 @@ def geodesic_baseline_energy(K_star, d=2, n_segments=16, slack=0.0, seed=0):
                             constraints=cons, bounds=[(-lim, lim)] * (n * d),
                             options={"maxiter": 300, "ftol": 1e-12})
     return float(res.fun)
-
-
-def _tangent_frame(x):
-    """Columns are the explicit orthonormal tangent frame u_i at x."""
-    d = x.shape[-1] - 1
-    frame = np.zeros((d + 1, d))
-    for i in range(d):
-        e = np.zeros(d + 1)
-        e[i + 1] = 1.0
-        frame[:, i] = e + x[i + 1] / (1.0 + x[0]) * (x + _e0(d))
-    return frame
-
-
-def _e0(d):
-    e = np.zeros(d + 1)
-    e[0] = 1.0
-    return e

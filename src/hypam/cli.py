@@ -1,7 +1,8 @@
 """Experiment harness: config parsing, dispatch, manifests, CSV/JSON output.
 
-Every run resolves a flat key-value config (defaults, then config file, then
-command-line overrides), validates it, writes a ``manifest.cfg`` echoing the
+Every run resolves a flat key-value config (defaults, then ``--config`` file,
+then ``HYPAM_*`` environment variables, then ``--set``, each applying exactly
+the keys it gives), validates it, writes a ``manifest.cfg`` echoing the
 resolved values plus the subcommand, and produces a ``data.csv`` and a
 ``summary.json``.  Identical config and seed give byte-identical outputs;
 re-running from a manifest reproduces the run.
@@ -14,11 +15,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .config import (BudgetExceeded, ConstraintViolation, FactorizationError,
-                     RunConfig, format_config, parse_config, stream)
+                     RunConfig, _parse_pairs, format_config, parse_config,
+                     stream)
 from . import brownian, field, feynman_kac, heatkernel, varopt
 from . import geometry as geo
 
@@ -96,7 +99,6 @@ def run_field_max_scan(cfg, out):
 
 
 def run_clusters(cfg, out):
-    cfg.validate(need_cluster_scales=True)
     spec = field.make_spec(cfg.sigma2, cfg.R0, cfg.kernel_shape, cfg.d)
     spacing = cfg.spacing_factor * cfg.R0
     region = geo.BallRegion(min(cfg.K0 * cfg.t ** (4.0 / 3.0), 6.0))
@@ -298,48 +300,34 @@ def main(argv=None):
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--out", help="output directory override")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint (modules are vectorized; accepted "
-                             "for interface stability)")
     parser.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", help="single config override")
     args = parser.parse_args(argv)
 
-    if args.config:
-        try:
+    # overrides: HYPAM_<KEY> env vars first, then --set, applied in order;
+    # env names match field names case-insensitively (HYPAM_R0 sets R0)
+    names = {f.name.lower(): f.name for f in fields(RunConfig)}
+    overrides = [f"{names.get(k[6:].lower(), k[6:].lower())} = {v}"
+                 for k, v in sorted(os.environ.items()) if k.startswith("HYPAM_")]
+    overrides += args.set
+    try:
+        if args.config:
             with open(args.config) as fh:
                 cfg, manifest_sub = parse_config(fh.read(), path=args.config)
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        if manifest_sub is not None and manifest_sub != args.subcommand:
-            print(f"config error: manifest subcommand {manifest_sub!r} does "
-                  f"not match {args.subcommand!r}", file=sys.stderr)
-            return 2
-    else:
-        cfg = RunConfig()
-
-    # overrides: HYPAM_<KEY> env vars first, then --set, applied in order
-    overrides = [f"{k[6:].lower()} = {v}" for k, v in sorted(os.environ.items())
-                 if k.startswith("HYPAM_")]
-    overrides += args.set
-    if overrides:
-        try:
-            over_cfg, _ = parse_config("\n".join(overrides), path="<overrides>")
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        from dataclasses import fields as dc_fields
-        base = RunConfig()
-        for f in dc_fields(RunConfig):
-            val = getattr(over_cfg, f.name)
-            if val != getattr(base, f.name):
-                setattr(cfg, f.name, val)
+            if manifest_sub is not None and manifest_sub != args.subcommand:
+                raise ValueError(f"manifest subcommand {manifest_sub!r} does "
+                                 f"not match {args.subcommand!r}")
+        else:
+            cfg = RunConfig()
+        pairs, _ = _parse_pairs("\n".join(overrides), path="<overrides>")
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     if args.seed is not None:
-        cfg.seed = args.seed
+        pairs["seed"] = args.seed
     if args.out is not None:
-        cfg.out = args.out
-    return run(args.subcommand, cfg)
+        pairs["out"] = args.out
+    return run(args.subcommand, replace(cfg, **pairs))
 
 
 if __name__ == "__main__":

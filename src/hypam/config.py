@@ -13,13 +13,9 @@ import numpy as np
 
 # --- geometry tolerances -------------------------------------------------
 HYPERBOLOID_ATOL = 1e-10    # |<x,x>_M + 1| for a valid point
-GEODESIC_ATOL = 1e-8        # unit-speed parametrisation error
-DISTANCE_ATOL = 1e-9        # metric identities (symmetry, triangle)
-CROSS_MODEL_ATOL = 1e-8     # hyperboloid vs Poincare-ball distance
 
 # --- field / linear algebra ----------------------------------------------
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)   # multiples of sigma2 tried in turn
-JITTER_CAP = 1e-8                           # * sigma2; beyond this we fail loudly
 COND_RADIUS_FACTOR = 1.5                    # conditioning radius, in units of R0
 LATTICE_SPACING_FACTOR = 0.25               # default site spacing, in units of R0
 
@@ -119,7 +115,7 @@ class RunConfig:
     def s_values(self):
         return [float(x) for x in str(self.s_list).split(",") if x.strip()]
 
-    def validate(self, need_cluster_scales=False, need_bridge=False):
+    def validate(self, need_cluster_scales=False):
         if self.d < 2:
             raise ConstraintViolation("dimension d must be >= 2")
         if self.sigma2 <= 0 or self.R0 <= 0:
@@ -141,30 +137,19 @@ class RunConfig:
                 raise ConstraintViolation(
                     "eta must lie below the admissible cluster threshold "
                     f"eta_delta(delta)={eta_delta:.6g} (got eta={self.eta})")
-        if need_bridge:
-            if not self.delta < self.K:
-                raise ConstraintViolation("tube width delta must be < K")
-            if not self.eta < min(self.delta / 24.0,
-                                  self.delta ** 2 / (2560.0 * self.K)):
-                raise ConstraintViolation(
-                    "eta too large for the bridge-deviation bound: need "
-                    "eta < min(delta/24, delta^2/(2560*K))")
         return self
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
+def _parse_pairs(text, path="<config>"):
+    """Parse flat ``key = value`` text into typed ``{key: value}`` pairs.
 
-
-def parse_config(text, path="<config>"):
-    """Parse flat ``key = value`` text into a :class:`RunConfig`.
-
-    Unknown keys, malformed lines and type mismatches raise ``ValueError``
-    with the offending line number.  A ``subcommand`` key is allowed and
-    returned separately (manifests carry it so a run can be replayed).
+    Every field is an int, float or str and is parsed by calling its type.
+    Returns the pairs in the order given (a repeated key keeps its last
+    value) and the ``subcommand`` value, if any.  Unknown keys, malformed
+    lines and type mismatches raise ``ValueError`` with the line number.
     """
-    spec = {f.name: f.type for f in fields(RunConfig)}
-    kwargs = {}
+    types = {f.name: f.type for f in fields(RunConfig)}
+    pairs = {}
     subcommand = None
     for lineno, raw in enumerate(str(text).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -179,22 +164,24 @@ def parse_config(text, path="<config>"):
             continue
         if key == "lambda":   # friendlier alias for the reserved word
             key = "lam"
-        if key not in spec:
+        if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        default = getattr(RunConfig(), key)
         try:
-            if isinstance(default, bool):
-                kwargs[key] = _BOOL[value.lower()]
-            elif isinstance(default, int):
-                kwargs[key] = int(value)
-            elif isinstance(default, float):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        except (KeyError, ValueError) as exc:
+            pairs[key] = types[key](value)
+        except ValueError as exc:
             raise ValueError(
                 f"{path}:{lineno}: field {key!r} cannot take value {value!r}") from exc
-    return RunConfig(**kwargs), subcommand
+    return pairs, subcommand
+
+
+def parse_config(text, path="<config>"):
+    """Parse flat ``key = value`` text into a :class:`RunConfig`.
+
+    Keys not given keep their defaults.  A ``subcommand`` key is allowed and
+    returned separately (manifests carry it so a run can be replayed).
+    """
+    pairs, subcommand = _parse_pairs(text, path)
+    return RunConfig(**pairs), subcommand
 
 
 def format_config(cfg, subcommand=None):

@@ -20,7 +20,7 @@ from .config import (BudgetExceeded, ConstraintViolation, LONG_ROUTE_N_CAP,
                      LATTICE_SPACING_FACTOR, MAX_FIELD_SITES, stream)
 from . import geometry as geo
 from .brownian import simulate_bm_batch, radial_drift_bound
-from .field import extend_field, sample_field
+from .field import CovarianceSpec, extend_field, sample_field
 from .varopt import l_star_relaxed, route_constants, _golden_max
 
 
@@ -53,19 +53,18 @@ class LazyFieldEvaluator:
     """Quenched field evaluated along arbitrary points via a growing lattice.
 
     Sites are created on demand: a query point reuses the nearest existing
-    site when one lies within the snap distance (default R0/4), otherwise it
-    becomes a new site whose value is drawn by conditional extension given
-    nearby existing sites.  The evaluator owns a single realization, so every
-    path of a quenched run sees the same field.  Query order is
-    deterministic, hence so are the values.
+    site when one lies within the snap distance R0/4, otherwise it becomes a
+    new site whose value is drawn by conditional extension given the 96
+    nearest existing sites within the conditioning radius.  The evaluator
+    owns a single realization, so every path of a quenched run sees the same
+    field.  Query order is deterministic, hence so are the values.
     """
 
-    def __init__(self, spec, d, seed, snap_h=None, k_cap=96):
+    def __init__(self, spec, d, seed):
         self.spec = spec
         self.d = d
         self.seed = seed
-        self.snap_h = snap_h if snap_h is not None else spec.R0 * LATTICE_SPACING_FACTOR
-        self.k_cap = k_cap
+        self.snap_h = spec.R0 * LATTICE_SPACING_FACTOR
         self._counter = 0
         origin = geo.origin(d)[None, :]
         self.realization = sample_field(spec, origin, seed=stream(seed, "lazy-init").integers(2 ** 31))
@@ -86,8 +85,7 @@ class LazyFieldEvaluator:
                     continue
                 if new_sites:
                     arr = np.asarray(new_sites)
-                    dmin = np.min(np.arccosh(np.maximum(
-                        1.0, geo.cosh_distance(arr, p))))
+                    dmin = np.min(geo.distance(arr, p, validate=False))
                     if dmin <= self.snap_h:
                         continue
                 new_sites.append(p)
@@ -98,7 +96,7 @@ class LazyFieldEvaluator:
             self.realization = extend_field(
                 self.realization, np.asarray(new_sites),
                 seed=stream(self.seed, "lazy", self._counter).integers(2 ** 31),
-                k_cap=self.k_cap)
+                k_cap=96)
             idx, dist = self.realization.nearest_site(pts)
         return self.realization.values[idx]
 
@@ -144,53 +142,57 @@ def _trapezoid_weights(times):
     return w
 
 
-def _resolve_potential(potential, d, seed, mode, snap_h=None):
-    from .field import CovarianceSpec
+def _estimate(log_weights, accepted, t, dt, mode, meta):
+    """Summarize per-path log-weights; rejected paths contribute zero."""
+    weights = np.exp(log_weights) * accepted
+    return FKEstimate(float(np.mean(weights)), float(np.var(weights)),
+                      len(log_weights), t, dt, mode, log_weights, accepted,
+                      float(np.mean(accepted)), meta)
+
+
+def _resolve_potential(potential, d, seed, *ids):
+    """Evaluator for a potential: numbers become constants, covariance specs
+    a lazily grown field drawn from ``stream(seed, *ids)``."""
+    if isinstance(potential, (int, float)):
+        return ConstantPotential(float(potential))
     if isinstance(potential, CovarianceSpec):
-        if mode == "annealed":
-            return None     # annealed runs build one evaluator per batch
-        return LazyFieldEvaluator(potential, d, stream(seed, "field").integers(2 ** 31),
-                                  snap_h=snap_h)
+        return LazyFieldEvaluator(potential, d, stream(seed, *ids).integers(2 ** 31))
     return potential
 
 
-def fk_estimate(potential, d, t, dt, n_paths, seed, mode="quenched",
-                batch_size=None, snap_h=None, strict_dt=True):
+def fk_estimate(potential, d, t, dt, n_paths, seed, mode="quenched"):
     """Monte Carlo Feynman-Kac estimate of the solution at the base point.
 
     ``potential`` may be a covariance spec (Gaussian field), a constant, or
     any object with ``values_at``.  Quenched mode shares one realization
-    across paths; annealed mode redraws the field for every batch of paths.
-    The time integral is a trapezoid on the simulation grid.
+    across all paths; annealed mode redraws the field for every batch of
+    max(1, n_paths // 16) paths.  The time integral is a trapezoid on the
+    simulation grid, which for a field must resolve its variation:
+    dt <= min(t / 100, R0^2 / 8).
     """
-    from .field import CovarianceSpec
-    if isinstance(potential, (int, float)):
-        potential = ConstantPotential(float(potential))
     if t < 0:
         raise ConstraintViolation("t must be nonnegative")
+    all_paths = np.ones(n_paths, dtype=bool)
     if t == 0:
-        lw = np.zeros(n_paths)   # integral over [0, 0] vanishes, weight 1
-        return FKEstimate(1.0, 0.0, n_paths, 0.0, dt, mode, lw,
-                          np.ones(n_paths, dtype=bool))
-    if strict_dt and isinstance(potential, CovarianceSpec):
+        # integral over [0, 0] vanishes: exactly 1, even for zero paths
+        return FKEstimate(1.0, 0.0, n_paths, 0.0, dt, mode,
+                          np.zeros(n_paths), all_paths)
+    is_spec = isinstance(potential, CovarianceSpec)
+    if is_spec:
         cap = min(0.01 * t, potential.R0 ** 2 / 8.0)
         if dt > cap + 1e-12:
             raise ConstraintViolation(
                 f"dt={dt} too coarse to resolve field variation: need <= {cap:.4g}")
-    if batch_size is None:
-        batch_size = n_paths if mode == "quenched" else max(1, n_paths // 16)
-
-    is_spec = isinstance(potential, CovarianceSpec)
-    evaluator = _resolve_potential(potential, d, seed, mode, snap_h)
+    batch_size = n_paths if mode == "quenched" else max(1, n_paths // 16)
+    redraw = is_spec and mode == "annealed"
+    evaluator = None if redraw else _resolve_potential(potential, d, seed, "field")
     log_weights = np.empty(n_paths)
     done = 0
     batch_id = 0
     while done < n_paths:
         m = min(batch_size, n_paths - done)
-        if is_spec and mode == "annealed":
-            evaluator = LazyFieldEvaluator(
-                potential, d, stream(seed, "field-batch", batch_id).integers(2 ** 31),
-                snap_h=snap_h)
+        if redraw:
+            evaluator = _resolve_potential(potential, d, seed, "field-batch", batch_id)
         times, pts = simulate_bm_batch(d, t, dt, seed, m, stream_id=batch_id)
         w = _trapezoid_weights(times)
         for j in range(m):
@@ -198,14 +200,11 @@ def fk_estimate(potential, d, t, dt, n_paths, seed, mode="quenched",
             log_weights[done + j] = float(np.dot(w, vals))
         done += m
         batch_id += 1
-    weights = np.exp(log_weights)
     meta = {"seed": seed}
     if is_spec and mode == "quenched":
         meta["n_field_sites"] = evaluator.n_sites
         meta["snap_h"] = evaluator.snap_h
-    return FKEstimate(float(np.mean(weights)), float(np.var(weights)),
-                      n_paths, t, dt, mode, log_weights,
-                      np.ones(n_paths, dtype=bool), 1.0, meta)
+    return _estimate(log_weights, all_paths, t, dt, mode, meta)
 
 
 def annealed_moment_estimate(spec, d, t, dt, n_paths, seed):
@@ -220,18 +219,15 @@ def annealed_moment_estimate(spec, d, t, dt, n_paths, seed):
     log_weights = np.empty(n_paths)
     for j in range(n_paths):
         path = pts[:, j, :]
-        dist = np.arccosh(np.maximum(
-            1.0, geo.cosh_distance(path[:, None, :], path[None, :, :])))
-        cmat = spec.cov(dist)
+        cmat = spec.cov(geo.distance(path[:, None, :], path[None, :, :],
+                                     validate=False))
         log_weights[j] = 0.5 * float(w @ cmat @ w)
-    weights = np.exp(log_weights)
-    return FKEstimate(float(np.mean(weights)), float(np.var(weights)),
-                      n_paths, t, dt, "annealed-moment", log_weights,
-                      np.ones(n_paths, dtype=bool), 1.0, {"seed": seed})
+    return _estimate(log_weights, np.ones(n_paths, dtype=bool), t, dt,
+                     "annealed-moment", {"seed": seed})
 
 
 def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
-                       n_paths, r_peak=1.0, dt=None, snap_h=None):
+                       n_paths, r_peak=1.0, dt=None):
     """Restricted Feynman-Kac sum over the localized Brownian scenario.
 
     A path contributes only when it stays within ``delta_tube`` of the
@@ -245,13 +241,7 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
         dt = min(0.01 * t, 0.01)
     if not 0 < eps < 1:
         raise ConstraintViolation("eps must lie in (0, 1)")
-    evaluator = potential
-    if isinstance(potential, (int, float)):
-        evaluator = ConstantPotential(float(potential))
-    from .field import CovarianceSpec
-    if isinstance(potential, CovarianceSpec):
-        evaluator = LazyFieldEvaluator(potential, d, stream(seed, "field").integers(2 ** 31),
-                                       snap_h=snap_h)
+    evaluator = _resolve_potential(potential, d, seed, "field")
     peak_center = np.asarray(peak_center, dtype=float)
     times, pts = simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0)
     w = _trapezoid_weights(times)
@@ -277,13 +267,10 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
         late = path[i_eps:]
         ok_stay = bool(np.all(geo.distance(late, peak_center, validate=False) <= 2.0 * r_peak))
         accepted[j] = ok_tube and ok_enter and ok_stay
-    weights = np.exp(log_weights) * accepted
-    frac = float(np.mean(accepted))
-    mean = float(np.mean(weights))
     meta = {"seed": seed, "eps": eps, "K": K, "delta_tube": delta_tube,
-            "r_peak": r_peak, "zero_acceptance": frac == 0.0}
-    return FKEstimate(mean, float(np.var(weights)), n_paths, t, dt,
-                      "localized", log_weights, accepted, frac, meta)
+            "r_peak": r_peak,
+            "zero_acceptance": float(np.mean(accepted)) == 0.0}
+    return _estimate(log_weights, accepted, t, dt, "localized", meta)
 
 
 # --- routes ---------------------------------------------------------------------
@@ -341,8 +328,7 @@ def route_extract(traj, clusters, lam, t):
                 state = lab
         else:
             sites = cluster_sites[state]
-            dmin = float(np.min(np.arccosh(np.maximum(
-                1.0, geo.cosh_distance(sites, pts[k])))))
+            dmin = float(np.min(geo.distance(sites, pts[k], validate=False)))
             if dmin > exit_radius:
                 exits.append(float(time))
                 state = None

@@ -46,9 +46,8 @@ class CovarianceSpec:
 
     def cov_matrix(self, sites):
         sites = np.asarray(sites, dtype=float)
-        dist = np.arccosh(np.maximum(
-            1.0, geo.cosh_distance(sites[:, None, :], sites[None, :, :])))
-        return self.cov(dist)
+        return self.cov(geo.distance(sites[:, None, :], sites[None, :, :],
+                                     validate=False))
 
 
 def make_spec(sigma2, R0, bump_shape="poly3", d=2, n_grid=801, n_quad=96):
@@ -162,14 +161,14 @@ def tilted_sample(spec, sites, h, seed):
                             meta={**base.meta, "tilt": h})
 
 
-def extend_field(fieldr, new_sites, seed, cond_radius=None, k_cap=None,
-                 min_separation=1e-9):
+def extend_field(fieldr, new_sites, seed, k_cap=None):
     """Conditional (kriging) extension of a realization to new sites.
 
-    Conditions on existing sites within ``cond_radius`` of the new block
-    (default 1.5 * R0; compact support makes farther sites nearly
-    irrelevant), optionally capped to the ``k_cap`` nearest.  Returns a new
-    realization over the union; the original is untouched.
+    Conditions on existing sites within 1.5 * R0 of the new block (compact
+    support makes farther sites nearly irrelevant), optionally capped to the
+    ``k_cap`` nearest.  New sites must lie at least 1e-9 from every existing
+    site.  Returns a new realization over the union; the original is
+    untouched.
     """
     spec = fieldr.spec
     new_sites = np.asarray(new_sites, dtype=float)
@@ -177,15 +176,13 @@ def extend_field(fieldr, new_sites, seed, cond_radius=None, k_cap=None,
         new_sites = new_sites[None, :]
     if fieldr.n_sites + len(new_sites) > MAX_FIELD_SITES:
         raise BudgetExceeded("conditioning site budget exceeded")
-    if cond_radius is None:
-        cond_radius = COND_RADIUS_FACTOR * spec.R0
 
-    dist_on = np.arccosh(np.maximum(
-        1.0, geo.cosh_distance(fieldr.sites[:, None, :], new_sites[None, :, :])))
-    if fieldr.n_sites and np.min(dist_on) < min_separation:
+    dist_on = geo.distance(fieldr.sites[:, None, :], new_sites[None, :, :],
+                           validate=False)
+    if fieldr.n_sites and np.min(dist_on) < 1e-9:
         raise ConstraintViolation("new sites must be disjoint from existing sites")
 
-    near = np.flatnonzero(np.min(dist_on, axis=1) <= cond_radius)
+    near = np.flatnonzero(np.min(dist_on, axis=1) <= COND_RADIUS_FACTOR * spec.R0)
     if k_cap is not None and near.size > k_cap:
         order = np.argsort(np.min(dist_on[near], axis=1))
         near = near[order[:k_cap]]
@@ -383,7 +380,6 @@ class IslandSet:
     t: float
     delta: float
     field: FieldRealization
-    connectivity: str = "2h-neighbor graph (discrete proxy for components)"
 
     def __len__(self):
         return len(self.islands)
@@ -405,8 +401,7 @@ def detect_islands(fieldr, delta, t, h=None):
     if super_idx.size == 0:
         return IslandSet([], super_idx, thr, h, t, delta, fieldr)
     pts = fieldr.sites[super_idx]
-    dist = np.arccosh(np.maximum(
-        1.0, geo.cosh_distance(pts[:, None, :], pts[None, :, :])))
+    dist = geo.distance(pts[:, None, :], pts[None, :, :], validate=False)
     uf = UnionFind(super_idx.size)
     ii, jj = np.nonzero(np.triu(dist <= 2.0 * h, k=1))
     for a, b in zip(ii, jj):
@@ -470,8 +465,7 @@ def build_clusters(islands, eta, t):
     for label, grp in enumerate(uf.groups()):
         site_idx = sorted(idx for g in grp for idx in islands.islands[g])
         pts = fieldr.sites[np.asarray(site_idx)]
-        dist = np.arccosh(np.maximum(
-            1.0, geo.cosh_distance(pts[:, None, :], pts[None, :, :])))
+        dist = geo.distance(pts[:, None, :], pts[None, :, :], validate=False)
         diameter = float(np.max(dist)) if len(site_idx) > 1 else 0.0
         center_local = int(np.argmin(np.max(dist, axis=1)))
         clusters.append(Cluster(label, site_idx, sorted(grp),
@@ -500,10 +494,9 @@ def rich_ball_event(fieldr, threshold, ball_radius, min_points, separation):
     if super_idx.size < min_points:
         return False
     pts = fieldr.sites[super_idx]
-    dist_pp = np.arccosh(np.maximum(
-        1.0, geo.cosh_distance(pts[:, None, :], pts[None, :, :])))
-    dist_cp = np.arccosh(np.maximum(
-        1.0, geo.cosh_distance(fieldr.sites[:, None, :], pts[None, :, :])))
+    dist_pp = geo.distance(pts[:, None, :], pts[None, :, :], validate=False)
+    dist_cp = geo.distance(fieldr.sites[:, None, :], pts[None, :, :],
+                           validate=False)
     need = int(math.ceil(min_points))
     for c in range(len(fieldr.sites)):
         inside = np.flatnonzero(dist_cp[c] <= ball_radius)

@@ -217,9 +217,6 @@ class GeodesicSegment:
                               np.asarray(s, dtype=float) / self.length,
                               validate=False)
 
-    def fraction(self, u):
-        return geodesic_point(self.start, self.end, u, validate=False)
-
 
 # --- volumes ----------------------------------------------------------------
 
@@ -245,10 +242,6 @@ def ball_volume(R, d):
     val, _ = integrate.quad(lambda r: np.sinh(r) ** (d - 1), 0.0, R,
                             epsabs=0.0, epsrel=1e-10, limit=200)
     return sphere_area(d) * val
-
-
-def annulus_volume(a, b, d):
-    return ball_volume(b, d) - ball_volume(a, d)
 
 
 def euclidean_ball_volume(R, d):
@@ -368,13 +361,6 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS,
                 gained = True
         idle = 0 if gained else idle + 1
     return Packing(buf[:n].copy(), r, region, maximal=n < max_centers)
-
-
-def region_contains(region, pts):
-    r = np.arccosh(np.maximum(1.0, pts[..., 0]))
-    if isinstance(region, BallRegion):
-        return r <= region.radius + 1e-12
-    return (region.inner - 1e-12 <= r) & (r <= region.outer + 1e-12)
 
 
 def covering_probe(packing, d, n_probes=10000, seed=1):

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import integrate
 
 from .config import KernelUnavailable
+from .geometry import distance, sphere_area
 
 
 def log_comparison_fn(t, rho, d):
@@ -140,7 +141,7 @@ def calibrate(d, t_grid=None, rho_grid=None, ratio_cap=100.0,
                      "reference": "exact"}
     else:
         from .brownian import simulate_radial_batch
-        area = _sphere_area(d)
+        area = sphere_area(d)
         collected = []
         for it, t in enumerate(t_grid):
             r = simulate_radial_batch(d, float(t), dt, 0.0, seed=seed, n_paths=n_paths,
@@ -167,11 +168,6 @@ def calibrate(d, t_grid=None, rho_grid=None, ratio_cap=100.0,
         raise CalibrationFailed(
             f"sandwich spread C2/C1 = {C2 / C1:.3g} exceeds cap {ratio_cap}")
     return KernelCalibration(d, C1, C2, grid_spec)
-
-
-def _sphere_area(d):
-    from .geometry import sphere_area
-    return sphere_area(d)
 
 
 def heat_equation_residual(t, rho, h_t=None, h_rho=None):
@@ -205,7 +201,6 @@ def bridge_marginal(t_a, x, t_b, q, t_mid, y, d=3):
         raise ValueError("need t_a < t_mid < t_b")
     if d != 3:
         raise KernelUnavailable("bridge marginal needs the exact d=3 kernel")
-    from .geometry import distance
     s1 = t_mid - t_a
     s2 = t_b - t_mid
     s = t_b - t_a

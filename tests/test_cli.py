@@ -158,3 +158,39 @@ class TestDispatch:
                        "--seed", "1", "--set", "t=0.1") == 0
         summary = json.loads(read(out / "summary.json"))
         assert summary["n_paths"] == 13
+
+
+class TestOverrides:
+    """defaults < --config < HYPAM_* < --set, applying exactly the keys given."""
+
+    def resolved(self, tmp_path, *argv):
+        out = tmp_path / "o"
+        assert run_cli(tmp_path, "optimize", "--out", str(out), *argv) == 0
+        cfg, _ = parse_config(read(out / "manifest.cfg"))
+        return cfg
+
+    def test_set_beats_config_file(self, tmp_path):
+        base = tmp_path / "base.cfg"
+        base.write_text("n_paths = 50\n")
+        cfg = self.resolved(tmp_path, "--config", str(base),
+                            "--set", "n_paths=1000")
+        assert cfg.n_paths == 1000
+
+    def test_set_back_to_default_value(self, tmp_path):
+        base = tmp_path / "base.cfg"
+        base.write_text("d = 3\nsigma2 = 0.5\n")
+        cfg = self.resolved(tmp_path, "--config", str(base), "--set", "d=2")
+        assert cfg.d == 2 and cfg.sigma2 == 0.5
+
+    def test_env_then_set(self, tmp_path, monkeypatch):
+        base = tmp_path / "base.cfg"
+        base.write_text("d = 3\nn_paths = 50\n")
+        monkeypatch.setenv("HYPAM_D", "2")
+        monkeypatch.setenv("HYPAM_N_PATHS", "13")
+        cfg = self.resolved(tmp_path, "--config", str(base),
+                            "--set", "n_paths=1000")
+        assert cfg.d == 2 and cfg.n_paths == 1000
+
+    def test_env_names_match_case_insensitively(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYPAM_R0", "0.75")
+        assert self.resolved(tmp_path).R0 == 0.75

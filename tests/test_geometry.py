@@ -80,6 +80,33 @@ def test_geodesic_unit_speed():
     assert np.max(np.abs(seg - np.diff(s) * rho)) < 1e-8
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_frame_step_batch(d):
+    rng = stream(10, "frame", d)
+    radii = np.repeat([0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0], 64)
+    x = geo.point_at(d, radii, rng.standard_normal((radii.size, d)))
+    c = 0.5 * rng.standard_normal((radii.size, d))
+    c[0] = 0.0
+    y = geo.frame_step(x, c)
+    geo.check_points(y)
+    # the naive route recomputes the step norm from the Minkowski form, so
+    # it is only trustworthy at moderate radius
+    mid = radii <= 5.0
+    # reference: the explicit frame u_i = e_i + x_i (x + e_0) / (1 + x_0)
+    frames = np.eye(d + 1)[1:] + (x[:, 1:, None] / (1.0 + x[:, :1, None])
+                                  * (x + geo.origin(d))[:, None, :])
+    v = geo.tangent_step(x[mid], c[mid])
+    assert np.allclose(v, np.einsum("ni,nij->nj", c, frames)[mid],
+                       rtol=1e-12, atol=1e-12)
+    naive = geo.exp_map(x[mid], v)
+    assert np.allclose(y[mid], naive, rtol=1e-9, atol=1e-12)
+    # step length is |c|; past radius ~10 float64 coordinates resolve
+    # positions only to about one ulp of x0, which the tolerance adds
+    tol = 1e-9 + 2.0 * np.finfo(float).eps * x[:, 0]
+    err = np.abs(geo.distance(x, y) - np.linalg.norm(c, axis=1))
+    assert np.all(err <= tol)
+
+
 def test_geodesic_convexity():
     # d(alpha_s, beta_s) <= max of the endpoint distances, many random pairs
     rng = stream(4, "conv")
