@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Print one sha256 of ``data.csv`` + ``summary.json`` per fixed same-seed run.
+
+Runs a fixed list of small ``hypam`` CLI calls, each with every parameter that
+matters passed explicitly, in a temporary directory.  Run it on two checkouts
+and diff the output to check that a change keeps same-seed results
+byte-identical::
+
+    PYTHONPATH=src python scripts/same_seed_digest.py > before.txt
+    # ... switch checkout ...
+    PYTHONPATH=src python scripts/same_seed_digest.py > after.txt
+    diff before.txt after.txt
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+from hypam import cli
+
+# (name, subcommand, --set pairs, seed)
+CALLS = [
+    ("fk-quenched", "fk",
+     {"sigma2": 0.25, "t": 1.0, "dt": 0.01, "n_paths": 24, "mode": "quenched"}, 3),
+    ("fk-annealed", "fk",
+     {"sigma2": 0.25, "t": 1.0, "dt": 0.01, "n_paths": 32, "mode": "annealed"}, 3),
+    ("fk-localized", "fk-localized",
+     {"t": 1.0, "dt": 0.01, "n_paths": 200}, 5),
+    ("clusters", "clusters",
+     {"delta": 0.5, "t": 3.0, "eta": 5e-4, "lam": 1e-4, "R0": 1.0,
+      "spacing_factor": 0.25, "site_cap": 512}, 2),
+    ("field-max-scan", "field-max-scan",
+     {"R_list": "5,10", "n_reps": 8, "site_cap": 256}, 1),
+    ("exit-check", "exit-check",
+     {"R_list": "5,7,9", "t": 2.0, "dt": 0.01, "d": 2, "n_paths": 20000}, 1),
+    ("bridge-ldp", "bridge-ldp",
+     {"delta": 1.0, "s_list": "0.4,0.2,0.1", "n_paths": 200}, 1),
+    ("route-budget", "route-budget",
+     {"K0": 40.0, "alpha": 0.05, "mu_factor": 1.05, "delta": 9.1537,
+      "C_R0_hat": 4.8216, "eta": 2.0, "lam": 0.05, "t": 20.0, "n_reps": 8}, 7),
+]
+
+
+def digest(out):
+    h = hashlib.sha256()
+    for fname in ("data.csv", "summary.json"):
+        with open(os.path.join(out, fname), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def main():
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, sub, params, seed in CALLS:
+            out = os.path.join(tmp, name)
+            argv = [sub, "--seed", str(seed), "--out", out]
+            for key, val in params.items():
+                argv += ["--set", f"{key}={val!r}" if isinstance(val, float)
+                         else f"{key}={val}"]
+            rc = cli.main(argv)
+            if rc != 0:
+                print(f"{name} exit-code-{rc}")
+                status = 1
+                continue
+            print(f"{name} {digest(out)}", flush=True)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

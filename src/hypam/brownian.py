@@ -45,7 +45,7 @@ class Trajectory:
         return float(np.max(self.step_lengths() / np.sqrt(2.0 * dts)))
 
     def radial(self):
-        return np.arccosh(np.maximum(1.0, self.points[..., 0]))
+        return geo.radius(self.points)
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,7 @@ def run_clusters(cfg, out):
 def run_radial_check(cfg, out):
     times, pts = brownian.simulate_bm_batch(cfg.d, cfg.t, cfg.dt, cfg.seed,
                                             cfg.n_paths)
-    radii = np.arccosh(np.maximum(1.0, pts[-1, :, 0]))
+    radii = geo.radius(pts[-1])
     ratio = float(np.mean(radii) / ((cfg.d - 1) * cfg.t))
     traj = brownian.Trajectory(times, pts[:, 0, :], cfg.d)
     head, rows = trajectory_rows(traj)

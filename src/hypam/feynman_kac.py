@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy import integrate
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, logsumexp
 
 from .config import (BudgetExceeded, ConstraintViolation, LONG_ROUTE_N_CAP,
                      LATTICE_SPACING_FACTOR, MAX_FIELD_SITES, stream)
@@ -55,9 +55,13 @@ class LazyFieldEvaluator:
     Sites are created on demand: a query point reuses the nearest existing
     site when one lies within the snap distance R0/4, otherwise it becomes a
     new site whose value is drawn by conditional extension given the 96
-    nearest existing sites within the conditioning radius.  The evaluator
-    owns a single realization, so every path of a quenched run sees the same
-    field.  Query order is deterministic, hence so are the values.
+    nearest existing sites within the conditioning radius.  Points without
+    a site in reach are accepted as new sites greedily in query order,
+    skipping any within the snap distance of one accepted before it.  The
+    snap lookup goes through the realization's neighbour index and returns
+    exactly the sites a dense scan would.  The evaluator owns a single
+    realization, so every path of a quenched run sees the same field.  Query
+    order is deterministic, hence so are the values.
     """
 
     def __init__(self, spec, d, seed):
@@ -76,28 +80,25 @@ class LazyFieldEvaluator:
 
     def values_at(self, points):
         pts = np.asarray(points, dtype=float)
-        idx, dist = self.realization.nearest_site(pts)
-        need = dist > self.snap_h
-        if np.any(need):
-            new_sites = []
-            for p, missing in zip(pts, need):
-                if not missing:
-                    continue
-                if new_sites:
-                    arr = np.asarray(new_sites)
-                    dmin = np.min(geo.distance(arr, p, validate=False))
-                    if dmin <= self.snap_h:
-                        continue
-                new_sites.append(p)
-            if self.n_sites + len(new_sites) > MAX_FIELD_SITES:
+        idx, _ = self.realization.nearest_site_within(pts, self.snap_h)
+        missing = pts[idx < 0]
+        if len(missing):
+            # close[i, j]: missing point j lies within reach of missing point i
+            close = geo.distance(missing[:, None, :], missing[None, :, :],
+                                 validate=False) <= self.snap_h
+            accepted = []
+            for j in range(len(missing)):
+                if not close[accepted, j].any():
+                    accepted.append(j)
+            if self.n_sites + len(accepted) > MAX_FIELD_SITES:
                 raise BudgetExceeded(
                     f"lazy field lattice would exceed {MAX_FIELD_SITES} sites")
             self._counter += 1
             self.realization = extend_field(
-                self.realization, np.asarray(new_sites),
+                self.realization, missing[accepted],
                 seed=stream(self.seed, "lazy", self._counter).integers(2 ** 31),
                 k_cap=96)
-            idx, dist = self.realization.nearest_site(pts)
+            idx, _ = self.realization.nearest_site(pts)
         return self.realization.values[idx]
 
 
@@ -123,7 +124,12 @@ class FKEstimate:
 
     @property
     def log_mean(self):
-        return math.log(self.mean) if self.mean > 0 else -math.inf
+        """log of the mean weight from the log-weights; finite where the
+        weights themselves overflow, -inf when no path is accepted."""
+        lw = self.log_weights[self.accepted]
+        if lw.size == 0:
+            return -math.inf
+        return float(logsumexp(lw) - math.log(self.n_paths))
 
     def summary(self):
         return {"mode": self.mode, "t": self.t, "dt": self.dt,
@@ -261,7 +267,7 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
         log_weights[j] = float(np.dot(w, vals))
         early = path[: i_eps + 1]
         dev = geo.distance(early, gamma, validate=False)
-        radial = np.arccosh(np.maximum(1.0, early[:, 0]))
+        radial = geo.radius(early)
         ok_tube = bool(np.all(dev <= delta_tube) and np.all(radial <= ball_radius))
         ok_enter = bool(geo.distance(path[i_eps], peak_center, validate=False) <= r_peak)
         late = path[i_eps:]

@@ -7,13 +7,23 @@ and then rescaled so C(0) = sigma2.  Sampling is exact multivariate Gaussian
 via Cholesky; lazy evaluation along trajectories goes through conditional
 (kriging) extension that exploits the compact support by conditioning only on
 nearby sites.
+
+Every "which sites are near these points" question (nearest-site lookups,
+the conditioning set of an extension, island and cluster adjacency) goes
+through one neighbour index: a k-d tree over the ambient (d+1)-coordinates,
+queried with a Euclidean radius that provably contains the hyperbolic ball
+and then filtered with the exact ``geo.cosh_distance``.  The candidates
+therefore never drop a site the dense scan would find, and the answers are
+the dense scan's answers.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.spatial import cKDTree
 
 from .config import (BudgetExceeded, COND_RADIUS_FACTOR, ConstraintViolation,
                      FactorizationError, JITTER_LADDER, LATTICE_SPACING_FACTOR,
@@ -105,27 +115,130 @@ def _cholesky_with_jitter(mat, sigma2):
         f"covariance factorisation failed within jitter cap: {last}")
 
 
+def _euclidean_radius(rho, r):
+    """Ambient radius holding every point within distance rho of a point at radius r.
+
+    On the hyperboloid |x - y|_E^2 = 2 (cosh rho - 1) + 2 (x0 - y0)^2, and
+    |x0 - y0| = |cosh r_x - cosh r_y| <= sinh(r_x + rho) * rho.  The relative
+    slack covers the roundoff of far points, whose coordinates are e^r-sized,
+    for every rho above about 1e-9.
+    """
+    return np.sqrt(2.0 * (np.cosh(rho) - 1.0)
+                   + 2.0 * (np.sinh(r + rho) * rho) ** 2) * (1.0 + 1e-6)
+
+
+class _SiteIndex:
+    """k-d tree over the ambient coordinates of a fixed site array.
+
+    Queries return candidates from a Euclidean radius that contains the
+    hyperbolic ball (:func:`_euclidean_radius`); callers keep the candidates
+    that pass the exact hyperbolic test, so results match a dense scan.
+    """
+
+    def __init__(self, sites):
+        self.sites = sites
+        self.tree = cKDTree(sites)
+        self.r_max = float(np.max(geo.radius(sites), initial=0.0))
+
+    def candidates(self, points, rho):
+        """Flat (point, site) index pairs that may lie within rho, grouped
+        by point with ascending site indices."""
+        lists = self.tree.query_ball_point(
+            points, _euclidean_radius(rho, geo.radius(points)), return_sorted=True)
+        lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        qi = np.repeat(np.arange(len(points)), lens)
+        si = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
+                         count=int(lens.sum()))
+        return qi, si
+
+    def nearest_within(self, points, rho):
+        """Nearest site per point and its distance, or -1 and inf where no
+        site lies within rho.  Ties go to the lowest site index."""
+        idx = np.full(len(points), -1, dtype=np.intp)
+        dist = np.full(len(points), np.inf)
+        qi, si = self.candidates(points, rho)
+        if si.size == 0:
+            return idx, dist
+        prod = geo.cosh_distance(points[qi], self.sites[si])
+        starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+        best = np.minimum.reduceat(prod, starts)
+        at_best = prod == np.repeat(best, np.diff(np.r_[starts, qi.size]))
+        best_si = np.minimum.reduceat(np.where(at_best, si, len(self.sites)), starts)
+        best_dist = np.arccosh(np.maximum(1.0, best))
+        hit = best_dist <= rho
+        idx[qi[starts[hit]]] = best_si[hit]
+        dist[qi[starts[hit]]] = best_dist[hit]
+        return idx, dist
+
+    def close_pairs(self, rho):
+        """Index pairs i < j of sites at distance at most rho, measured
+        from site i to site j."""
+        pairs = self.tree.query_pairs(_euclidean_radius(rho, self.r_max),
+                                      output_type="ndarray")
+        i, j = pairs[:, 0], pairs[:, 1]
+        keep = geo.distance(self.sites[i], self.sites[j], validate=False) <= rho
+        return i[keep], j[keep]
+
+
+def _dense_nearest(sites, points):
+    prod = geo.cosh_distance(points[..., None, :], sites[None, :, :])
+    idx = np.argmin(prod, axis=-1)           # cosh(distance) is increasing
+    best = np.take_along_axis(prod, idx[..., None], axis=-1)[..., 0]
+    return idx, np.arccosh(np.maximum(1.0, best))
+
+
 @dataclass
 class FieldRealization:
-    """Sampled field values on a site set, extendable by conditioning."""
+    """Sampled field values on a site set, extendable by conditioning.
+
+    ``sites`` and ``values`` are never modified in place (extensions return
+    a new realization), so the neighbour index built on first use stays
+    valid for the realization's lifetime.
+    """
     spec: CovarianceSpec
     sites: np.ndarray          # (n, d+1) hyperboloid coordinates
     values: np.ndarray         # (n,)
     d: int
     h: float | None = None     # lattice spacing when sites come from a packing
     meta: dict = dfield(default_factory=dict)
+    _index: _SiteIndex | None = dfield(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def n_sites(self):
         return len(self.sites)
 
+    def _neighbours(self):
+        if self._index is None:
+            self._index = _SiteIndex(self.sites)
+        return self._index
+
+    def nearest_site_within(self, points, rho):
+        """Nearest site per point of a (m, d+1) array, if within distance rho.
+
+        Returns indices and distances, -1 and inf where no site lies within
+        rho; where one does, the answer equals :meth:`nearest_site`'s, ties
+        going to the lowest site index.
+        """
+        return self._neighbours().nearest_within(np.asarray(points, dtype=float), rho)
+
     def nearest_site(self, points):
-        """Indices and distances of the closest site per query point."""
+        """Indices and distances of the closest site per query point.
+
+        Looks within the lattice spacing ``h`` through the neighbour index and
+        scans every site only for points with no site that close (or when
+        ``h`` is unset), so the answer is always the global nearest site,
+        ties going to the lowest index, exactly as a dense argmin.
+        """
         pts = np.asarray(points, dtype=float)
-        prod = geo.cosh_distance(pts[..., None, :], self.sites[None, :, :])
-        idx = np.argmin(prod, axis=-1)           # cosh(distance) is increasing
-        best = np.take_along_axis(prod, idx[..., None], axis=-1)[..., 0]
-        return idx, np.arccosh(np.maximum(1.0, best))
+        if self.h is None:
+            return _dense_nearest(self.sites, pts)
+        flat = pts.reshape(-1, pts.shape[-1])
+        idx, dist = self.nearest_site_within(flat, self.h)
+        miss = np.flatnonzero(idx < 0)
+        if miss.size:
+            idx[miss], dist[miss] = _dense_nearest(self.sites, flat[miss])
+        return idx.reshape(pts.shape[:-1]), dist.reshape(pts.shape[:-1])
 
 
 def sample_field(spec, sites, seed):
@@ -167,8 +280,11 @@ def extend_field(fieldr, new_sites, seed, k_cap=None):
     Conditions on existing sites within 1.5 * R0 of the new block (compact
     support makes farther sites nearly irrelevant), optionally capped to the
     ``k_cap`` nearest.  New sites must lie at least 1e-9 from every existing
-    site.  Returns a new realization over the union; the original is
-    untouched.
+    site.  Those existing sites come from the realization's neighbour index,
+    and only they are measured against the new block; the conditioning set
+    and its order are those of a dense scan.  Returns a new realization over
+    the union, whose ``meta["jitter"]`` is the largest jitter used by any
+    factorisation so far; the original is untouched.
     """
     spec = fieldr.spec
     new_sites = np.asarray(new_sites, dtype=float)
@@ -177,25 +293,30 @@ def extend_field(fieldr, new_sites, seed, k_cap=None):
     if fieldr.n_sites + len(new_sites) > MAX_FIELD_SITES:
         raise BudgetExceeded("conditioning site budget exceeded")
 
-    dist_on = geo.distance(fieldr.sites[:, None, :], new_sites[None, :, :],
+    cond_radius = COND_RADIUS_FACTOR * spec.R0
+    cand = np.unique(fieldr._neighbours().candidates(new_sites, cond_radius)[1])
+    dist_on = geo.distance(fieldr.sites[cand][:, None, :], new_sites[None, :, :],
                            validate=False)
-    if fieldr.n_sites and np.min(dist_on) < 1e-9:
+    if cand.size and np.min(dist_on) < 1e-9:
         raise ConstraintViolation("new sites must be disjoint from existing sites")
 
-    near = np.flatnonzero(np.min(dist_on, axis=1) <= COND_RADIUS_FACTOR * spec.R0)
-    if k_cap is not None and near.size > k_cap:
-        order = np.argsort(np.min(dist_on[near], axis=1))
-        near = near[order[:k_cap]]
+    keep = np.flatnonzero(np.min(dist_on, axis=1) <= cond_radius)
+    if k_cap is not None and keep.size > k_cap:
+        order = np.argsort(np.min(dist_on[keep], axis=1))
+        keep = keep[order[:k_cap]]
+    near = cand[keep]
 
     rng = stream(seed, "extend", fieldr.meta.get("extensions", 0))
+    jitter = fieldr.meta.get("jitter", 0.0)
     cov_nn = spec.cov_matrix(new_sites)
     if near.size == 0:
         mean = np.zeros(len(new_sites))
         cond = cov_nn
     else:
         cov_oo = spec.cov_matrix(fieldr.sites[near])
-        cov_on = spec.cov(dist_on[near])
-        L, _ = _cholesky_with_jitter(cov_oo, spec.sigma2)
+        cov_on = spec.cov(dist_on[keep])
+        L, jit = _cholesky_with_jitter(cov_oo, spec.sigma2)
+        jitter = max(jitter, jit)
         w = np.linalg.solve(L.T, np.linalg.solve(L, cov_on))
         mean = w.T @ fieldr.values[near]
         cond = cov_nn - cov_on.T @ w
@@ -208,7 +329,7 @@ def extend_field(fieldr, new_sites, seed, k_cap=None):
         np.concatenate([fieldr.values, new_values]),
         fieldr.d, h=fieldr.h,
         meta={**fieldr.meta, "extensions": fieldr.meta.get("extensions", 0) + 1,
-              "jitter": jit})
+              "jitter": max(jitter, jit)})
     return out
 
 
@@ -388,8 +509,9 @@ class IslandSet:
 def detect_islands(fieldr, delta, t, h=None):
     """Connected components of {xi > delta * t^(2/3)} on the site lattice.
 
-    Two super-threshold sites are adjacent when within 2h; h defaults to the
-    realization's recorded lattice spacing.
+    Two super-threshold sites are adjacent when within 2h (pairs found
+    through the neighbour index); h defaults to the realization's recorded
+    lattice spacing.
     """
     if delta <= 0 or t <= 0:
         raise ConstraintViolation("need delta > 0 and t > 0")
@@ -400,11 +522,8 @@ def detect_islands(fieldr, delta, t, h=None):
     super_idx = np.flatnonzero(fieldr.values > thr)
     if super_idx.size == 0:
         return IslandSet([], super_idx, thr, h, t, delta, fieldr)
-    pts = fieldr.sites[super_idx]
-    dist = geo.distance(pts[:, None, :], pts[None, :, :], validate=False)
     uf = UnionFind(super_idx.size)
-    ii, jj = np.nonzero(np.triu(dist <= 2.0 * h, k=1))
-    for a, b in zip(ii, jj):
+    for a, b in zip(*_SiteIndex(fieldr.sites[super_idx]).close_pairs(2.0 * h)):
         uf.union(int(a), int(b))
     islands = [sorted(super_idx[g].tolist()) for g in uf.groups()]
     islands.sort(key=lambda g: g[0])
@@ -447,20 +566,26 @@ class ClusterSet:
 
 
 def build_clusters(islands, eta, t):
-    """Merge islands whose set distance is at most eta * t^(4/3)."""
+    """Merge islands whose set distance is at most eta * t^(4/3).
+
+    Linked islands are those holding a site pair within that distance,
+    found in one neighbour-index pass over all island sites.
+    """
     if eta <= 0:
         raise ConstraintViolation("eta must be positive")
     link = eta * t ** (4.0 / 3.0)
     fieldr = islands.field
     n = len(islands.islands)
     uf = UnionFind(n)
-    sets = [fieldr.sites[np.asarray(g)] for g in islands.islands]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dmin = np.arccosh(max(1.0, float(np.min(
-                geo.cosh_distance(sets[i][:, None, :], sets[j][None, :, :])))))
-            if dmin <= link:
-                uf.union(i, j)
+    if n:
+        # sites of all islands, concatenated in island order, so each
+        # pair i < j is measured from the lower island to the higher one
+        owner = np.repeat(np.arange(n), [len(g) for g in islands.islands])
+        sites = fieldr.sites[np.concatenate([np.asarray(g) for g in islands.islands])]
+        ii, jj = _SiteIndex(sites).close_pairs(link)
+        for a, b in zip(owner[ii], owner[jj]):
+            if a != b:
+                uf.union(int(a), int(b))
     clusters = []
     for label, grp in enumerate(uf.groups()):
         site_idx = sorted(idx for g in grp for idx in islands.islands[g])

@@ -62,6 +62,11 @@ def origin(d):
     return o
 
 
+def radius(x):
+    """Distance from the base point o, arccosh of the time coordinate."""
+    return np.arccosh(np.maximum(1.0, np.asarray(x, dtype=float)[..., 0]))
+
+
 def cosh_distance(x, y):
     """cosh of the distance, computed in a cancellation-free polar form.
 
@@ -74,8 +79,8 @@ def cosh_distance(x, y):
     y = np.asarray(y, dtype=float)
     sx = np.linalg.norm(x[..., 1:], axis=-1)
     sy = np.linalg.norm(y[..., 1:], axis=-1)
-    r1 = np.arccosh(np.maximum(1.0, x[..., 0]))
-    r2 = np.arccosh(np.maximum(1.0, y[..., 0]))
+    r1 = radius(x)
+    r2 = radius(y)
     nx = x[..., 1:] / np.maximum(sx, 1e-300)[..., None]
     ny = y[..., 1:] / np.maximum(sy, 1e-300)[..., None]
     cross = np.sum((nx - ny) ** 2, axis=-1)

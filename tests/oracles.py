@@ -23,6 +23,14 @@ def brute_force_reduce(word):
         i = j + 1
 
 
+def oracle_nearest_site(sites, points):
+    """Nearest site per point by argmin over the full point-by-site table."""
+    prod = geo.cosh_distance(points[:, None, :], sites[None, :, :])
+    idx = np.argmin(prod, axis=1)
+    best = prod[np.arange(len(points)), idx]
+    return idx, np.arccosh(np.maximum(1.0, best))
+
+
 def oracle_islands(fieldr, delta, t, h):
     """Connected components via explicit adjacency matrix and BFS."""
     thr = delta * t ** (2.0 / 3.0)

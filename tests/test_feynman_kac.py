@@ -59,6 +59,25 @@ class TestPlainEstimator:
         # zero at double precision (summation roundoff is the only spread)
         assert est.variance <= (1e-13 * est.mean) ** 2
 
+    def test_log_mean_beyond_float_range(self):
+        # exp(800 * 1.25) overflows a float; its logarithm does not
+        est = fk.fk_estimate(800.0, 2, 1.25, 0.01, 4, seed=0)
+        assert abs(est.log_mean - 1000.0) <= 1e-9
+        none = fk.FKEstimate(0.0, 0.0, 3, 1.0, 0.01, "localized", np.zeros(3),
+                             np.zeros(3, dtype=bool))
+        assert none.log_mean == -math.inf
+
+    def test_quenched_pinned(self, spec_quarter):
+        # recorded from the dense-scan implementation: every looked-up value
+        # of the lazy field feeds these weights
+        est = fk.fk_estimate(spec_quarter, 2, 1.0, 0.01, 12, seed=7)
+        assert est.meta["n_field_sites"] == 141
+        assert est.log_weights.tolist() == [
+            -0.2332526558830562, -0.06652216807468642, 0.1595507478301434,
+            -0.019355615018895902, 0.0004565816478096039, -0.07282889125542104,
+            0.0338150792668522, -0.034014956370984374, -0.004261377178976583,
+            -0.004584079116441476, -0.10632457991322994, -0.2609031643590092]
+
     def test_time_zero(self):
         est = fk.fk_estimate(0.7, 2, 0.0, 0.01, 16, seed=1)
         assert est.mean == 1.0 and est.variance == 0.0

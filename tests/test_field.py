@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypam import field as fd, geometry as geo
 from hypam.config import BudgetExceeded, ConstraintViolation, stream
+from oracles import oracle_clusters, oracle_islands, oracle_nearest_site
 
 
 class TestCovarianceSpec:
@@ -138,6 +140,16 @@ class TestExtension:
         base = fd.sample_field(spec_unit, sites, seed=3)
         with pytest.raises(ConstraintViolation):
             fd.extend_field(base, sites[2:3], seed=0)
+
+    def test_largest_jitter_kept(self, spec_unit, monkeypatch):
+        jitters = iter([1e-8, 1e-10, 1e-12, 0.0])
+        monkeypatch.setattr(fd, "_cholesky_with_jitter",
+                            lambda mat, sigma2: (np.linalg.cholesky(mat), next(jitters)))
+        ex = np.array([1.0, 0.0])
+        base = fd.FieldRealization(spec_unit, geo.origin(2)[None, :], np.zeros(1), 2)
+        one = fd.extend_field(base, geo.point_at(2, 0.3, ex)[None, :], seed=0)
+        two = fd.extend_field(one, geo.point_at(2, 0.6, ex)[None, :], seed=1)
+        assert two.meta["jitter"] == 1e-8
 
     def test_two_stage_matches_one_shot(self, spec_unit):
         rng = stream(6, "equiv")
@@ -288,6 +300,51 @@ class TestIslandsClusters:
         assert set(rep) == {"clusters"}
         for c in rep["clusters"]:
             assert set(c) == {"id", "center", "diameter", "n_islands", "n_sites"}
+
+
+class TestNeighbourIndex:
+    """Index-backed lookups against dense scans on random site sets."""
+
+    @staticmethod
+    def _sites(d, radius, n, seed):
+        rng = stream(seed, "index")
+        sites = geo.sample_region(geo.BallRegion(radius), d, rng, n)
+        # exact ties: a repeated site, and sites on a small sphere around o
+        dirs = np.vstack([np.eye(d), -np.eye(d)])
+        ring = geo.point_at(d, np.full(2 * d, 0.02), dirs)
+        return np.vstack([sites, sites[:1], ring]), rng
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), radius=st.floats(0.5, 8.0),
+           n=st.integers(1, 120), h=st.floats(0.05, 2.0),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_nearest_site_matches_dense(self, spec_unit, d, radius, n, h, seed):
+        sites, rng = self._sites(d, radius, n, seed)
+        # some queries sit on sites or at o, some lie beyond every site's reach
+        queries = np.vstack([geo.origin(d)[None, :], sites[::7],
+                             geo.sample_region(geo.BallRegion(radius + 2.0), d, rng, 60)])
+        f = fd.FieldRealization(spec_unit, sites, np.zeros(len(sites)), d, h=h)
+        want_idx, want_dist = oracle_nearest_site(sites, queries)
+        idx, dist = f.nearest_site(queries)
+        assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+        within, within_dist = f.nearest_site_within(queries, h)
+        hit = want_dist <= h
+        assert np.array_equal(within[hit], want_idx[hit])
+        assert np.array_equal(within_dist[hit], want_dist[hit])
+        assert np.all(within[~hit] == -1) and np.all(np.isinf(within_dist[~hit]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.sampled_from([2, 3]), radius=st.floats(0.5, 8.0),
+           n=st.integers(1, 80), h=st.floats(0.05, 1.0),
+           eta=st.sampled_from([1e-4, 3.0]), seed=st.integers(0, 2 ** 31 - 1))
+    def test_partition_matches_dense(self, spec_unit, d, radius, n, h, eta, seed):
+        sites, rng = self._sites(d, radius, n, seed)
+        values = rng.normal(0.0, 1.0, len(sites))
+        f = fd.FieldRealization(spec_unit, sites, values, d, h=h)
+        isl = fd.detect_islands(f, 0.3, 1.0)
+        assert sorted(isl.islands) == oracle_islands(f, 0.3, 1.0, h)
+        cl = fd.build_clusters(isl, eta, 1.0)
+        assert sorted(c.site_indices for c in cl.clusters) == oracle_clusters(isl, eta, 1.0)
 
 
 def test_factorization_failure_on_invalid_profile():
