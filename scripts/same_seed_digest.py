@@ -27,6 +27,9 @@ CALLS = [
      {"sigma2": 0.25, "t": 1.0, "dt": 0.01, "n_paths": 32, "mode": "annealed"}, 3),
     ("fk-localized", "fk-localized",
      {"t": 1.0, "dt": 0.01, "n_paths": 200}, 5),
+    ("fk-localized-accepting", "fk-localized",
+     {"t": 1.0, "dt": 0.01, "n_paths": 300, "eps": 0.25, "K": 4.0,
+      "delta_tube": 1.2, "r_peak": 1.0}, 5),
     ("clusters", "clusters",
      {"delta": 0.5, "t": 3.0, "eta": 5e-4, "lam": 1e-4, "R0": 1.0,
       "spacing_factor": 0.25, "site_cap": 512}, 2),
@@ -39,6 +42,14 @@ CALLS = [
     ("route-budget", "route-budget",
      {"K0": 40.0, "alpha": 0.05, "mu_factor": 1.05, "delta": 9.1537,
       "C_R0_hat": 4.8216, "eta": 2.0, "lam": 0.05, "t": 20.0, "n_reps": 8}, 7),
+    ("optimize", "optimize", {"d": 3, "sigma2": 0.5}, 1),
+    ("radial-check", "radial-check",
+     {"d": 2, "t": 1.0, "dt": 0.01, "n_paths": 200}, 4),
+    ("energy-bound", "energy-bound",
+     {"K": 1.0, "delta": 0.5, "eta": 0.02, "zeta": 0.001, "d": 2}, 115),
+    ("hk-calibrate", "hk-calibrate", {"d": 3, "n_paths": 1000}, 1),
+    ("long-route-tail", "long-route-tail",
+     {"eta": 2.0, "t": 4.0, "K0": 2.0, "N_hops": 6}, 1),
 ]
 
 

@@ -55,50 +55,43 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def trajectory_rows(traj):
-    head = ["time"] + [f"x{i}" for i in range(traj.d + 1)]
-    rows = [[t] + list(p) for t, p in zip(traj.times, traj.points)]
-    return head, rows
-
-
 # --- subcommand implementations ----------------------------------------------
+#
+# Each run_* maps a validated config to (header, rows, summary); run() writes
+# them out as data.csv and summary.json.
 
 def _params(cfg):
     return varopt.ModelParams(cfg.d, cfg.sigma2)
 
 
-def run_optimize(cfg, out):
+def run_optimize(cfg):
     sol = varopt.optimize_f(_params(cfg))
-    write_csv(os.path.join(out, "data.csv"),
-              ["eps_star", "K_star", "L_star"],
-              [[sol.eps_star, sol.K_star, sol.L_star]])
-    write_json(os.path.join(out, "summary.json"),
-               {"eps_star": sol.eps_star, "K_star": sol.K_star,
-                "L_star": sol.L_star,
-                "checks": {"grid_gap": sol.grid_gap,
-                           "gradient_norm": sol.gradient_norm}})
+    return (["eps_star", "K_star", "L_star"],
+            [[sol.eps_star, sol.K_star, sol.L_star]],
+            {"eps_star": sol.eps_star, "K_star": sol.K_star,
+             "L_star": sol.L_star,
+             "checks": {"grid_gap": sol.grid_gap,
+                        "gradient_norm": sol.gradient_norm}})
 
 
-def run_field_max_scan(cfg, out):
+def run_field_max_scan(cfg):
     spec = field.make_spec(cfg.sigma2, cfg.R0, cfg.kernel_shape, cfg.d)
     rows = field.max_scan(spec, cfg.d, cfg.r_values(),
                           spacing=cfg.spacing_factor * cfg.R0,
                           n_reps=cfg.n_reps, seed=cfg.seed,
                           site_cap=cfg.site_cap)
-    data = [[r.R, r.n_sites, r.maximal, r.mean_max, r.max_max,
-             r.exceedance[0.5]] for r in rows]
-    write_csv(os.path.join(out, "data.csv"),
-              ["R", "n_sites", "maximal", "mean_max", "max_max",
-               "exceedance_eps0.5"], data)
-    write_json(os.path.join(out, "summary.json"),
-               {"rows": [{"R": r.R, "n_sites": r.n_sites,
-                          "mean_max": r.mean_max, "max_max": r.max_max,
-                          "exceedance": {str(k): v for k, v in r.exceedance.items()}}
-                         for r in rows],
-                "spacing": cfg.spacing_factor * cfg.R0, "n_reps": cfg.n_reps})
+    return (["R", "n_sites", "maximal", "mean_max", "max_max",
+             "exceedance_eps0.5"],
+            [[r.R, r.n_sites, r.maximal, r.mean_max, r.max_max,
+              r.exceedance[0.5]] for r in rows],
+            {"rows": [{"R": r.R, "n_sites": r.n_sites,
+                       "mean_max": r.mean_max, "max_max": r.max_max,
+                       "exceedance": {str(k): v for k, v in r.exceedance.items()}}
+                      for r in rows],
+             "spacing": cfg.spacing_factor * cfg.R0, "n_reps": cfg.n_reps})
 
 
-def run_clusters(cfg, out):
+def run_clusters(cfg):
     spec = field.make_spec(cfg.sigma2, cfg.R0, cfg.kernel_shape, cfg.d)
     spacing = cfg.spacing_factor * cfg.R0
     region = geo.BallRegion(min(cfg.K0 * cfg.t ** (4.0 / 3.0), 6.0))
@@ -108,110 +101,94 @@ def run_clusters(cfg, out):
     f.h = spacing
     islands = field.detect_islands(f, cfg.delta, cfg.t)
     clusters = field.build_clusters(islands, cfg.eta, cfg.t)
-    head = ["site_id"] + [f"x{i}" for i in range(cfg.d + 1)] + ["value"]
-    rows = [[i] + list(p) + [v] for i, (p, v) in enumerate(zip(f.sites, f.values))]
-    write_csv(os.path.join(out, "data.csv"), head, rows)
-    write_json(os.path.join(out, "summary.json"), clusters.report())
+    return (["site_id"] + [f"x{i}" for i in range(cfg.d + 1)] + ["value"],
+            [[i] + list(p) + [v] for i, (p, v) in enumerate(zip(f.sites, f.values))],
+            clusters.report())
 
 
-def run_radial_check(cfg, out):
+def run_radial_check(cfg):
     times, pts = brownian.simulate_bm_batch(cfg.d, cfg.t, cfg.dt, cfg.seed,
                                             cfg.n_paths)
     radii = geo.radius(pts[-1])
-    ratio = float(np.mean(radii) / ((cfg.d - 1) * cfg.t))
     traj = brownian.Trajectory(times, pts[:, 0, :], cfg.d)
-    head, rows = trajectory_rows(traj)
-    write_csv(os.path.join(out, "data.csv"), head, rows)
-    write_json(os.path.join(out, "summary.json"),
-               {"mean_radius": float(np.mean(radii)), "ratio": ratio,
-                "n_paths": cfg.n_paths, "t": cfg.t, "dt": cfg.dt,
-                "max_step_ratio": traj.max_step_ratio()})
+    return (["time"] + [f"x{i}" for i in range(cfg.d + 1)],
+            [[t] + list(p) for t, p in zip(traj.times, traj.points)],
+            {"mean_radius": float(np.mean(radii)),
+             "ratio": float(np.mean(radii) / ((cfg.d - 1) * cfg.t)),
+             "n_paths": cfg.n_paths, "t": cfg.t, "dt": cfg.dt,
+             "max_step_ratio": traj.max_step_ratio()})
 
 
-def run_exit_check(cfg, out):
+def run_exit_check(cfg):
     rows = brownian.exit_stats(cfg.d, cfg.r_values(), cfg.t, cfg.n_paths,
                                cfg.seed, dt=cfg.dt)
-    write_csv(os.path.join(out, "data.csv"),
-              ["R", "t", "n", "hits", "p_hat", "ci_lo", "ci_hi"],
-              [[r["R"], r["t"], r["n"], r["hits"], r["p_hat"],
-                r["ci_lo"], r["ci_hi"]] for r in rows])
     try:
         fit = brownian.exit_fit(rows).to_dict()
     except ConstraintViolation:
         fit = None
-    write_json(os.path.join(out, "summary.json"), {"rows": rows, "fit": fit})
+    return (["R", "t", "n", "hits", "p_hat", "ci_lo", "ci_hi"],
+            [[r["R"], r["t"], r["n"], r["hits"], r["p_hat"],
+              r["ci_lo"], r["ci_hi"]] for r in rows],
+            {"rows": rows, "fit": fit})
 
 
-def run_bridge_ldp(cfg, out):
+def run_bridge_ldp(cfg):
     d = 3
     x = geo.origin(d)
     y = geo.point_at(d, 1.0, np.array([1.0, 0.0, 0.0]))
     rows, fit = brownian.bridge_ldp_decay(x, y, cfg.delta, cfg.s_values(),
                                           cfg.n_paths, cfg.seed)
-    write_csv(os.path.join(out, "data.csv"),
-              ["s", "p_hat", "hits", "n", "ci_lo", "ci_hi"],
-              [[r["s"], r["p_hat"], r["hits"], r["n"], r["ci_lo"], r["ci_hi"]]
-               for r in rows])
-    write_json(os.path.join(out, "summary.json"),
-               {"rows": rows, "fit": fit.to_dict() if fit else None,
-                "kappa_hat": -fit.slope if fit else None})
+    return (["s", "p_hat", "hits", "n", "ci_lo", "ci_hi"],
+            [[r["s"], r["p_hat"], r["hits"], r["n"], r["ci_lo"], r["ci_hi"]]
+             for r in rows],
+            {"rows": rows, "fit": fit.to_dict() if fit else None,
+             "kappa_hat": -fit.slope if fit else None})
 
 
-def run_energy_bound(cfg, out):
+def run_energy_bound(cfg):
     rep = brownian.energy_excess_check(cfg.K, cfg.delta, cfg.eta, cfg.zeta,
                                        n_trials=2, seed=cfg.seed, d=cfg.d)
-    write_csv(os.path.join(out, "data.csv"),
-              ["min_energy", "bound", "holds"],
-              [[rep.min_energy, rep.bound, rep.holds]])
-    write_json(os.path.join(out, "summary.json"), {
-        "min_energy": rep.min_energy, "bound": rep.bound,
-        "holds": rep.holds, "constraints_ok": rep.constraints_ok,
-        "base_distance": rep.base_distance,
-        "endpoint_slack": rep.endpoint_slack, "deviation": rep.deviation})
+    return (["min_energy", "bound", "holds"],
+            [[rep.min_energy, rep.bound, rep.holds]],
+            {"min_energy": rep.min_energy, "bound": rep.bound,
+             "holds": rep.holds, "constraints_ok": rep.constraints_ok,
+             "base_distance": rep.base_distance,
+             "endpoint_slack": rep.endpoint_slack, "deviation": rep.deviation})
 
 
-def run_hk_calibrate(cfg, out):
+def run_hk_calibrate(cfg):
     cal = heatkernel.calibrate(cfg.d, seed=cfg.seed,
                                n_paths=min(cfg.n_paths, 200000))
-    write_csv(os.path.join(out, "data.csv"), ["d", "C1", "C2"],
-              [[cal.d, cal.C1, cal.C2]])
-    write_json(os.path.join(out, "summary.json"),
-               {"d": cal.d, "C1": cal.C1, "C2": cal.C2,
-                "grid_spec": cal.grid_spec})
+    return (["d", "C1", "C2"], [[cal.d, cal.C1, cal.C2]],
+            {"d": cal.d, "C1": cal.C1, "C2": cal.C2,
+             "grid_spec": cal.grid_spec})
 
 
-def _fk_rows(est):
-    return [[i, lw, bool(acc), ""]
-            for i, (lw, acc) in enumerate(zip(est.log_weights, est.accepted))]
+def _fk_output(est, **extra):
+    """One data row per path, and the estimate's summary plus ``extra``."""
+    return (["path_id", "log_weight", "accepted", "route_word"],
+            [[i, lw, bool(acc), ""]
+             for i, (lw, acc) in enumerate(zip(est.log_weights, est.accepted))],
+            {**est.summary(), **extra})
 
 
-def run_fk(cfg, out):
+def run_fk(cfg):
     spec = field.make_spec(cfg.sigma2, cfg.R0, cfg.kernel_shape, cfg.d)
-    est = feynman_kac.fk_estimate(spec, cfg.d, cfg.t, cfg.dt, cfg.n_paths,
-                                  cfg.seed, mode=cfg.mode)
-    write_csv(os.path.join(out, "data.csv"),
-              ["path_id", "log_weight", "accepted", "route_word"],
-              _fk_rows(est))
-    write_json(os.path.join(out, "summary.json"), est.summary())
+    return _fk_output(feynman_kac.fk_estimate(
+        spec, cfg.d, cfg.t, cfg.dt, cfg.n_paths, cfg.seed, mode=cfg.mode))
 
 
-def run_fk_localized(cfg, out):
-    center = geo.point_at(cfg.d, cfg.peak_distance,
-                          np.eye(cfg.d)[0])
+def run_fk_localized(cfg):
+    center = geo.point_at(cfg.d, cfg.peak_distance, np.eye(cfg.d)[0])
     potential = feynman_kac.PlantedPeakPotential(center, cfg.peak_height,
                                                  width=cfg.R0)
     est = feynman_kac.fk_localized_lower(
         potential, cfg.d, cfg.t, cfg.eps, cfg.K, cfg.delta_tube, center,
         cfg.seed, cfg.n_paths, r_peak=cfg.r_peak, dt=cfg.dt)
-    write_csv(os.path.join(out, "data.csv"),
-              ["path_id", "log_weight", "accepted", "route_word"],
-              _fk_rows(est))
-    summary = est.summary()
-    summary["accept_fraction"] = est.accept_fraction
-    write_json(os.path.join(out, "summary.json"), summary)
+    return _fk_output(est, accept_fraction=est.accept_fraction)
 
 
-def run_route_budget(cfg, out):
+def run_route_budget(cfg):
     params = _params(cfg)
     mu = cfg.mu_factor * params.mu0
     consts, _ = varopt.route_constants(cfg.eta, cfg.lam, cfg.delta, cfg.K0,
@@ -229,28 +206,24 @@ def run_route_budget(cfg, out):
         rows.append([i, rep.m, rep.m_reduced, rep.k_star, rep.trian_holds,
                      rep.hat_bound_holds, rep.f_style_value, rep.main_term,
                      rep.log_bound])
-    write_csv(os.path.join(out, "data.csv"),
-              ["geometry_id", "m", "m_reduced", "k_star", "trian_holds",
-               "hat_bound_holds", "f_style_value", "main_term", "log_bound"],
-              rows)
     n_bad = sum(1 for r in rows if not (r[4] and r[5] and r[6] <= r[7] + 1e-9))
-    write_json(os.path.join(out, "summary.json"),
-               {"n_geometries": len(rows), "n_violations": n_bad,
-                "main_term": rows[0][7] if rows else None})
+    return (["geometry_id", "m", "m_reduced", "k_star", "trian_holds",
+             "hat_bound_holds", "f_style_value", "main_term", "log_bound"],
+            rows,
+            {"n_geometries": len(rows), "n_violations": n_bad,
+             "main_term": rows[0][7] if rows else None})
 
 
-def run_long_route_tail(cfg, out):
+def run_long_route_tail(cfg):
     params = _params(cfg)
     rows = []
     for N in range(1, cfg.N_hops + 1):
         rep = feynman_kac.long_route_tail(cfg.eta, N, cfg.t, params, cfg.K0)
         rows.append([N, rep.log_F, rep.exponent, rep.log_bound])
-    write_csv(os.path.join(out, "data.csv"),
-              ["N", "log_F", "exponent", "log_bound"], rows)
-    write_json(os.path.join(out, "summary.json"),
-               {"threshold_etaN": feynman_kac.long_route_threshold(params, cfg.K0),
-                "rows": [{"N": r[0], "log_F": r[1], "exponent": r[2],
-                          "log_bound": r[3]} for r in rows]})
+    return (["N", "log_F", "exponent", "log_bound"], rows,
+            {"threshold_etaN": feynman_kac.long_route_threshold(params, cfg.K0),
+             "rows": [{"N": r[0], "log_F": r[1], "exponent": r[2],
+                       "log_bound": r[3]} for r in rows]})
 
 
 SUBCOMMANDS = {
@@ -278,11 +251,12 @@ def run(subcommand, cfg):
         return 2
     try:
         cfg.validate(need_cluster_scales=subcommand in _NEEDS_CLUSTER_SCALES)
-        out = cfg.out
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "manifest.cfg"), "w") as fh:
+        os.makedirs(cfg.out, exist_ok=True)
+        with open(os.path.join(cfg.out, "manifest.cfg"), "w") as fh:
             fh.write(format_config(cfg, subcommand))
-        SUBCOMMANDS[subcommand](cfg, out)
+        header, rows, summary = SUBCOMMANDS[subcommand](cfg)
+        write_csv(os.path.join(cfg.out, "data.csv"), header, rows)
+        write_json(os.path.join(cfg.out, "summary.json"), summary)
     except ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 2

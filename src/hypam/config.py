@@ -92,7 +92,6 @@ class RunConfig:
     mu_factor: float = 1.1     # mu = mu_factor * mu0
     K0: float = 2.0
     C_R0_hat: float = 1.0
-    beta: float = 1.0 / 3.0
     seed: int = 0
     mode: str = "quenched"
     spacing_factor: float = LATTICE_SPACING_FACTOR
@@ -110,10 +109,18 @@ class RunConfig:
     out: str = "out"
 
     def r_values(self):
-        return [float(x) for x in str(self.R_list).split(",") if x.strip()]
+        return self._floats("R_list")
 
     def s_values(self):
-        return [float(x) for x in str(self.s_list).split(",") if x.strip()]
+        return self._floats("s_list")
+
+    def _floats(self, key):
+        text = str(getattr(self, key))
+        try:
+            return [float(x) for x in text.split(",") if x.strip()]
+        except ValueError:
+            raise ConstraintViolation(
+                f"{key} must be comma-separated numbers, got {text!r}") from None
 
     def validate(self, need_cluster_scales=False):
         if self.d < 2:
@@ -122,8 +129,6 @@ class RunConfig:
             raise ConstraintViolation("sigma2 and R0 must be positive")
         if self.dt <= 0:
             raise ConstraintViolation("dt must be positive")
-        if not 0.25 < self.beta < 0.5:
-            raise ConstraintViolation("beta must lie in (1/4, 1/2)")
         if need_cluster_scales:
             from . import field as _field
             _, eta_delta = _field.cluster_constants(

@@ -148,6 +148,18 @@ def _trapezoid_weights(times):
     return w
 
 
+def _path_integrals(evaluator, times, pts):
+    """Trapezoid integral of ``evaluator.values_at`` along each path.
+
+    ``pts`` is (steps, paths, d+1).  Paths are queried one at a time in
+    column order: a lazy field grows in query order, so this order fixes
+    its values.
+    """
+    w = _trapezoid_weights(times)
+    return np.array([float(np.dot(w, evaluator.values_at(pts[:, j, :])))
+                     for j in range(pts.shape[1])])
+
+
 def _estimate(log_weights, accepted, t, dt, mode, meta):
     """Summarize per-path log-weights; rejected paths contribute zero."""
     weights = np.exp(log_weights) * accepted
@@ -172,12 +184,15 @@ def fk_estimate(potential, d, t, dt, n_paths, seed, mode="quenched"):
     ``potential`` may be a covariance spec (Gaussian field), a constant, or
     any object with ``values_at``.  Quenched mode shares one realization
     across all paths; annealed mode redraws the field for every batch of
-    max(1, n_paths // 16) paths.  The time integral is a trapezoid on the
+    max(1, n_paths // 16) paths; any other mode is rejected.  The time integral is a trapezoid on the
     simulation grid, which for a field must resolve its variation:
     dt <= min(t / 100, R0^2 / 8).
     """
     if t < 0:
         raise ConstraintViolation("t must be nonnegative")
+    if mode not in ("quenched", "annealed"):
+        raise ConstraintViolation(
+            f"mode must be 'quenched' or 'annealed', got {mode!r}")
     all_paths = np.ones(n_paths, dtype=bool)
     if t == 0:
         # integral over [0, 0] vanishes: exactly 1, even for zero paths
@@ -200,10 +215,7 @@ def fk_estimate(potential, d, t, dt, n_paths, seed, mode="quenched"):
         if redraw:
             evaluator = _resolve_potential(potential, d, seed, "field-batch", batch_id)
         times, pts = simulate_bm_batch(d, t, dt, seed, m, stream_id=batch_id)
-        w = _trapezoid_weights(times)
-        for j in range(m):
-            vals = evaluator.values_at(pts[:, j, :])
-            log_weights[done + j] = float(np.dot(w, vals))
+        log_weights[done:done + m] = _path_integrals(evaluator, times, pts)
         done += m
         batch_id += 1
     meta = {"seed": seed}
@@ -250,29 +262,22 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
     evaluator = _resolve_potential(potential, d, seed, "field")
     peak_center = np.asarray(peak_center, dtype=float)
     times, pts = simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0)
-    w = _trapezoid_weights(times)
-    n_steps = len(times) - 1
-    i_eps = int(round(eps * t / dt))
-    i_eps = min(max(i_eps, 1), n_steps)
+    log_weights = _path_integrals(evaluator, times, pts)
+    i_eps = min(max(int(round(eps * t / dt)), 1), len(times) - 1)
     ball_radius = K * t ** (4.0 / 3.0)
 
     fracs = times[: i_eps + 1] / times[i_eps]
     gamma = geo.geodesic_point(geo.origin(d), peak_center, fracs)
 
-    log_weights = np.empty(n_paths)
-    accepted = np.zeros(n_paths, dtype=bool)
-    for j in range(n_paths):
-        path = pts[:, j, :]
-        vals = evaluator.values_at(path)
-        log_weights[j] = float(np.dot(w, vals))
-        early = path[: i_eps + 1]
-        dev = geo.distance(early, gamma, validate=False)
-        radial = geo.radius(early)
-        ok_tube = bool(np.all(dev <= delta_tube) and np.all(radial <= ball_radius))
-        ok_enter = bool(geo.distance(path[i_eps], peak_center, validate=False) <= r_peak)
-        late = path[i_eps:]
-        ok_stay = bool(np.all(geo.distance(late, peak_center, validate=False) <= 2.0 * r_peak))
-        accepted[j] = ok_tube and ok_enter and ok_stay
+    # per-path checks over all paths at once; arrays are (steps, paths)
+    early = pts[: i_eps + 1]
+    ok_tube = (np.all(geo.distance(early, gamma[:, None, :], validate=False)
+                      <= delta_tube, axis=0)
+               & np.all(geo.radius(early) <= ball_radius, axis=0))
+    ok_enter = geo.distance(pts[i_eps], peak_center, validate=False) <= r_peak
+    ok_stay = np.all(geo.distance(pts[i_eps:], peak_center, validate=False)
+                     <= 2.0 * r_peak, axis=0)
+    accepted = ok_tube & ok_enter & ok_stay
     meta = {"seed": seed, "eps": eps, "K": K, "delta_tube": delta_tube,
             "r_peak": r_peak,
             "zero_acceptance": float(np.mean(accepted)) == 0.0}
@@ -289,14 +294,6 @@ class Route:
     exit_times: list          # may be one shorter when the path ends inside
     t: float
     lam: float
-
-    def stop_times(self):
-        out = []
-        for i, s in enumerate(self.entry_times):
-            out.append(s)
-            if i < len(self.exit_times):
-                out.append(self.exit_times[i])
-        return out
 
 
 def route_extract(traj, clusters, lam, t):

@@ -106,19 +106,10 @@ def geodesic_point(x, y, s, validate=True):
     if validate:
         check_points(x)
         check_points(y)
-    rho = distance(x, y, validate=False)
-    s = np.asarray(s, dtype=float)
-    if np.isscalar(rho) or rho.ndim == 0:
-        if rho < 1e-14:
-            return np.broadcast_to(x, s.shape + x.shape).copy() if s.ndim else x.copy()
-        u = (y - np.cosh(rho) * x) / np.sinh(rho)
-        sr = s[..., None] * rho if s.ndim else s * rho
-        return np.cosh(sr) * x + np.sinh(sr) * u
-    # batched endpoints
-    rho_ = rho[..., None]
-    denom = np.sinh(np.maximum(rho_, 1e-14))
-    u = np.where(rho_ > 1e-14, (y - np.cosh(rho_) * x) / denom, 0.0)
-    sr = np.asarray(s)[..., None] * rho_
+    rho = np.asarray(distance(x, y, validate=False))[..., None]
+    u = np.where(rho > 1e-14,
+                 (y - np.cosh(rho) * x) / np.sinh(np.maximum(rho, 1e-14)), 0.0)
+    sr = np.asarray(s, dtype=float)[..., None] * rho
     return np.cosh(sr) * x + np.sinh(sr) * u
 
 
@@ -197,32 +188,6 @@ def frame_step(x, coeffs):
                    norm=np.linalg.norm(coeffs, axis=-1))
 
 
-@dataclass(frozen=True)
-class GeodesicSegment:
-    """Constant-speed geodesic between two validated points.
-
-    ``length`` always equals the endpoint distance; ``point_at(s)`` is the
-    unit-speed parametrization evaluated at arc length s in [0, length].
-    """
-    start: np.ndarray
-    end: np.ndarray
-    length: float
-
-    @classmethod
-    def connect(cls, x, y):
-        check_points(x)
-        check_points(y)
-        return cls(np.asarray(x, float), np.asarray(y, float),
-                   float(distance(x, y, validate=False)))
-
-    def point_at(self, s):
-        if self.length == 0.0:
-            return np.array(self.start)
-        return geodesic_point(self.start, self.end,
-                              np.asarray(s, dtype=float) / self.length,
-                              validate=False)
-
-
 # --- volumes ----------------------------------------------------------------
 
 def sphere_area(d):
@@ -295,7 +260,7 @@ def _radial_sampler(lo, hi, d, n_grid=2048):
         return lambda rng, n: np.full(n, lo)
     grid = np.linspace(lo, hi, n_grid)
     dens = np.sinh(grid) ** (d - 1)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
+    cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
     if cdf[-1] <= 0:  # degenerate near zero radius
         return lambda rng, n: rng.uniform(lo, hi, n)
     cdf /= cdf[-1]

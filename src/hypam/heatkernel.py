@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate
 
 from .config import KernelUnavailable
-from .geometry import distance, sphere_area
+from .geometry import distance, side_length, sphere_area
 
 
 def log_comparison_fn(t, rho, d):
@@ -78,7 +78,7 @@ def h3_radial_cdf(t, rho_max=None, n_grid=20001):
         rho_max = 2.0 * t + 12.0 * np.sqrt(t) + 12.0
     grid = np.linspace(0.0, rho_max, n_grid)
     dens = h3_radial_density(t, np.maximum(grid, 1e-12))
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
+    cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
     cdf /= cdf[-1]
 
     def F(x):
@@ -223,8 +223,7 @@ def bridge_marginal_normalization(t_a, t_b, t_mid, D, n_r=400, n_theta=200):
     r = np.linspace(1e-9, r_max, n_r)
     theta = np.linspace(0.0, np.pi, n_theta)
     rr, tt = np.meshgrid(r, theta, indexing="ij")
-    cos_d2 = np.cosh(rr) * np.cosh(D) - np.sinh(rr) * np.sinh(D) * np.cos(tt)
-    d2 = np.arccosh(np.maximum(1.0, cos_d2))
+    d2 = side_length(rr, D, tt)
     log_num = log_exact_h3(s1, rr) + log_exact_h3(s2, d2)
     log_den = log_exact_h3(s, D)
     integrand = np.exp(log_num - log_den) * np.sinh(rr) ** 2 * np.sin(tt)

@@ -212,6 +212,14 @@ def delta_scale(t, params, beta=1.0 / 3.0):
 
 
 # --- elementary inequalities -------------------------------------------------
+#
+# Each check reduces over the last axis and broadcasts over leading ones, so
+# one call covers a whole batch of instances.  A single instance gives plain
+# floats and a bool; a batch gives arrays.
+
+def _scalars(*values):
+    return tuple(v.item() if np.ndim(v) == 0 else v for v in values)
+
 
 def chain_bound(D, u):
     """Jump-cost superadditivity: sum D_i^2/u_i >= (sum D_i)^2 / sum u_i."""
@@ -221,9 +229,9 @@ def chain_bound(D, u):
         raise ConstraintViolation("length mismatch between distances and times")
     if np.any(D <= 0) or np.any(u <= 0):
         raise ConstraintViolation("all entries must be positive")
-    lhs = float(np.sum(D * D / u))
-    rhs = float(np.sum(D) ** 2 / np.sum(u))
-    return lhs, rhs, bool(lhs >= rhs - 1e-12 * max(1.0, abs(rhs)))
+    lhs = np.sum(D * D / u, axis=-1)
+    rhs = np.sum(D, axis=-1) ** 2 / np.sum(u, axis=-1)
+    return _scalars(lhs, rhs, lhs >= rhs - 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
 
 def hop_inequality(eps1, eps2, eta1, eta2, K1, K2, params):
@@ -233,19 +241,21 @@ def hop_inequality(eps1, eps2, eta1, eta2, K1, K2, params):
     - (K2-K1)^2/(4*eps2^2).  Right side: sqrt(mu0)*(1-eps1-eps2)*sqrt(K2)
     - K2^2/(4*(eps1+eps2)).  Requires eps1+eta1+eps2+eta2 = 1 and 0 < K1 < K2.
     """
-    if abs(eps1 + eta1 + eps2 + eta2 - 1.0) > 1e-12:
+    eps1, eps2, eta1, eta2, K1, K2 = (np.asarray(a, dtype=float)
+                                      for a in (eps1, eps2, eta1, eta2, K1, K2))
+    if np.any(np.abs(eps1 + eta1 + eps2 + eta2 - 1.0) > 1e-12):
         raise ConstraintViolation("time fractions must sum to 1")
-    if not (0 < K1 < K2):
+    if not np.all((0 < K1) & (K1 < K2)):
         raise ConstraintViolation("need 0 < K1 < K2")
-    if min(eps1, eps2, eta1, eta2) <= 0:
+    if any(np.any(a <= 0) for a in (eps1, eps2, eta1, eta2)):
         raise ConstraintViolation("all time fractions must be positive")
     smu = math.sqrt(params.mu0)
-    lhs = (smu * (eta1 * math.sqrt(K1) + eta2 * math.sqrt(K2))
+    lhs = (smu * (eta1 * np.sqrt(K1) + eta2 * np.sqrt(K2))
            - K1 ** 2 / (4.0 * eps1 ** 2)
            - (K2 - K1) ** 2 / (4.0 * eps2 ** 2))
-    rhs = (smu * (1.0 - eps1 - eps2) * math.sqrt(K2)
+    rhs = (smu * (1.0 - eps1 - eps2) * np.sqrt(K2)
            - K2 ** 2 / (4.0 * (eps1 + eps2)))
-    return lhs, rhs, bool(lhs <= rhs + 1e-12 * max(1.0, abs(rhs)))
+    return _scalars(lhs, rhs, lhs <= rhs + 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
 
 def ha_mean_bound(v):
@@ -253,10 +263,10 @@ def ha_mean_bound(v):
     v = np.asarray(v, dtype=float)
     if np.any(v <= 0):
         raise ConstraintViolation("all entries must be positive")
-    n = v.size
-    harm = n / float(np.sum(1.0 / v))
-    arit = float(np.sum(v)) / n
-    return harm, arit, bool(harm <= arit + 1e-12 * max(1.0, arit))
+    n = v.shape[-1]
+    harm = n / np.sum(1.0 / v, axis=-1)
+    arit = np.sum(v, axis=-1) / n
+    return _scalars(harm, arit, harm <= arit + 1e-12 * np.maximum(1.0, arit))
 
 
 def fuzz_chain_bound(n_trials, seed=0):
@@ -268,11 +278,8 @@ def fuzz_chain_bound(n_trials, seed=0):
         rows = int(np.sum(k == kk))
         D = rng.uniform(1e-3, 10.0, size=(rows, kk))
         u = rng.uniform(1e-3, 10.0, size=(rows, kk))
-        lhs = np.sum(D * D / u, axis=1)
-        rhs = np.sum(D, axis=1) ** 2 / np.sum(u, axis=1)
-        mask = lhs < rhs - 1e-12 * np.maximum(1.0, np.abs(rhs))
-        for i in np.flatnonzero(mask):
-            bad.append((D[i].tolist(), u[i].tolist()))
+        _, _, ok = chain_bound(D, u)
+        bad += [(D[i].tolist(), u[i].tolist()) for i in np.flatnonzero(~ok)]
     return bad
 
 
@@ -283,27 +290,21 @@ def fuzz_hop_inequality(n_trials, params, seed=0):
     fracs = g / np.sum(g, axis=1, keepdims=True)
     K2 = rng.uniform(1e-3, 5.0, size=n_trials)
     K1 = K2 * rng.uniform(1e-6, 1.0 - 1e-9, size=n_trials)
-    smu = math.sqrt(params.mu0)
     e1, h1, e2, h2 = fracs.T
-    lhs = (smu * (h1 * np.sqrt(K1) + h2 * np.sqrt(K2))
-           - K1 ** 2 / (4.0 * e1 ** 2) - (K2 - K1) ** 2 / (4.0 * e2 ** 2))
-    rhs = smu * (1.0 - e1 - e2) * np.sqrt(K2) - K2 ** 2 / (4.0 * (e1 + e2))
-    mask = lhs > rhs + 1e-12 * np.maximum(1.0, np.abs(rhs))
-    return [(e1[i], h1[i], e2[i], h2[i], K1[i], K2[i]) for i in np.flatnonzero(mask)]
+    _, _, ok = hop_inequality(e1, e2, h1, h2, K1, K2, params)
+    return [(e1[i], h1[i], e2[i], h2[i], K1[i], K2[i]) for i in np.flatnonzero(~ok)]
 
 
 def fuzz_ha_mean(n_trials, seed=0):
+    """Vectorized fuzz of :func:`ha_mean_bound`; returns list of violations."""
     rng = stream(seed, "fuzz-ha")
     bad = []
     k = rng.integers(1, 12, size=n_trials)
     for kk in np.unique(k):
         rows = int(np.sum(k == kk))
         v = rng.uniform(1e-4, 100.0, size=(rows, kk))
-        harm = kk / np.sum(1.0 / v, axis=1)
-        arit = np.sum(v, axis=1) / kk
-        mask = harm > arit + 1e-12 * np.maximum(1.0, arit)
-        for i in np.flatnonzero(mask):
-            bad.append(v[i].tolist())
+        _, _, ok = ha_mean_bound(v)
+        bad += [v[i].tolist() for i in np.flatnonzero(~ok)]
     return bad
 
 

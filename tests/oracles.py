@@ -110,3 +110,27 @@ def sample_hitting_times(a, dt, t_max, n, rng):
         x[active] = x_new
         active = active[~newly]
     return times
+
+
+def oracle_localized_accept(times, pts, eps, t, dt, K, delta_tube, center,
+                            r_peak):
+    """Localized-scenario acceptance by a literal per-path, per-step scan."""
+    d = pts.shape[-1] - 1
+    i_eps = min(max(int(round(eps * t / dt)), 1), len(times) - 1)
+    o = geo.origin(d)
+    out = []
+    for j in range(pts.shape[1]):
+        ok = True
+        for i in range(len(times)):
+            p = pts[i, j]
+            if i <= i_eps:
+                g = geo.geodesic_point(o, center, times[i] / times[i_eps],
+                                       validate=False)
+                ok = ok and geo.distance(p, g, validate=False) <= delta_tube
+                ok = ok and geo.radius(p) <= K * t ** (4.0 / 3.0)
+            if i == i_eps:
+                ok = ok and geo.distance(p, center, validate=False) <= r_peak
+            if i >= i_eps:
+                ok = ok and geo.distance(p, center, validate=False) <= 2.0 * r_peak
+        out.append(bool(ok))
+    return np.array(out)

@@ -90,6 +90,25 @@ class TestDispatch:
         assert status == 2
         assert "eta_delta" in capsys.readouterr().err
 
+    def test_unknown_mode_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "fk"
+        status = run_cli(tmp_path, "fk", "--out", str(out),
+                         "--set", "mode=anealed", "--set", "n_paths=4")
+        assert status == 2
+        assert "mode" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("sub,key,value", [
+        ("field-max-scan", "R_list", "5,x"),
+        ("exit-check", "R_list", "5,,x"),
+        ("bridge-ldp", "s_list", "0.4,y"),
+    ])
+    def test_bad_number_list_exit_2(self, tmp_path, capsys, sub, key, value):
+        status = run_cli(tmp_path, sub, "--out", str(tmp_path / "l"),
+                         "--set", f"{key}={value}")
+        assert status == 2
+        assert key in capsys.readouterr().err
+
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nope = 1\n")

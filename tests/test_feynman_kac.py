@@ -3,22 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from hypam import brownian as bm, field as fd, feynman_kac as fk, geometry as geo
 from hypam.config import BudgetExceeded, ConstraintViolation, stream
 from hypam.varopt import ModelParams, l_star_relaxed, route_constants
 
-
-def brute_force_reduce(word):
-    """Literal restatement of the reduction rule, scanning from the right."""
-    out = []
-    i = 0
-    while True:
-        j = max(k for k in range(len(word)) if word[k] == word[i])
-        out.append(word[j])
-        if j + 1 >= len(word):
-            return out
-        i = j + 1
+from oracles import brute_force_reduce, oracle_localized_accept
 
 
 class TestReduceWord:
@@ -53,6 +44,10 @@ class TestReduceWord:
 
 
 class TestPlainEstimator:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConstraintViolation, match="mode"):
+            fk.fk_estimate(0.7, 2, 1.0, 0.01, 4, seed=1, mode="anealed")
+
     def test_constant_potential_exact(self):
         est = fk.fk_estimate(0.7, 2, 1.5, 0.01, 64, seed=1)
         assert abs(est.mean - math.exp(0.7 * 1.5)) < 1e-12
@@ -124,6 +119,20 @@ class TestLocalized:
         assert vac.accept_fraction == 1.0
         assert np.isclose(vac.mean, full.mean)
 
+    def test_matches_per_path_scan(self):
+        center = geo.point_at(2, 1.5, np.array([1.0, 0.0]))
+        pot = fk.PlantedPeakPotential(center, 2.0, 1.0)
+        est = fk.fk_localized_lower(pot, 2, 1.0, 0.25, 4.0, 1.2, center,
+                                    seed=5, n_paths=200, r_peak=1.0, dt=0.01)
+        times, pts = bm.simulate_bm_batch(2, 1.0, 0.01, 5, 200, stream_id=0)
+        accepted = oracle_localized_accept(times, pts, 0.25, 1.0, 0.01, 4.0,
+                                           1.2, center, 1.0)
+        assert 0 < accepted.sum() < 200
+        np.testing.assert_array_equal(est.accepted, accepted)
+        integrals = [integrate.trapezoid(pot.values_at(pts[:, j]), times)
+                     for j in range(200)]
+        np.testing.assert_allclose(est.log_weights, integrals, rtol=1e-12)
+
     def test_monotone_in_peak_height(self):
         center = geo.point_at(2, 1.5, np.array([1.0, 0.0]))
         prev = None
@@ -185,8 +194,11 @@ class TestRouteExtraction:
         traj = _piecewise_radial_traj([0.0, 1.0, 1.45, 2.0, 1.0], ex)
         route = fk.route_extract(traj, cl, lam=0.5, t=1.0)
         assert "".join(lab[c] for c in route.word) == "aba"
-        st_times = route.stop_times()
-        assert all(st_times[i] <= st_times[i + 1] for i in range(len(st_times) - 1))
+        # entries and exits interleave: entry_i <= exit_i <= entry_{i+1}
+        entries, exits = route.entry_times, route.exit_times
+        assert len(exits) in (len(entries) - 1, len(entries))
+        assert all(entries[i] <= exits[i] for i in range(len(exits)))
+        assert all(exits[i] <= entries[i + 1] for i in range(len(entries) - 1))
 
     def test_word_aa_reentry(self, spec_unit):
         f, cl, lab, ex = _two_cluster_setup(spec_unit)

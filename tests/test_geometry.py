@@ -56,19 +56,6 @@ def test_geodesic_endpoints_and_midpoint():
     assert abs(geo.distance(m, y) - half) < 1e-9
 
 
-def test_geodesic_segment_invariants():
-    rng = stream(9, "seg")
-    x = geo.point_at(3, 1.1, geo.random_direction(3, rng))
-    y = geo.point_at(3, 2.4, geo.random_direction(3, rng))
-    seg = geo.GeodesicSegment.connect(x, y)
-    assert abs(seg.length - geo.distance(x, y)) < 1e-10
-    s = np.sort(rng.uniform(0.0, seg.length, 12))
-    pts = seg.point_at(s)
-    gaps = geo.distance(pts[:-1], pts[1:], validate=False)
-    assert np.max(np.abs(gaps - np.diff(s))) < 1e-8
-    assert np.allclose(seg.point_at(0.0), x, atol=1e-10)
-
-
 def test_geodesic_unit_speed():
     rng = stream(3, "speed")
     x = geo.point_at(2, 0.7, geo.random_direction(2, rng))
