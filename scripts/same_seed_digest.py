@@ -33,6 +33,10 @@ CALLS = [
     ("clusters", "clusters",
      {"delta": 0.5, "t": 3.0, "eta": 5e-4, "lam": 1e-4, "R0": 1.0,
       "spacing_factor": 0.25, "site_cap": 512}, 2),
+    # the benchmark's field-lattice size: a few hundred islands to group
+    ("clusters-2048", "clusters",
+     {"delta": 0.5, "t": 3.0, "eta": 5e-4, "lam": 1e-4, "R0": 1.0,
+      "spacing_factor": 0.25, "site_cap": 2048}, 3),
     ("field-max-scan", "field-max-scan",
      {"R_list": "5,10", "n_reps": 8, "site_cap": 256}, 1),
     ("exit-check", "exit-check",

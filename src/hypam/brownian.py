@@ -138,16 +138,16 @@ def simulate_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0,
 
 
 @functools.cache
-def radial_drift_bound(d, n_grid=100001):
+def radial_drift_bound(d):
     """Numeric sup of (d-1) f'(x) coth(x) + f''(x) for the smoothing blend f.
 
     f is constant 1/2 on [0, 1/4], the identity on [1, inf) and a cubic
     Hermite blend in between, chosen so f is nondecreasing with f' <= 1
     (knots fixed here).  The sup is finite because f' vanishes where coth
-    blows up.
+    blows up; it is taken over 100001 grid points of the blend.
     """
     a, b = 0.25, 1.0
-    x = np.linspace(a, b, n_grid)
+    x = np.linspace(a, b, 100001)
     u = (x - a) / (b - a)
     fp = 2.0 * u - u ** 2                 # f' on the blend, in [0, 1]
     fpp = (2.0 - 2.0 * u) / (b - a)
@@ -172,13 +172,15 @@ def smoothing_blend(x):
 
 # --- exit times --------------------------------------------------------------
 
-def exit_stats(d, R_list, t, n_paths, seed, dt=0.01, chunk=500000):
+def exit_stats(d, R_list, t, n_paths, seed, dt=0.01):
     """Empirical exit probabilities P(tau_R <= t) with Wilson intervals.
 
     Uses the radial simulator (the exit time of a centered ball depends on
     the radial part only) and tracks the running maximum, so all radii in
-    ``R_list`` are served by one simulation.  Returns a list of dict rows.
+    ``R_list`` are served by one simulation, run in chunks of 500000 paths
+    (each chunk its own stream).  Returns a list of dict rows.
     """
+    chunk = 500000
     R_arr = np.asarray(sorted(R_list), dtype=float)
     hits = np.zeros(R_arr.size, dtype=np.int64)
     done = 0
@@ -279,10 +281,9 @@ def simulate_bridge(spec, dt, seed, n_candidates=16):
                       meta={"dt": dt, "seed": seed, "n_candidates": n_candidates})
 
 
-def bridge_tube_exceedance(spec, delta_half, dt, seed, n_paths, n_candidates=16,
-                           stream_id=0):
+def bridge_tube_exceedance(spec, delta_half, dt, seed, n_paths, stream_id=0):
     """P(sup_v d(bridge_v, geodesic_v) > delta_half) on the sampling grid."""
-    times, pts = simulate_bridge_batch(spec, dt, seed, n_paths, n_candidates,
+    times, pts = simulate_bridge_batch(spec, dt, seed, n_paths,
                                        stream_id=stream_id)
     fracs = times / spec.s
     gamma = geo.geodesic_point(spec.start, spec.end, fracs)   # (n_steps+1, d+1)
@@ -290,21 +291,20 @@ def bridge_tube_exceedance(spec, delta_half, dt, seed, n_paths, n_candidates=16,
     return float(np.mean(np.max(dev, axis=0) > delta_half))
 
 
-def bridge_ldp_decay(x, y, delta, s_list, n_paths, seed, n_candidates=16,
-                     steps_per_bridge=64):
+def bridge_ldp_decay(x, y, delta, s_list, n_paths, seed):
     """Small-time decay of the bridge tube-exceedance probability.
 
-    Estimates P(sup d(bridge, geodesic) > delta/2) for each duration s, then
-    fits log p against 1/s.  Returns (rows, FitReport-or-None); rows with
-    zero counts are excluded from the fit and reported with one-sided bounds.
+    Estimates P(sup d(bridge, geodesic) > delta/2) for each duration s, on
+    64 steps per bridge, then fits log p against 1/s.  Returns (rows,
+    FitReport-or-None); rows with zero counts are excluded from the fit and
+    reported with one-sided bounds.
     """
     rows = []
     xs, ys = [], []
     for k, s in enumerate(s_list):
         spec = BridgeSpec(np.asarray(x, float), np.asarray(y, float), float(s))
-        dt = s / steps_per_bridge
-        p = bridge_tube_exceedance(spec, delta / 2.0, dt, seed, n_paths,
-                                   n_candidates, stream_id=k)
+        p = bridge_tube_exceedance(spec, delta / 2.0, s / 64, seed, n_paths,
+                                   stream_id=k)
         hits = int(round(p * n_paths))
         lo, hi = wilson_ci(hits, n_paths)
         rows.append({"s": float(s), "p_hat": p, "hits": hits, "n": n_paths,
@@ -359,6 +359,10 @@ def check_eta_zeta(K_star, delta, eta, zeta):
     return bool(ok)
 
 
+# path nodes of the forced-deviation energy problems
+_N_SEGMENTS = 16
+
+
 def _offset_path_energy(K_star, d, n):
     """Endpoints o, y at distance K_star and the energy of offset paths.
 
@@ -377,7 +381,7 @@ def _offset_path_energy(K_star, d, n):
 
 
 def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
-                        n_segments=16, enforce_constraints=False):
+                        enforce_constraints=False):
     """Minimum discrete energy of paths forced off the geodesic.
 
     Paths from o to a point y at distance K_star are parametrized by tangent
@@ -395,7 +399,7 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
         raise ConstraintViolation(
             "deviation parameters inadmissible: need delta < K_star and "
             "eta < min(delta/24, delta^2/(2560*K_star)) with zeta small")
-    n = n_segments
+    n = _N_SEGMENTS
     x, y, energy_of = _offset_path_energy(K_star, d, n)
     slack = 3.0 * eta + 2.0 * K_star * zeta
     dev = delta / 4.0
@@ -429,9 +433,9 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
                               constraints_ok, n)
 
 
-def geodesic_baseline_energy(K_star, d=2, n_segments=16, slack=0.0):
+def geodesic_baseline_energy(K_star, d=2, slack=0.0):
     """Unconstrained minimum with optional endpoint slack (sanity oracle)."""
-    n = n_segments
+    n = _N_SEGMENTS
     x, y, energy_of = _offset_path_energy(K_star, d, n)
     cons = [{"type": "ineq",
              "fun": lambda z: slack - np.linalg.norm(z.reshape(n, d)[n - 1])}]

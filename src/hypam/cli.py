@@ -2,10 +2,10 @@
 
 Every run resolves a flat key-value config (defaults, then ``--config`` file,
 then ``HYPAM_*`` environment variables, then ``--set``, each applying exactly
-the keys it gives), validates it, writes a ``manifest.cfg`` echoing the
-resolved values plus the subcommand, and produces a ``data.csv`` and a
-``summary.json``.  Identical config and seed give byte-identical outputs;
-re-running from a manifest reproduces the run.
+the keys it gives), validates it, runs the subcommand, and only then writes a
+``manifest.cfg`` echoing the resolved values plus the subcommand, a
+``data.csv`` and a ``summary.json``.  Identical config and seed give
+byte-identical outputs; re-running from a manifest reproduces the run.
 
 Exit codes: 0 success, 2 constraint violation or config error, 3 budget
 exceeded.
@@ -98,8 +98,7 @@ def run_clusters(cfg):
     packing = geo.greedy_packing(region, spacing / 2.0, cfg.d, seed=cfg.seed,
                                  max_centers=cfg.site_cap)
     f = field.sample_field(spec, packing.centers, seed=cfg.seed)
-    f.h = spacing
-    islands = field.detect_islands(f, cfg.delta, cfg.t)
+    islands = field.detect_islands(f, cfg.delta, cfg.t, h=spacing)
     clusters = field.build_clusters(islands, cfg.eta, cfg.t)
     return (["site_id"] + [f"x{i}" for i in range(cfg.d + 1)] + ["value"],
             [[i] + list(p) + [v] for i, (p, v) in enumerate(zip(f.sites, f.values))],
@@ -251,18 +250,25 @@ def run(subcommand, cfg):
         return 2
     try:
         cfg.validate(need_cluster_scales=subcommand in _NEEDS_CLUSTER_SCALES)
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "manifest.cfg"), "w") as fh:
-            fh.write(format_config(cfg, subcommand))
         header, rows, summary = SUBCOMMANDS[subcommand](cfg)
-        write_csv(os.path.join(cfg.out, "data.csv"), header, rows)
-        write_json(os.path.join(cfg.out, "summary.json"), summary)
     except ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceeded, FactorizationError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    # written only after a successful run, so a failed run into a reused
+    # --out leaves the previous run's three files together
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+        with open(os.path.join(cfg.out, "manifest.cfg"), "w") as fh:
+            fh.write(format_config(cfg, subcommand))
+        write_csv(os.path.join(cfg.out, "data.csv"), header, rows)
+        write_json(os.path.join(cfg.out, "summary.json"), summary)
+    except OSError as exc:
+        print(f"config error: cannot write --out {cfg.out!r}: {exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -57,11 +57,11 @@ class LazyFieldEvaluator:
     new site whose value is drawn by conditional extension given the 96
     nearest existing sites within the conditioning radius.  Points without
     a site in reach are accepted as new sites greedily in query order,
-    skipping any within the snap distance of one accepted before it.  The
-    snap lookup goes through the realization's neighbour index and returns
-    exactly the sites a dense scan would.  The evaluator owns a single
-    realization, so every path of a quenched run sees the same field.  Query
-    order is deterministic, hence so are the values.
+    skipping any within the snap distance of one accepted before it.  Snap
+    lookups go through :meth:`FieldRealization.nearest_site_within` and
+    return exactly the sites a dense scan would.  Each extension replaces
+    the realization (none is edited), and every path of a quenched run sees
+    the same field.  Query order is deterministic, hence so are the values.
     """
 
     def __init__(self, spec, d, seed):
@@ -72,7 +72,6 @@ class LazyFieldEvaluator:
         self._counter = 0
         origin = geo.origin(d)[None, :]
         self.realization = sample_field(spec, origin, seed=stream(seed, "lazy-init").integers(2 ** 31))
-        self.realization.h = self.snap_h
 
     @property
     def n_sites(self):
@@ -98,7 +97,9 @@ class LazyFieldEvaluator:
                 self.realization, missing[accepted],
                 seed=stream(self.seed, "lazy", self._counter).integers(2 ** 31),
                 k_cap=96)
-            idx, _ = self.realization.nearest_site(pts)
+            # every point now lies within snap_h of a site: a missing point
+            # was accepted, or lies within snap_h of one that was
+            idx, _ = self.realization.nearest_site_within(pts, self.snap_h)
         return self.realization.values[idx]
 
 

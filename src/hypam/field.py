@@ -23,6 +23,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .config import (BudgetExceeded, COND_RADIUS_FACTOR, ConstraintViolation,
@@ -60,13 +62,13 @@ class CovarianceSpec:
                                      validate=False))
 
 
-def make_spec(sigma2, R0, bump_shape="poly3", d=2, n_grid=801, n_quad=96):
+def make_spec(sigma2, R0, bump_shape="poly3", d=2):
     """Covariance profile as the H^d autocorrelation of a compact bump.
 
     ``C(rho) = int k(d(x,z)) k(d(y,z)) vol(dz)`` for d(x,y) = rho, evaluated
-    by Gauss-Legendre quadrature in geodesic polar coordinates around x and
-    tabulated on a fine rho-grid with a clamped cubic spline (zero slope at
-    both ends).  Scaled so C(0) = sigma2.
+    by 96-point Gauss-Legendre quadrature in geodesic polar coordinates
+    around x and tabulated on 801 rho-grid points with a clamped cubic spline
+    (zero slope at both ends).  Scaled so C(0) = sigma2.
     """
     if sigma2 <= 0 or R0 <= 0:
         raise ConstraintViolation("sigma2 and R0 must be positive")
@@ -75,6 +77,7 @@ def make_spec(sigma2, R0, bump_shape="poly3", d=2, n_grid=801, n_quad=96):
             f"invalid bump {bump_shape!r}: need one of {sorted(_BUMPS)} "
             "(twice differentiable, compactly supported)")
     bump = _BUMPS[bump_shape]
+    n_grid, n_quad = 801, 96
     s = R0 / 2.0
     r_nodes, r_w = np.polynomial.legendre.leggauss(n_quad)
     r = 0.5 * s * (r_nodes + 1.0)
@@ -153,7 +156,9 @@ class _SiteIndex:
 
     def nearest_within(self, points, rho):
         """Nearest site per point and its distance, or -1 and inf where no
-        site lies within rho.  Ties go to the lowest site index."""
+        site lies within rho (a scalar or one radius per point).  Ties go to
+        the lowest site index."""
+        rho = np.broadcast_to(np.asarray(rho, dtype=float), (len(points),))
         idx = np.full(len(points), -1, dtype=np.intp)
         dist = np.full(len(points), np.inf)
         qi, si = self.candidates(points, rho)
@@ -165,10 +170,23 @@ class _SiteIndex:
         at_best = prod == np.repeat(best, np.diff(np.r_[starts, qi.size]))
         best_si = np.minimum.reduceat(np.where(at_best, si, len(self.sites)), starts)
         best_dist = np.arccosh(np.maximum(1.0, best))
-        hit = best_dist <= rho
+        hit = best_dist <= rho[qi[starts]]
         idx[qi[starts[hit]]] = best_si[hit]
         dist[qi[starts[hit]]] = best_dist[hit]
         return idx, dist
+
+    def nearest(self, points):
+        """Nearest site per point and its distance, as a dense argmin over
+        every site would give them (ties to the lowest index).
+
+        The Euclidean nearest neighbour lies at hyperbolic distance D, so the
+        true nearest lies within D.  The search radius is at least 1e-3: with
+        D = 0 (a point on a site) a second site closer than cosh's float
+        resolution ties the first in the cosh domain and must be found too.
+        """
+        _, near = self.tree.query(points)
+        bound = geo.distance(points, self.sites[near], validate=False)
+        return self.nearest_within(points, np.maximum(bound, 1e-3))
 
     def close_pairs(self, rho):
         """Index pairs i < j of sites at distance at most rho, measured
@@ -180,20 +198,14 @@ class _SiteIndex:
         return i[keep], j[keep]
 
 
-def _dense_nearest(sites, points):
-    prod = geo.cosh_distance(points[..., None, :], sites[None, :, :])
-    idx = np.argmin(prod, axis=-1)           # cosh(distance) is increasing
-    best = np.take_along_axis(prod, idx[..., None], axis=-1)[..., 0]
-    return idx, np.arccosh(np.maximum(1.0, best))
-
-
 @dataclass
 class FieldRealization:
     """Sampled field values on a site set, extendable by conditioning.
 
-    ``sites`` and ``values`` are never modified in place (extensions return
-    a new realization), so the neighbour index built on first use stays
-    valid for the realization's lifetime.
+    A realization is never modified after it is built (extensions return a
+    new one), so the neighbour index built on first use stays valid for its
+    lifetime.  ``h`` records the lattice spacing of packed sites, read only
+    as :func:`detect_islands`' default adjacency scale.
     """
     spec: CovarianceSpec
     sites: np.ndarray          # (n, d+1) hyperboloid coordinates
@@ -223,21 +235,11 @@ class FieldRealization:
         return self._neighbours().nearest_within(np.asarray(points, dtype=float), rho)
 
     def nearest_site(self, points):
-        """Indices and distances of the closest site per query point.
-
-        Looks within the lattice spacing ``h`` through the neighbour index and
-        scans every site only for points with no site that close (or when
-        ``h`` is unset), so the answer is always the global nearest site,
-        ties going to the lowest index, exactly as a dense argmin.
-        """
+        """Indices and distances of the closest site per point of a (..., d+1)
+        array, through the neighbour index alone: the global nearest site,
+        ties going to the lowest index, exactly as a dense argmin."""
         pts = np.asarray(points, dtype=float)
-        if self.h is None:
-            return _dense_nearest(self.sites, pts)
-        flat = pts.reshape(-1, pts.shape[-1])
-        idx, dist = self.nearest_site_within(flat, self.h)
-        miss = np.flatnonzero(idx < 0)
-        if miss.size:
-            idx[miss], dist[miss] = _dense_nearest(self.sites, flat[miss])
+        idx, dist = self._neighbours().nearest(pts.reshape(-1, pts.shape[-1]))
         return idx.reshape(pts.shape[:-1]), dist.reshape(pts.shape[:-1])
 
 
@@ -401,16 +403,16 @@ def borell_bound_check(maxima, sigma2):
     return rows, ok
 
 
-def estimate_tail_constant(spec, d, n_reps=4000, seed=0, spacing=None):
+def estimate_tail_constant(spec, d, n_reps=4000, seed=0):
     """Empirical decay constant of P(sup over Q_{R0} of xi > lam).
 
-    Draws the field on a (spacing/2)-packing of the correlation ball, records
-    the supremum per replicate, and fits log P(sup > lam) against lam^2 at
-    levels where the empirical tail is resolved.  Returns (C_hat, fit).
+    Draws the field on a (spacing/2)-packing of the correlation ball, with
+    the lattice spacing R0 * LATTICE_SPACING_FACTOR, records the supremum per
+    replicate, and fits log P(sup > lam) against lam^2 at levels where the
+    empirical tail is resolved.  Returns (C_hat, fit).
     """
     from .stats import linear_fit
-    if spacing is None:
-        spacing = spec.R0 * LATTICE_SPACING_FACTOR
+    spacing = spec.R0 * LATTICE_SPACING_FACTOR
     packing = geo.greedy_packing(geo.BallRegion(spec.R0), spacing / 2.0, d,
                                  seed=seed)
     cov = spec.cov_matrix(packing.centers)
@@ -430,16 +432,15 @@ def estimate_tail_constant(spec, d, n_reps=4000, seed=0, spacing=None):
     return max(1e-12, -fit.slope), fit
 
 
-def gradient_growth_scan(spec, d, R_list, seed, n_sites=256, fd_h=None):
+def gradient_growth_scan(spec, d, R_list, seed, n_sites=256):
     """Finite-difference gradient maxima over growing balls.
 
     For each R, evaluates the field jointly at ``n_sites`` ball points and at
-    d offset companions per point, forms |grad| estimates, and returns
-    (R, max |grad|) pairs together with the log-log slope fit.
+    d companions per point offset by R0/20, forms |grad| estimates, and
+    returns (R, max |grad|) pairs together with the log-log slope fit.
     """
     from .stats import linear_fit
-    if fd_h is None:
-        fd_h = spec.R0 / 20.0
+    fd_h = spec.R0 / 20.0
     rows = []
     for k, R in enumerate(R_list):
         rng = stream(seed, "grad", k)
@@ -460,35 +461,14 @@ def gradient_growth_scan(spec, d, R_list, seed, n_sites=256, fd_h=None):
 
 # --- islands and clusters -------------------------------------------------------
 
-class UnionFind:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-
-    def groups(self):
-        out = {}
-        for i in range(len(self.parent)):
-            out.setdefault(self.find(i), []).append(i)
-        return sorted(out.values(), key=lambda g: g[0])
+def _components(n, i, j):
+    """Vertex groups of the graph on 0..n-1 (n >= 1) with edges (i, j): each
+    group ascending, groups ordered by their lowest member."""
+    graph = coo_array((np.ones(i.size, dtype=bool), (i, j)), shape=(n, n))
+    labels = connected_components(graph, directed=False)[1]
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return sorted((g.tolist() for g in groups), key=lambda g: g[0])
 
 
 @dataclass
@@ -510,8 +490,9 @@ def detect_islands(fieldr, delta, t, h=None):
     """Connected components of {xi > delta * t^(2/3)} on the site lattice.
 
     Two super-threshold sites are adjacent when within 2h (pairs found
-    through the neighbour index); h defaults to the realization's recorded
-    lattice spacing.
+    through the neighbour index); islands are the connected components of
+    that graph, each a sorted site-index list, ordered by lowest site.  h
+    defaults to the realization's recorded lattice spacing.
     """
     if delta <= 0 or t <= 0:
         raise ConstraintViolation("need delta > 0 and t > 0")
@@ -522,11 +503,8 @@ def detect_islands(fieldr, delta, t, h=None):
     super_idx = np.flatnonzero(fieldr.values > thr)
     if super_idx.size == 0:
         return IslandSet([], super_idx, thr, h, t, delta, fieldr)
-    uf = UnionFind(super_idx.size)
-    for a, b in zip(*_SiteIndex(fieldr.sites[super_idx]).close_pairs(2.0 * h)):
-        uf.union(int(a), int(b))
-    islands = [sorted(super_idx[g].tolist()) for g in uf.groups()]
-    islands.sort(key=lambda g: g[0])
+    i, j = _SiteIndex(fieldr.sites[super_idx]).close_pairs(2.0 * h)
+    islands = [super_idx[g].tolist() for g in _components(super_idx.size, i, j)]
     return IslandSet(islands, super_idx, thr, h, t, delta, fieldr)
 
 
@@ -569,31 +547,31 @@ def build_clusters(islands, eta, t):
     """Merge islands whose set distance is at most eta * t^(4/3).
 
     Linked islands are those holding a site pair within that distance,
-    found in one neighbour-index pass over all island sites.
+    found in one neighbour-index pass over all island sites.  Clusters are
+    the connected components of the island links; labels count up with each
+    cluster's lowest island id.
     """
     if eta <= 0:
         raise ConstraintViolation("eta must be positive")
     link = eta * t ** (4.0 / 3.0)
     fieldr = islands.field
     n = len(islands.islands)
-    uf = UnionFind(n)
+    groups = []
     if n:
         # sites of all islands, concatenated in island order, so each
         # pair i < j is measured from the lower island to the higher one
         owner = np.repeat(np.arange(n), [len(g) for g in islands.islands])
         sites = fieldr.sites[np.concatenate([np.asarray(g) for g in islands.islands])]
         ii, jj = _SiteIndex(sites).close_pairs(link)
-        for a, b in zip(owner[ii], owner[jj]):
-            if a != b:
-                uf.union(int(a), int(b))
+        groups = _components(n, owner[ii], owner[jj])
     clusters = []
-    for label, grp in enumerate(uf.groups()):
+    for label, grp in enumerate(groups):
         site_idx = sorted(idx for g in grp for idx in islands.islands[g])
         pts = fieldr.sites[np.asarray(site_idx)]
         dist = geo.distance(pts[:, None, :], pts[None, :, :], validate=False)
         diameter = float(np.max(dist)) if len(site_idx) > 1 else 0.0
         center_local = int(np.argmin(np.max(dist, axis=1)))
-        clusters.append(Cluster(label, site_idx, sorted(grp),
+        clusters.append(Cluster(label, site_idx, grp,
                                 site_idx[center_local], diameter))
     return ClusterSet(clusters, eta, t, link, fieldr, islands.h)
 
@@ -637,8 +615,7 @@ def rich_ball_event(fieldr, threshold, ball_radius, min_points, separation):
 
 
 def cluster_property_trend(spec, d, t_grid, delta, K0, C_R0_hat, seed,
-                           n_reps=24, region_radius=6.0, site_cap=1200,
-                           separation_factor=9.0):
+                           n_reps=24, region_radius=6.0, site_cap=1200):
     """Frequency of the rich-ball event on a fixed desk-scale window.
 
     For each t the field is drawn on a capped lattice of Q_region and the
@@ -662,7 +639,7 @@ def cluster_property_trend(spec, d, t_grid, delta, K0, C_R0_hat, seed,
         for _ in range(n_reps):
             vals = L @ rng.standard_normal(len(sites))
             f = FieldRealization(spec, sites, vals, d, h=spacing)
-            if rich_ball_event(f, thr, ball, L_delta, separation_factor * spec.R0):
+            if rich_ball_event(f, thr, ball, L_delta, 9.0 * spec.R0):
                 hits += 1
         freqs.append(hits / n_reps)
     return list(zip([float(t) for t in t_grid], freqs))

@@ -254,11 +254,12 @@ class RegionTooSmall(ValueError):
     pass
 
 
-def _radial_sampler(lo, hi, d, n_grid=2048):
-    """Inverse-CDF sampler for the radial density sinh^{d-1} on [lo, hi]."""
+def _radial_sampler(lo, hi, d):
+    """Inverse-CDF sampler for the radial density sinh^{d-1} on [lo, hi],
+    tabulated on 2048 grid points."""
     if hi <= lo:
         return lambda rng, n: np.full(n, lo)
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, 2048)
     dens = np.sinh(grid) ** (d - 1)
     cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
     if cdf[-1] <= 0:  # degenerate near zero radius
@@ -297,15 +298,16 @@ def _shrunk(region, r):
     raise TypeError(f"unsupported region {region!r}")
 
 
-def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS,
-                   batch=512, patience=8):
+def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
     """Randomized greedy maximal r-packing of ``region``.
 
-    Candidates are drawn volume-uniformly from the r-shrunken region and kept
-    when more than 2r from every accepted center.  Sampling stops after
-    ``patience`` consecutive fruitless batches (declared maximal) or at
-    ``max_centers`` (recorded as non-maximal).  Deterministic given ``seed``.
+    Candidates are drawn volume-uniformly from the r-shrunken region in
+    batches of 512 and kept when more than 2r from every accepted center.
+    Sampling stops after 8 consecutive fruitless batches (declared maximal)
+    or at ``max_centers`` (recorded as non-maximal).  Deterministic given
+    ``seed``.
     """
+    batch, patience = 512, 8
     if r <= 0:
         raise ValueError("packing radius must be positive")
     inner = _shrunk(region, r)

@@ -72,11 +72,11 @@ def h3_radial_density(t, rho):
     return exact_h3(t, rho) * 4.0 * np.pi * np.sinh(rho) ** 2
 
 
-def h3_radial_cdf(t, rho_max=None, n_grid=20001):
-    """Callable CDF of the radial law at time t (cumulative quadrature)."""
-    if rho_max is None:
-        rho_max = 2.0 * t + 12.0 * np.sqrt(t) + 12.0
-    grid = np.linspace(0.0, rho_max, n_grid)
+def h3_radial_cdf(t):
+    """Callable CDF of the radial law at time t (cumulative quadrature on
+    20001 points up to 2t + 12 sqrt(t) + 12, beyond which it is 1)."""
+    rho_max = 2.0 * t + 12.0 * np.sqrt(t) + 12.0
+    grid = np.linspace(0.0, rho_max, 20001)
     dens = h3_radial_density(t, np.maximum(grid, 1e-12))
     cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
     cdf /= cdf[-1]
@@ -115,16 +115,16 @@ class CalibrationFailed(RuntimeError):
     pass
 
 
-def calibrate(d, t_grid=None, rho_grid=None, ratio_cap=100.0,
-              n_paths=200000, dt=2e-3, seed=0, min_bin_count=50):
+def calibrate(d, t_grid=None, rho_grid=None, n_paths=200000, dt=2e-3, seed=0):
     """Fit the sandwich constants of the comparison profile.
 
     d = 3 uses the exact kernel on the full (t, rho) grid.  Other dimensions
     estimate the kernel from simulated radial marginals (histogram density
     divided by the sphere-area surface factor), which restricts the grid to
-    bins with at least ``min_bin_count`` samples.  Fails when the fitted
-    spread C2/C1 exceeds ``ratio_cap``.
+    bins with at least 50 samples.  Fails when the fitted spread C2/C1
+    exceeds 100.
     """
+    ratio_cap = 100.0
     if t_grid is None:
         t_grid = np.geomspace(0.1, 10.0, 25)
     if rho_grid is None:
@@ -150,7 +150,7 @@ def calibrate(d, t_grid=None, rho_grid=None, ratio_cap=100.0,
             counts, _ = np.histogram(r, bins=edges)
             widths = np.diff(edges)
             mids = 0.5 * (edges[1:] + edges[:-1])
-            ok = counts >= min_bin_count
+            ok = counts >= 50
             dens = counts[ok] / (n_paths * widths[ok])
             p_hat = dens / (area * np.sinh(mids[ok]) ** (d - 1))
             q = comparison_fn(float(t), mids[ok], d)
@@ -170,16 +170,15 @@ def calibrate(d, t_grid=None, rho_grid=None, ratio_cap=100.0,
     return KernelCalibration(d, C1, C2, grid_spec)
 
 
-def heat_equation_residual(t, rho, h_t=None, h_rho=None):
+def heat_equation_residual(t, rho):
     """Radial heat-operator residual of exact_h3 by 5-point finite differences.
 
-    Returns |dp/dt - (d^2p/drho^2 + 2 coth(rho) dp/drho)| at (t, rho); the
-    exact kernel satisfies the equation so this measures numerical error only.
+    Returns |dp/dt - (d^2p/drho^2 + 2 coth(rho) dp/drho)| at (t, rho), with
+    steps 3e-4 * max(t, 1) and 3e-4 * max(rho, 1); the exact kernel satisfies
+    the equation so this measures numerical error only.
     """
-    if h_t is None:
-        h_t = 3e-4 * max(t, 1.0)
-    if h_rho is None:
-        h_rho = 3e-4 * max(rho, 1.0)
+    h_t = 3e-4 * max(t, 1.0)
+    h_rho = 3e-4 * max(rho, 1.0)
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
     w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
     off = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])

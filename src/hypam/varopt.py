@@ -79,24 +79,22 @@ def _golden_max(fun, lo, hi, tol=1e-12, max_iter=200):
     return x, fun(x)
 
 
-def _search_optimum(value, eps_range=(1e-6, 1.0 - 1e-6), K_hi=None, n_grid=64):
+def _search_optimum(value, K_hi):
     """Grid scan + nested golden-section search for max over (eps, K).
 
     ``value(eps, K)`` must be concave in K for fixed eps (true for the profile
     and its relaxed variant), so the inner search is one-dimensional golden
-    section; the outer search runs on the envelope.
+    section over (0, K_hi]; the outer search runs on the envelope, scanned on
+    64 points of [1e-6, 1 - 1e-6].
     """
-    if K_hi is None:
-        K_hi = 5.0
-
     def inner(eps):
         return _golden_max(lambda K: value(eps, K), 1e-12, K_hi)
 
-    eps_grid = np.linspace(eps_range[0], eps_range[1], n_grid)
+    eps_grid = np.linspace(1e-6, 1.0 - 1e-6, 64)
     envelope = np.array([inner(e)[1] for e in eps_grid])
     j = int(np.argmax(envelope))
     lo = eps_grid[max(0, j - 1)]
-    hi = eps_grid[min(n_grid - 1, j + 1)]
+    hi = eps_grid[min(eps_grid.size - 1, j + 1)]
     eps_best, _ = _golden_max(lambda e: inner(e)[1], lo, hi)
     K_best, val = inner(eps_best)
     return eps_best, K_best, val
@@ -362,13 +360,13 @@ def route_constants(eta, lam, delta, K0, params, C_R0_hat,
     return RouteConstants(N_eta, N_hat, L_delta, eta_delta), error_fn
 
 
-def find_feasible_lambda(eta, delta, K0, params, C_R0_hat, alpha, mu,
-                         tol=1e-15, max_iter=200):
+def find_feasible_lambda(eta, delta, K0, params, C_R0_hat, alpha, mu):
     """Largest workable lam below eta for the route-error budget, by bisection.
 
     The budget constraint is monotone in lam, so bisection on the indicator
-    brackets the threshold; returns a lam strictly inside the feasible range,
-    or None when even arbitrarily small lam fails.
+    brackets the threshold to a relative width of 1e-15 (at most 200
+    halvings); returns a lam strictly inside the feasible range, or None when
+    even arbitrarily small lam fails.
     """
     def feasible(lam):
         try:
@@ -392,8 +390,8 @@ def find_feasible_lambda(eta, delta, K0, params, C_R0_hat, alpha, mu,
             break
     else:
         return None
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(hi, 1.0):
+    for _ in range(200):
+        if hi - lo <= 1e-15 * max(hi, 1.0):
             break
         mid = 0.5 * (lo + hi)
         if feasible(mid):

@@ -98,6 +98,23 @@ class TestDispatch:
         assert "mode" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    def test_failed_run_keeps_previous_outputs(self, tmp_path):
+        out = tmp_path / "fk"
+        argv = ["fk", "--out", str(out), "--seed", "1", "--set", "n_paths=4",
+                "--set", "t=0.5", "--set", "dt=0.005"]
+        assert run_cli(tmp_path, *argv) == 0
+        names = ("manifest.cfg", "data.csv", "summary.json")
+        before = [read(out / name) for name in names]
+        assert run_cli(tmp_path, *argv, "--set", "mode=anealed") == 2
+        assert [read(out / name) for name in names] == before
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        status = run_cli(tmp_path, "optimize", "--out", str(blocker / "x"))
+        assert status == 2
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sub,key,value", [
         ("field-max-scan", "R_list", "5,x"),
         ("exit-check", "R_list", "5,,x"),

@@ -309,24 +309,30 @@ class TestNeighbourIndex:
     def _sites(d, radius, n, seed):
         rng = stream(seed, "index")
         sites = geo.sample_region(geo.BallRegion(radius), d, rng, n)
-        # exact ties: a repeated site, and sites on a small sphere around o
+        # exact ties: a repeated site, and sites on a small sphere around o;
+        # a site 1e-9 from the first, whose cosh-distance to it rounds to 1,
+        # so it ties with the first even where it is the Euclidean nearest
         dirs = np.vstack([np.eye(d), -np.eye(d)])
         ring = geo.point_at(d, np.full(2 * d, 0.02), dirs)
-        return np.vstack([sites, sites[:1], ring]), rng
+        twin = geo.frame_step(sites[:1], 1e-9 * np.eye(d)[:1])
+        return np.vstack([sites, sites[:1], ring, twin]), rng
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.sampled_from([2, 3]), radius=st.floats(0.5, 8.0),
-           n=st.integers(1, 120), h=st.floats(0.05, 2.0),
+           n=st.integers(1, 120), h=st.none() | st.floats(0.05, 2.0),
            seed=st.integers(0, 2 ** 31 - 1))
     def test_nearest_site_matches_dense(self, spec_unit, d, radius, n, h, seed):
         sites, rng = self._sites(d, radius, n, seed)
-        # some queries sit on sites or at o, some lie beyond every site's reach
-        queries = np.vstack([geo.origin(d)[None, :], sites[::7],
+        # some queries sit on sites (the twin among them) or at o, some lie
+        # beyond every site's reach
+        queries = np.vstack([geo.origin(d)[None, :], sites[::7], sites[-1:],
                              geo.sample_region(geo.BallRegion(radius + 2.0), d, rng, 60)])
         f = fd.FieldRealization(spec_unit, sites, np.zeros(len(sites)), d, h=h)
         want_idx, want_dist = oracle_nearest_site(sites, queries)
         idx, dist = f.nearest_site(queries)
         assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+        if h is None:
+            return
         within, within_dist = f.nearest_site_within(queries, h)
         hit = want_dist <= h
         assert np.array_equal(within[hit], want_idx[hit])
@@ -345,6 +351,18 @@ class TestNeighbourIndex:
         assert sorted(isl.islands) == oracle_islands(f, 0.3, 1.0, h)
         cl = fd.build_clusters(isl, eta, 1.0)
         assert sorted(c.site_indices for c in cl.clusters) == oracle_clusters(isl, eta, 1.0)
+
+    def test_cluster_labels_follow_lowest_island(self, spec_unit):
+        # four single-site islands on a geodesic; islands 0 and 3 link, and
+        # so do 1 and 2, so the cluster holding island 0 must come first
+        along = geo.point_at(2, np.array([0.0, 5.0, 5.3, 0.3]),
+                             np.tile([1.0, 0.0], (4, 1)))
+        f = fd.FieldRealization(spec_unit, along, np.full(4, 5.0), 2, h=0.01)
+        isl = fd.detect_islands(f, 1.0, 1.0)
+        assert isl.islands == [[0], [1], [2], [3]]
+        cl = fd.build_clusters(isl, 0.4, 1.0)
+        assert [(c.label, c.island_ids) for c in cl.clusters] == [(0, [0, 3]),
+                                                                  (1, [1, 2])]
 
 
 def test_factorization_failure_on_invalid_profile():
