@@ -23,10 +23,15 @@ from hypam import cli
 CALLS = [
     ("fk-quenched", "fk",
      {"sigma2": 0.25, "t": 1.0, "dt": 0.01, "n_paths": 24, "mode": "quenched"}, 3),
+    # the farthest paths pass radius 8, deep in the Poincare ball's rim
+    ("fk-quenched-t4", "fk",
+     {"sigma2": 0.25, "t": 4.0, "dt": 0.01, "n_paths": 20, "mode": "quenched"}, 3),
     ("fk-annealed", "fk",
      {"sigma2": 0.25, "t": 1.0, "dt": 0.01, "n_paths": 32, "mode": "annealed"}, 3),
     ("fk-localized", "fk-localized",
-     {"t": 1.0, "dt": 0.01, "n_paths": 200}, 5),
+     {"t": 1.0, "dt": 0.01, "n_paths": 200, "eps": 0.2, "K": 1.0,
+      "delta_tube": 1.0, "r_peak": 1.0, "peak_height": 2.0,
+      "peak_distance": 1.5}, 5),
     ("fk-localized-accepting", "fk-localized",
      {"t": 1.0, "dt": 0.01, "n_paths": 300, "eps": 0.25, "K": 4.0,
       "delta_tube": 1.2, "r_peak": 1.0}, 5),

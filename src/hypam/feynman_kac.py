@@ -255,17 +255,25 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
     of radius ``r_peak`` at time eps*t, and stays inside the doubled peak
     ball afterwards.  With the same seed this shares its paths with
     :func:`fk_estimate`, so the restricted mean is a pathwise lower bound.
+    A scenario no path can meet, with K*t^(4/3) + r_peak below the peak's
+    distance from o, raises :class:`ConstraintViolation`.
     """
     if dt is None:
         dt = min(0.01 * t, 0.01)
     if not 0 < eps < 1:
         raise ConstraintViolation("eps must lie in (0, 1)")
-    evaluator = _resolve_potential(potential, d, seed, "field")
     peak_center = np.asarray(peak_center, dtype=float)
+    ball_radius = K * t ** (4.0 / 3.0)
+    peak_dist = float(geo.radius(peak_center))
+    if ball_radius + r_peak < peak_dist:
+        raise ConstraintViolation(
+            f"no path can be accepted: K*t^(4/3) = {ball_radius:.6g} plus "
+            f"r_peak = {r_peak:.6g} is below the peak distance "
+            f"d(o, peak_center) = {peak_dist:.6g}")
+    evaluator = _resolve_potential(potential, d, seed, "field")
     times, pts = simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0)
     log_weights = _path_integrals(evaluator, times, pts)
     i_eps = min(max(int(round(eps * t / dt)), 1), len(times) - 1)
-    ball_radius = K * t ** (4.0 / 3.0)
 
     fracs = times[: i_eps + 1] / times[i_eps]
     gamma = geo.geodesic_point(geo.origin(d), peak_center, fracs)

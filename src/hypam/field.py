@@ -10,13 +10,15 @@ nearby sites.
 
 Every "which sites are near these points" question (nearest-site lookups,
 the conditioning set of an extension, island and cluster adjacency) goes
-through one neighbour index: a k-d tree over the ambient (d+1)-coordinates,
-queried with a Euclidean radius that provably contains the hyperbolic ball
-and then filtered with the exact ``geo.cosh_distance``.  The candidates
-therefore never drop a site the dense scan would find, and the answers are
-the dense scan's answers.
+through one neighbour index: a k-d tree over the sites' Poincare-ball
+coordinates, queried with a Euclidean radius that provably contains the
+hyperbolic ball and then filtered with the exact ``geo.cosh_distance``.  The
+ball model is conformal, so that radius is tight in every direction.  The
+candidates therefore never drop a site the dense scan would find, and the
+answers are the dense scan's answers.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dfield
@@ -68,7 +70,8 @@ def make_spec(sigma2, R0, bump_shape="poly3", d=2):
     ``C(rho) = int k(d(x,z)) k(d(y,z)) vol(dz)`` for d(x,y) = rho, evaluated
     by 96-point Gauss-Legendre quadrature in geodesic polar coordinates
     around x and tabulated on 801 rho-grid points with a clamped cubic spline
-    (zero slope at both ends).  Scaled so C(0) = sigma2.
+    (zero slope at both ends).  Scaled so C(0) = sigma2.  The unscaled table
+    is computed once per (R0, bump_shape, d).
     """
     if sigma2 <= 0 or R0 <= 0:
         raise ConstraintViolation("sigma2 and R0 must be positive")
@@ -76,6 +79,19 @@ def make_spec(sigma2, R0, bump_shape="poly3", d=2):
         raise ConstraintViolation(
             f"invalid bump {bump_shape!r}: need one of {sorted(_BUMPS)} "
             "(twice differentiable, compactly supported)")
+    rho_grid, table = _unscaled_profile(float(R0), bump_shape, d)
+    vals = table.copy()
+    vals *= sigma2 / vals[0]
+    vals[-1] = 0.0
+    spline = CubicSpline(rho_grid, vals, bc_type=((1, 0.0), (1, 0.0)))
+    return CovarianceSpec(float(sigma2), float(R0), bump_shape, d,
+                          rho_grid, vals, spline)
+
+
+@functools.lru_cache(maxsize=None)
+def _unscaled_profile(R0, bump_shape, d):
+    """Read-only rho grid and autocorrelation table of :func:`make_spec`,
+    before the scaling to C(0) = sigma2."""
     bump = _BUMPS[bump_shape]
     n_grid, n_quad = 801, 96
     s = R0 / 2.0
@@ -100,11 +116,9 @@ def make_spec(sigma2, R0, bump_shape="poly3", d=2):
         kernel_yz = np.where(dist_yz < s, bump(np.minimum(dist_yz, s) / s), 0.0)
         vals[i] = float(k_r @ (kernel_yz * sin_pow[None, :]).sum(axis=1))
     vals *= geo.sphere_area(d - 1) if d > 2 else 2.0
-    vals *= sigma2 / vals[0]
-    vals[-1] = 0.0
-    spline = CubicSpline(rho_grid, vals, bc_type=((1, 0.0), (1, 0.0)))
-    return CovarianceSpec(float(sigma2), float(R0), bump_shape, d,
-                          rho_grid, vals, spline)
+    rho_grid.flags.writeable = False
+    vals.flags.writeable = False
+    return rho_grid, vals
 
 
 def _cholesky_with_jitter(mat, sigma2):
@@ -118,36 +132,62 @@ def _cholesky_with_jitter(mat, sigma2):
         f"covariance factorisation failed within jitter cap: {last}")
 
 
-def _euclidean_radius(rho, r):
-    """Ambient radius holding every point within distance rho of a point at radius r.
+# Beyond this r + rho the Euclidean rho-ball bound in the Poincare ball nears
+# float64 resolution (1 - |u| ~ 2 e^-r), so queries take the whole ball.
+_POINCARE_CUTOFF = 30.0
 
-    On the hyperboloid |x - y|_E^2 = 2 (cosh rho - 1) + 2 (x0 - y0)^2, and
-    |x0 - y0| = |cosh r_x - cosh r_y| <= sinh(r_x + rho) * rho.  The relative
-    slack covers the roundoff of far points, whose coordinates are e^r-sized,
-    for every rho above about 1e-9.
+
+def _poincare_radius(rho, r):
+    """Euclidean radius, in the Poincare ball, holding every point within
+    hyperbolic distance rho of a point at radius r.
+
+    The hyperbolic rho-ball is a Euclidean ball whose centre lies on the ray
+    through the point, so its farthest point is the inner end of that
+    diameter: tanh(r/2) - tanh((r - rho)/2) = sinh(rho/2) / (cosh(r/2)
+    cosh((r - rho)/2)), which also holds for r < rho.
+
+    Slack.  ``to_poincare`` rounds each coordinate twice (one sum, one
+    quotient), and stored points meet the hyperboloid equation only to a few
+    ulp; as |u| < 1, each image sits within a few 2^-52 of the exact image of
+    the point the exact filter sees, whose directions ``cosh_distance``
+    resolves to the same absolute precision.  An absolute 1e-14 (about 45
+    ulp of 1) covers the query's and the site's shifts together.  The filter
+    accepts distances whose cosh rounds to at most cosh(rho), up to about
+    rho + 4 eps / rho, and near o the radius r = arccosh(x0) is known only
+    to sqrt(2 eps) ~ 2e-8; as |d log R / d rho| <= 1/rho + 1/2 and
+    |d log R / d r| <= 1, the relative 1e-6 covers both for rho >= 1e-4.
+    Smaller radii are queried at 1e-4, which holds rho + 4 eps / rho for
+    every rho above 1e-11.
+    Where r + rho exceeds ``_POINCARE_CUTOFF`` the radius is 2, the ball's
+    diameter, so every site is a candidate; below it, every site within rho
+    lies inside radius r + rho too, where the images are resolved.
     """
-    return np.sqrt(2.0 * (np.cosh(rho) - 1.0)
-                   + 2.0 * (np.sinh(r + rho) * rho) ** 2) * (1.0 + 1e-6)
+    r = np.asarray(r, dtype=float)
+    rho_q = np.maximum(rho, 1e-4)
+    tight = (np.sinh(rho_q / 2.0) / (np.cosh(r / 2.0) * np.cosh((r - rho_q) / 2.0))
+             * (1.0 + 1e-6) + 1e-14)
+    return np.where(r + rho > _POINCARE_CUTOFF, 2.0, tight)
 
 
 class _SiteIndex:
-    """k-d tree over the ambient coordinates of a fixed site array.
+    """k-d tree over the Poincare-ball coordinates of a fixed site array.
 
     Queries return candidates from a Euclidean radius that contains the
-    hyperbolic ball (:func:`_euclidean_radius`); callers keep the candidates
+    hyperbolic ball (:func:`_poincare_radius`); callers keep the candidates
     that pass the exact hyperbolic test, so results match a dense scan.
     """
 
     def __init__(self, sites):
         self.sites = sites
-        self.tree = cKDTree(sites)
-        self.r_max = float(np.max(geo.radius(sites), initial=0.0))
+        self.tree = cKDTree(geo.to_poincare(sites))
 
     def candidates(self, points, rho):
-        """Flat (point, site) index pairs that may lie within rho, grouped
-        by point with ascending site indices."""
+        """Flat (point, site) index pairs that may lie within rho (a scalar
+        or one radius per point), grouped by point with ascending site
+        indices."""
         lists = self.tree.query_ball_point(
-            points, _euclidean_radius(rho, geo.radius(points)), return_sorted=True)
+            geo.to_poincare(points), _poincare_radius(rho, geo.radius(points)),
+            return_sorted=True)
         lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
         qi = np.repeat(np.arange(len(points)), lens)
         si = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
@@ -179,21 +219,21 @@ class _SiteIndex:
         """Nearest site per point and its distance, as a dense argmin over
         every site would give them (ties to the lowest index).
 
-        The Euclidean nearest neighbour lies at hyperbolic distance D, so the
-        true nearest lies within D.  The search radius is at least 1e-3: with
+        The Euclidean nearest neighbour in Poincare coordinates lies at
+        hyperbolic distance D, so the true nearest lies within D.  The search radius is at least 1e-3: with
         D = 0 (a point on a site) a second site closer than cosh's float
         resolution ties the first in the cosh domain and must be found too.
         """
-        _, near = self.tree.query(points)
+        _, near = self.tree.query(geo.to_poincare(points))
         bound = geo.distance(points, self.sites[near], validate=False)
         return self.nearest_within(points, np.maximum(bound, 1e-3))
 
     def close_pairs(self, rho):
         """Index pairs i < j of sites at distance at most rho, measured
-        from site i to site j."""
-        pairs = self.tree.query_pairs(_euclidean_radius(rho, self.r_max),
-                                      output_type="ndarray")
-        i, j = pairs[:, 0], pairs[:, 1]
+        from site i to site j, in lexicographic order."""
+        qi, si = self.candidates(self.sites, rho)
+        upper = qi < si
+        i, j = qi[upper], si[upper]
         keep = geo.distance(self.sites[i], self.sites[j], validate=False) <= rho
         return i[keep], j[keep]
 

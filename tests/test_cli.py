@@ -58,7 +58,7 @@ class TestDispatch:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(tmp_path, "fk-localized", "--out", str(out1), "--seed", "3",
                        "--set", "n_paths=40", "--set", "dt=0.005",
-                       "--set", "t=0.5") == 0
+                       "--set", "t=0.5", "--set", "K=4.0") == 0
         assert run_cli(tmp_path, "fk-localized", "--config",
                        str(out1 / "manifest.cfg"), "--out", str(out2)) == 0
         assert read(out1 / "data.csv") == read(out2 / "data.csv")
@@ -82,6 +82,14 @@ class TestDispatch:
         status = run_cli(tmp_path, "clusters", "--out", str(tmp_path / "c"),
                          "--set", "lam=0.5", "--set", "eta=0.1")
         assert status == 2
+
+    def test_infeasible_localized_exit_2(self, tmp_path, capsys):
+        # the default scenario: K t^(4/3) + r_peak = 0.4 + 1.0 < 1.5
+        status = run_cli(tmp_path, "fk-localized", "--out", str(tmp_path / "l"),
+                         "--set", "t=1.0", "--set", "n_paths=20")
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "K*t^(4/3) = 0.4" in err and "r_peak = 1" in err and "= 1.5" in err
 
     def test_eta_above_threshold_exit_2(self, tmp_path, capsys):
         status = run_cli(tmp_path, "clusters", "--out", str(tmp_path / "c2"),

@@ -144,12 +144,23 @@ class TestLocalized:
             prev = m
 
     def test_zero_acceptance_reported(self):
+        # the scenario is feasible (K t^(4/3) + r_peak = 9.57 >= 8), but no
+        # path travels that far by time 0.25
         center = geo.point_at(2, 8.0, np.array([1.0, 0.0]))
         pot = fk.ConstantPotential(0.0)
-        est = fk.fk_localized_lower(pot, 2, 0.5, 0.5, 20.0, 0.05, center,
+        est = fk.fk_localized_lower(pot, 2, 0.5, 0.5, 24.0, 0.05, center,
                                     seed=1, n_paths=50, r_peak=0.05, dt=0.005)
         assert est.accept_fraction == 0.0
         assert est.meta["zero_acceptance"]
+
+    def test_infeasible_scenario_rejected(self):
+        # K t^(4/3) + r_peak = 0.4 + 1.0 < 1.5: no path is ever accepted
+        center = geo.point_at(2, 1.5, np.array([1.0, 0.0]))
+        pot = fk.ConstantPotential(0.0)
+        with pytest.raises(ConstraintViolation,
+                           match=r"K\*t\^\(4/3\) = 0\.4 .*r_peak = 1 .*= 1\.5"):
+            fk.fk_localized_lower(pot, 2, 1.0, 0.2, 0.4, 1.0, center,
+                                  seed=5, n_paths=10, r_peak=1.0, dt=0.01)
 
 
 def _two_cluster_setup(spec_unit):

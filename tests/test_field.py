@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypam import field as fd, geometry as geo
-from hypam.config import BudgetExceeded, ConstraintViolation, stream
+from hypam.config import (BudgetExceeded, COND_RADIUS_FACTOR,
+                          ConstraintViolation, stream)
 from oracles import oracle_clusters, oracle_islands, oracle_nearest_site
 
 
@@ -45,6 +46,18 @@ class TestCovarianceSpec:
             s = fd.make_spec(2.0, 0.5, shape, d=3)
             assert abs(s.cov(0.0) - 2.0) < 1e-6
             assert s.cov(0.75) == 0.0
+
+    def test_cached_table_gives_fresh_bytes(self):
+        # specs of another sigma2 share the unscaled table and leave it as it
+        # was; a spec built on the cache equals one built from scratch
+        other = fd.make_spec(3.0, 0.75, "poly4", d=3)
+        cached = fd.make_spec(0.5, 0.75, "poly4", d=3)
+        fd._unscaled_profile.cache_clear()
+        fresh = fd.make_spec(0.5, 0.75, "poly4", d=3)
+        assert fresh.values.tobytes() == cached.values.tobytes()
+        assert fresh.rho_grid.tobytes() == cached.rho_grid.tobytes()
+        assert cached.values is not other.values and cached.values.flags.writeable
+        assert not fresh.rho_grid.flags.writeable
 
 
 class TestSampling:
@@ -318,7 +331,7 @@ class TestNeighbourIndex:
         return np.vstack([sites, sites[:1], ring, twin]), rng
 
     @settings(max_examples=40, deadline=None)
-    @given(d=st.sampled_from([2, 3]), radius=st.floats(0.5, 8.0),
+    @given(d=st.sampled_from([2, 3]), radius=st.floats(0.5, 20.0),
            n=st.integers(1, 120), h=st.none() | st.floats(0.05, 2.0),
            seed=st.integers(0, 2 ** 31 - 1))
     def test_nearest_site_matches_dense(self, spec_unit, d, radius, n, h, seed):
@@ -340,7 +353,7 @@ class TestNeighbourIndex:
         assert np.all(within[~hit] == -1) and np.all(np.isinf(within_dist[~hit]))
 
     @settings(max_examples=30, deadline=None)
-    @given(d=st.sampled_from([2, 3]), radius=st.floats(0.5, 8.0),
+    @given(d=st.sampled_from([2, 3]), radius=st.floats(0.5, 20.0),
            n=st.integers(1, 80), h=st.floats(0.05, 1.0),
            eta=st.sampled_from([1e-4, 3.0]), seed=st.integers(0, 2 ** 31 - 1))
     def test_partition_matches_dense(self, spec_unit, d, radius, n, h, eta, seed):
@@ -351,6 +364,46 @@ class TestNeighbourIndex:
         assert sorted(isl.islands) == oracle_islands(f, 0.3, 1.0, h)
         cl = fd.build_clusters(isl, eta, 1.0)
         assert sorted(c.site_indices for c in cl.clusters) == oracle_clusters(isl, eta, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.sampled_from([2, 3]), r=st.floats(0.0, 36.0),
+           log_step=st.floats(-5.0, 0.7), way=st.sampled_from(["in", "out", "any"]),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_candidate_radius_holds_ball(self, d, r, log_step, way, seed):
+        # a pair at computed distance dist is a candidate at rho = dist, from
+        # either end, at every radius, past the cutoff too; the inward radial
+        # step meets the bound with equality
+        rng = stream(seed, "ball")
+        direction = geo.random_direction(d, rng)
+        x = geo.point_at(d, r, direction)
+        step = {"in": -direction, "out": direction,
+                "any": geo.random_direction(d, rng)}[way]
+        y = geo.frame_step(x, 10.0 ** log_step * step)
+        dist = geo.distance(x, y, validate=False)
+        for a, b in ((x, y), (y, x)):
+            _, si = fd._SiteIndex(b[None, :]).candidates(a[None, :], dist)
+            assert si.tolist() == [0]
+
+    def test_conditioning_candidates_tight(self, monkeypatch):
+        # the conditioning query of the lazy field returns a small share of
+        # the sites; a bound loose by a factor e^r returns most of them
+        from hypam import feynman_kac as fk
+        spec = fd.make_spec(0.25, 1.0)
+        cond_radius = COND_RADIUS_FACTOR * spec.R0
+        counts = {"pairs": 0, "all": 0}
+        candidates = fd._SiteIndex.candidates
+
+        def counting(index, points, rho):
+            qi, si = candidates(index, points, rho)
+            if np.isscalar(rho) and rho == cond_radius:
+                counts["pairs"] += si.size
+                counts["all"] += len(points) * len(index.sites)
+            return qi, si
+
+        monkeypatch.setattr(fd._SiteIndex, "candidates", counting)
+        fk.fk_estimate(spec, 2, 2.0, 0.01, 60, seed=5)
+        assert counts["all"] > 0
+        assert counts["pairs"] < 0.2 * counts["all"]
 
     def test_cluster_labels_follow_lowest_island(self, spec_unit):
         # four single-site islands on a geodesic; islands 0 and 3 link, and
