@@ -44,6 +44,9 @@ CALLS = [
       "spacing_factor": 0.25, "site_cap": 2048}, 3),
     ("field-max-scan", "field-max-scan",
      {"R_list": "5,10", "n_reps": 8, "site_cap": 256}, 1),
+    # rim-radius packings and a 1024-site covariance assembly
+    ("field-max-scan-1024", "field-max-scan",
+     {"R_list": "5,10,20", "n_reps": 8, "site_cap": 1024}, 1),
     ("exit-check", "exit-check",
      {"R_list": "5,7,9", "t": 2.0, "dt": 0.01, "d": 2, "n_paths": 20000}, 1),
     ("bridge-ldp", "bridge-ldp",

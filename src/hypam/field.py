@@ -8,18 +8,20 @@ via Cholesky; lazy evaluation along trajectories goes through conditional
 (kriging) extension that exploits the compact support by conditioning only on
 nearby sites.
 
-Every "which sites are near these points" question (nearest-site lookups,
-the conditioning set of an extension, island and cluster adjacency) goes
-through one neighbour index: a k-d tree over the sites' Poincare-ball
-coordinates, queried with a Euclidean radius that provably contains the
-hyperbolic ball and then filtered with the exact ``geo.cosh_distance``.  The
-ball model is conformal, so that radius is tight in every direction.  The
-candidates therefore never drop a site the dense scan would find, and the
-answers are the dense scan's answers.
+Every "which sites are near these points" question (covariance assembly,
+the distinct-sites check, nearest-site lookups, the conditioning set of an
+extension, island and cluster adjacency) goes through one neighbour index,
+``geometry._SiteIndex``, which the greedy packing shares: a k-d tree over the
+sites' Poincare-ball coordinates, queried with a Euclidean radius that
+provably contains the hyperbolic ball and then filtered with the exact
+``geo.cosh_distance``.  The ball model is conformal, so that radius is tight
+in every direction.  The candidates therefore never drop a site the dense
+scan would find, and the answers are the dense scan's answers; a covariance
+matrix holds only the pairs within R0, written into a zeroed matrix, and
+equals the dense evaluation entry for entry.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field as dfield
 
@@ -27,7 +29,6 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .config import (BudgetExceeded, COND_RADIUS_FACTOR, ConstraintViolation,
                      FactorizationError, JITTER_LADDER, LATTICE_SPACING_FACTOR,
@@ -59,9 +60,21 @@ class CovarianceSpec:
         return out if out.ndim else float(out)
 
     def cov_matrix(self, sites):
+        """Matrix C(d(x_i, x_j)) over a (n, d+1) site array.
+
+        Only pairs within R0 (found through the neighbour index) are
+        evaluated, once each, and written into both triangles of a zeroed
+        matrix; the diagonal is C(0).  Every entry equals the dense
+        evaluation's, as C vanishes from R0 on and the distance is symmetric.
+        """
         sites = np.asarray(sites, dtype=float)
-        return self.cov(geo.distance(sites[:, None, :], sites[None, :, :],
-                                     validate=False))
+        mat = np.zeros((len(sites), len(sites)))
+        i, j, dist = geo._SiteIndex(sites).close_pairs(self.R0)
+        vals = self.cov(dist)
+        mat[i, j] = vals
+        mat[j, i] = vals
+        np.fill_diagonal(mat, self.cov(0.0))
+        return mat
 
 
 def make_spec(sigma2, R0, bump_shape="poly3", d=2):
@@ -113,7 +126,9 @@ def _unscaled_profile(R0, bump_shape, d):
     for i, rho in enumerate(rho_grid):
         arg = np.cosh(rho) * cosh_r - np.sinh(rho) * sinh_r * cos_th
         dist_yz = np.arccosh(np.maximum(1.0, arg))
-        kernel_yz = np.where(dist_yz < s, bump(np.minimum(dist_yz, s) / s), 0.0)
+        kernel_yz = np.zeros_like(dist_yz)
+        inside = dist_yz < s
+        kernel_yz[inside] = bump(dist_yz[inside] / s)
         vals[i] = float(k_r @ (kernel_yz * sin_pow[None, :]).sum(axis=1))
     vals *= geo.sphere_area(d - 1) if d > 2 else 2.0
     rho_grid.flags.writeable = False
@@ -124,118 +139,14 @@ def _unscaled_profile(R0, bump_shape, d):
 def _cholesky_with_jitter(mat, sigma2):
     last = None
     for j in JITTER_LADDER:
+        shifted = mat.copy()
+        shifted[np.diag_indices_from(shifted)] += j * sigma2
         try:
-            return np.linalg.cholesky(mat + j * sigma2 * np.eye(len(mat))), j
+            return np.linalg.cholesky(shifted), j
         except np.linalg.LinAlgError as exc:
             last = exc
     raise FactorizationError(
         f"covariance factorisation failed within jitter cap: {last}")
-
-
-# Beyond this r + rho the Euclidean rho-ball bound in the Poincare ball nears
-# float64 resolution (1 - |u| ~ 2 e^-r), so queries take the whole ball.
-_POINCARE_CUTOFF = 30.0
-
-
-def _poincare_radius(rho, r):
-    """Euclidean radius, in the Poincare ball, holding every point within
-    hyperbolic distance rho of a point at radius r.
-
-    The hyperbolic rho-ball is a Euclidean ball whose centre lies on the ray
-    through the point, so its farthest point is the inner end of that
-    diameter: tanh(r/2) - tanh((r - rho)/2) = sinh(rho/2) / (cosh(r/2)
-    cosh((r - rho)/2)), which also holds for r < rho.
-
-    Slack.  ``to_poincare`` rounds each coordinate twice (one sum, one
-    quotient), and stored points meet the hyperboloid equation only to a few
-    ulp; as |u| < 1, each image sits within a few 2^-52 of the exact image of
-    the point the exact filter sees, whose directions ``cosh_distance``
-    resolves to the same absolute precision.  An absolute 1e-14 (about 45
-    ulp of 1) covers the query's and the site's shifts together.  The filter
-    accepts distances whose cosh rounds to at most cosh(rho), up to about
-    rho + 4 eps / rho, and near o the radius r = arccosh(x0) is known only
-    to sqrt(2 eps) ~ 2e-8; as |d log R / d rho| <= 1/rho + 1/2 and
-    |d log R / d r| <= 1, the relative 1e-6 covers both for rho >= 1e-4.
-    Smaller radii are queried at 1e-4, which holds rho + 4 eps / rho for
-    every rho above 1e-11.
-    Where r + rho exceeds ``_POINCARE_CUTOFF`` the radius is 2, the ball's
-    diameter, so every site is a candidate; below it, every site within rho
-    lies inside radius r + rho too, where the images are resolved.
-    """
-    r = np.asarray(r, dtype=float)
-    rho_q = np.maximum(rho, 1e-4)
-    tight = (np.sinh(rho_q / 2.0) / (np.cosh(r / 2.0) * np.cosh((r - rho_q) / 2.0))
-             * (1.0 + 1e-6) + 1e-14)
-    return np.where(r + rho > _POINCARE_CUTOFF, 2.0, tight)
-
-
-class _SiteIndex:
-    """k-d tree over the Poincare-ball coordinates of a fixed site array.
-
-    Queries return candidates from a Euclidean radius that contains the
-    hyperbolic ball (:func:`_poincare_radius`); callers keep the candidates
-    that pass the exact hyperbolic test, so results match a dense scan.
-    """
-
-    def __init__(self, sites):
-        self.sites = sites
-        self.tree = cKDTree(geo.to_poincare(sites))
-
-    def candidates(self, points, rho):
-        """Flat (point, site) index pairs that may lie within rho (a scalar
-        or one radius per point), grouped by point with ascending site
-        indices."""
-        lists = self.tree.query_ball_point(
-            geo.to_poincare(points), _poincare_radius(rho, geo.radius(points)),
-            return_sorted=True)
-        lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-        qi = np.repeat(np.arange(len(points)), lens)
-        si = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
-                         count=int(lens.sum()))
-        return qi, si
-
-    def nearest_within(self, points, rho):
-        """Nearest site per point and its distance, or -1 and inf where no
-        site lies within rho (a scalar or one radius per point).  Ties go to
-        the lowest site index."""
-        rho = np.broadcast_to(np.asarray(rho, dtype=float), (len(points),))
-        idx = np.full(len(points), -1, dtype=np.intp)
-        dist = np.full(len(points), np.inf)
-        qi, si = self.candidates(points, rho)
-        if si.size == 0:
-            return idx, dist
-        prod = geo.cosh_distance(points[qi], self.sites[si])
-        starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
-        best = np.minimum.reduceat(prod, starts)
-        at_best = prod == np.repeat(best, np.diff(np.r_[starts, qi.size]))
-        best_si = np.minimum.reduceat(np.where(at_best, si, len(self.sites)), starts)
-        best_dist = np.arccosh(np.maximum(1.0, best))
-        hit = best_dist <= rho[qi[starts]]
-        idx[qi[starts[hit]]] = best_si[hit]
-        dist[qi[starts[hit]]] = best_dist[hit]
-        return idx, dist
-
-    def nearest(self, points):
-        """Nearest site per point and its distance, as a dense argmin over
-        every site would give them (ties to the lowest index).
-
-        The Euclidean nearest neighbour in Poincare coordinates lies at
-        hyperbolic distance D, so the true nearest lies within D.  The search radius is at least 1e-3: with
-        D = 0 (a point on a site) a second site closer than cosh's float
-        resolution ties the first in the cosh domain and must be found too.
-        """
-        _, near = self.tree.query(geo.to_poincare(points))
-        bound = geo.distance(points, self.sites[near], validate=False)
-        return self.nearest_within(points, np.maximum(bound, 1e-3))
-
-    def close_pairs(self, rho):
-        """Index pairs i < j of sites at distance at most rho, measured
-        from site i to site j, in lexicographic order."""
-        qi, si = self.candidates(self.sites, rho)
-        upper = qi < si
-        i, j = qi[upper], si[upper]
-        keep = geo.distance(self.sites[i], self.sites[j], validate=False) <= rho
-        return i[keep], j[keep]
 
 
 @dataclass
@@ -253,7 +164,7 @@ class FieldRealization:
     d: int
     h: float | None = None     # lattice spacing when sites come from a packing
     meta: dict = dfield(default_factory=dict)
-    _index: _SiteIndex | None = dfield(default=None, init=False, repr=False,
+    _index: geo._SiteIndex | None = dfield(default=None, init=False, repr=False,
                                        compare=False)
 
     @property
@@ -262,7 +173,7 @@ class FieldRealization:
 
     def _neighbours(self):
         if self._index is None:
-            self._index = _SiteIndex(self.sites)
+            self._index = geo._SiteIndex(self.sites)
         return self._index
 
     def nearest_site_within(self, points, rho):
@@ -284,20 +195,23 @@ class FieldRealization:
 
 
 def sample_field(spec, sites, seed):
-    """Exact joint Gaussian draw with covariance C(d(x_i, x_j))."""
+    """Exact joint Gaussian draw with covariance C(d(x_i, x_j)).
+
+    Sites count as distinct when the cosh of every pairwise distance exceeds
+    1 + 1e-14; the pairs tested are those the neighbour index finds within
+    1e-6, which hold every pair that could fail.  The covariance comes from
+    :meth:`CovarianceSpec.cov_matrix` and is factorised densely.
+    """
     sites = np.asarray(sites, dtype=float)
     if sites.ndim != 2:
         raise ConstraintViolation("sites must be a (n, d+1) array")
     d = sites.shape[1] - 1
     if len(sites) > MAX_ONESHOT_SITES:
         raise BudgetExceeded(f"site count {len(sites)} above cap {MAX_ONESHOT_SITES}")
-    prod = geo.cosh_distance(sites[:, None, :], sites[None, :, :])
-    np.fill_diagonal(prod, 1.0)
-    if len(sites) > 1:
-        off = prod[~np.eye(len(sites), dtype=bool)]
-        if np.any(off <= 1.0 + 1e-14):
-            raise ConstraintViolation("sites must be pairwise distinct")
-    cov = spec.cov(np.arccosh(np.maximum(1.0, prod)))
+    i, j, _ = geo._SiteIndex(sites).close_pairs(1e-6)
+    if np.any(geo.cosh_distance(sites[i], sites[j]) <= 1.0 + 1e-14):
+        raise ConstraintViolation("sites must be pairwise distinct")
+    cov = spec.cov_matrix(sites)
     L, jit = _cholesky_with_jitter(cov, spec.sigma2)
     rng = stream(seed, "field")
     values = L @ rng.standard_normal(len(sites))
@@ -350,13 +264,15 @@ def extend_field(fieldr, new_sites, seed, k_cap=None):
 
     rng = stream(seed, "extend", fieldr.meta.get("extensions", 0))
     jitter = fieldr.meta.get("jitter", 0.0)
-    cov_nn = spec.cov_matrix(new_sites)
-    if near.size == 0:
+    # one assembly over the conditioning sites followed by the new ones
+    k = near.size
+    cov = spec.cov_matrix(np.vstack([fieldr.sites[near], new_sites]))
+    cov_nn = cov[k:, k:]
+    if k == 0:
         mean = np.zeros(len(new_sites))
         cond = cov_nn
     else:
-        cov_oo = spec.cov_matrix(fieldr.sites[near])
-        cov_on = spec.cov(dist_on[keep])
+        cov_oo, cov_on = cov[:k, :k], cov[:k, k:]
         L, jit = _cholesky_with_jitter(cov_oo, spec.sigma2)
         jitter = max(jitter, jit)
         w = np.linalg.solve(L.T, np.linalg.solve(L, cov_on))
@@ -543,7 +459,7 @@ def detect_islands(fieldr, delta, t, h=None):
     super_idx = np.flatnonzero(fieldr.values > thr)
     if super_idx.size == 0:
         return IslandSet([], super_idx, thr, h, t, delta, fieldr)
-    i, j = _SiteIndex(fieldr.sites[super_idx]).close_pairs(2.0 * h)
+    i, j, _ = geo._SiteIndex(fieldr.sites[super_idx]).close_pairs(2.0 * h)
     islands = [super_idx[g].tolist() for g in _components(super_idx.size, i, j)]
     return IslandSet(islands, super_idx, thr, h, t, delta, fieldr)
 
@@ -602,7 +518,7 @@ def build_clusters(islands, eta, t):
         # pair i < j is measured from the lower island to the higher one
         owner = np.repeat(np.arange(n), [len(g) for g in islands.islands])
         sites = fieldr.sites[np.concatenate([np.asarray(g) for g in islands.islands])]
-        ii, jj = _SiteIndex(sites).close_pairs(link)
+        ii, jj, _ = geo._SiteIndex(sites).close_pairs(link)
         groups = _components(n, owner[ii], owner[jj])
     clusters = []
     for label, grp in enumerate(groups):

@@ -3,13 +3,19 @@
 A point of H^d is a (d+1)-vector x with Minkowski self-product
 ``<x,x> = -x0^2 + x1^2 + ... + xd^2 = -1`` and ``x0 >= 1``.  All functions
 take arrays whose last axis has length d+1 and broadcast over leading axes.
-The Poincare ball appears only as an independent cross-check of distances.
+The Poincare ball serves as an independent cross-check of distances and as
+the coordinates of the one neighbour index (``_SiteIndex``): a k-d tree whose
+Euclidean query radius provably holds the hyperbolic ball, followed by the
+exact ``cosh_distance`` test.  Packing, covariance assembly, nearest sites,
+conditioning sets, islands and clusters all ask it which points are near.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
+from scipy.spatial import cKDTree
 
 from .config import (HYPERBOLOID_ATOL, MAX_PACKING_CENTERS, stream)
 
@@ -218,6 +224,130 @@ def euclidean_ball_volume(R, d):
     return np.pi ** (d / 2.0) / special.gamma(d / 2.0 + 1.0) * R ** d
 
 
+# --- Poincare ball and the neighbour index ----------------------------------
+
+def to_poincare(x):
+    """Map hyperboloid coordinates to the Poincare unit ball."""
+    x = np.asarray(x, dtype=float)
+    return x[..., 1:] / (1.0 + x[..., :1])
+
+
+def poincare_distance(u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    du2 = np.sum((u - v) ** 2, axis=-1)
+    arg = 1.0 + 2.0 * du2 / ((1.0 - np.sum(u * u, axis=-1)) * (1.0 - np.sum(v * v, axis=-1)))
+    return np.arccosh(np.maximum(1.0, arg))
+
+
+# Beyond this r + rho the Euclidean rho-ball bound in the Poincare ball nears
+# float64 resolution (1 - |u| ~ 2 e^-r), so queries take the whole ball.
+_POINCARE_CUTOFF = 30.0
+
+
+def _poincare_radius(rho, r):
+    """Euclidean radius, in the Poincare ball, holding every point within
+    hyperbolic distance rho of a point at radius r.
+
+    The hyperbolic rho-ball is a Euclidean ball whose centre lies on the ray
+    through the point, so its farthest point is the inner end of that
+    diameter: tanh(r/2) - tanh((r - rho)/2) = sinh(rho/2) / (cosh(r/2)
+    cosh((r - rho)/2)), which also holds for r < rho.
+
+    Slack.  ``to_poincare`` rounds each coordinate twice (one sum, one
+    quotient), and stored points meet the hyperboloid equation only to a few
+    ulp; as |u| < 1, each image sits within a few 2^-52 of the exact image of
+    the point the exact filter sees, whose directions ``cosh_distance``
+    resolves to the same absolute precision.  An absolute 1e-14 (about 45
+    ulp of 1) covers the query's and the site's shifts together.  The filter
+    accepts distances whose cosh rounds to at most cosh(rho), up to about
+    rho + 4 eps / rho, and near o the radius r = arccosh(x0) is known only
+    to sqrt(2 eps) ~ 2e-8; as |d log R / d rho| <= 1/rho + 1/2 and
+    |d log R / d r| <= 1, the relative 1e-6 covers both for rho >= 1e-4.
+    Smaller radii are queried at 1e-4, which holds rho + 4 eps / rho for
+    every rho above 1e-11.
+    Where r + rho exceeds ``_POINCARE_CUTOFF`` the radius is 2, the ball's
+    diameter, so every site is a candidate; below it, every site within rho
+    lies inside radius r + rho too, where the images are resolved.
+    """
+    r = np.asarray(r, dtype=float)
+    rho_q = np.maximum(rho, 1e-4)
+    tight = (np.sinh(rho_q / 2.0) / (np.cosh(r / 2.0) * np.cosh((r - rho_q) / 2.0))
+             * (1.0 + 1e-6) + 1e-14)
+    return np.where(r + rho > _POINCARE_CUTOFF, 2.0, tight)
+
+
+class _SiteIndex:
+    """k-d tree over the Poincare-ball coordinates of a fixed site array.
+
+    Queries return candidates from a Euclidean radius that contains the
+    hyperbolic ball (:func:`_poincare_radius`); callers keep the candidates
+    that pass the exact hyperbolic test, so results match a dense scan.
+    """
+
+    def __init__(self, sites):
+        self.sites = sites
+        self.tree = cKDTree(to_poincare(sites))
+
+    def candidates(self, points, rho):
+        """Flat (point, site) index pairs that may lie within rho (a scalar
+        or one radius per point), grouped by point with ascending site
+        indices."""
+        lists = self.tree.query_ball_point(
+            to_poincare(points), _poincare_radius(rho, radius(points)),
+            return_sorted=True)
+        lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        qi = np.repeat(np.arange(len(points)), lens)
+        si = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
+                         count=int(lens.sum()))
+        return qi, si
+
+    def nearest_within(self, points, rho):
+        """Nearest site per point and its distance, or -1 and inf where no
+        site lies within rho (a scalar or one radius per point).  Ties go to
+        the lowest site index."""
+        rho = np.broadcast_to(np.asarray(rho, dtype=float), (len(points),))
+        idx = np.full(len(points), -1, dtype=np.intp)
+        dist = np.full(len(points), np.inf)
+        qi, si = self.candidates(points, rho)
+        if si.size == 0:
+            return idx, dist
+        prod = cosh_distance(points[qi], self.sites[si])
+        starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+        best = np.minimum.reduceat(prod, starts)
+        at_best = prod == np.repeat(best, np.diff(np.r_[starts, qi.size]))
+        best_si = np.minimum.reduceat(np.where(at_best, si, len(self.sites)), starts)
+        best_dist = np.arccosh(np.maximum(1.0, best))
+        hit = best_dist <= rho[qi[starts]]
+        idx[qi[starts[hit]]] = best_si[hit]
+        dist[qi[starts[hit]]] = best_dist[hit]
+        return idx, dist
+
+    def nearest(self, points):
+        """Nearest site per point and its distance, as a dense argmin over
+        every site would give them (ties to the lowest index).
+
+        The Euclidean nearest neighbour in Poincare coordinates lies at
+        hyperbolic distance D, so the true nearest lies within D.  The search
+        radius is at least 1e-3: with D = 0 (a point on a site) a second site closer than cosh's float
+        resolution ties the first in the cosh domain and must be found too.
+        """
+        _, near = self.tree.query(to_poincare(points))
+        bound = distance(points, self.sites[near], validate=False)
+        return self.nearest_within(points, np.maximum(bound, 1e-3))
+
+    def close_pairs(self, rho):
+        """Index pairs i < j of sites at distance at most rho, in
+        lexicographic order, and their distances, measured from site i to
+        site j (the distance is symmetric to the last bit)."""
+        qi, si = self.candidates(self.sites, rho)
+        upper = qi < si
+        i, j = qi[upper], si[upper]
+        dist = distance(self.sites[i], self.sites[j], validate=False)
+        keep = dist <= rho
+        return i[keep], j[keep], dist[keep]
+
+
 # --- regions and packings ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -302,10 +432,15 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
     """Randomized greedy maximal r-packing of ``region``.
 
     Candidates are drawn volume-uniformly from the r-shrunken region in
-    batches of 512 and kept when more than 2r from every accepted center.
-    Sampling stops after 8 consecutive fruitless batches (declared maximal)
-    or at ``max_centers`` (recorded as non-maximal).  Deterministic given
-    ``seed``.
+    batches of 512 and kept, in draw order, when more than 2r from every
+    accepted center.  Each batch is decided at once: the neighbour index over
+    the centers kept so far finds those within 2r of a candidate, one
+    candidate-by-candidate block covers the batch itself, and a pass in draw
+    order keeps what neither rules out.  Both tests compare the same
+    ``cosh_distance`` values with cosh(2r) as a one-by-one scan would, so
+    the centers are the scan's.  Sampling stops after 8 consecutive
+    fruitless batches (declared maximal) or at ``max_centers`` (recorded as
+    non-maximal).  Deterministic given ``seed``.
     """
     batch, patience = 512, 8
     if r <= 0:
@@ -322,16 +457,23 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
     cosh2r = np.cosh(2.0 * r)
     while idle < patience and n < max_centers:
         cands = sample_region(inner, d, rng, batch)
-        gained = False
-        for c in cands:
-            if n >= max_centers:
+        free = np.ones(batch, dtype=bool)
+        if n:
+            qi, si = _SiteIndex(buf[:n]).candidates(cands, 2.0 * r)
+            free[qi[cosh_distance(cands[qi], buf[si]) <= cosh2r]] = False
+        cands = cands[free]
+        # near[k, m]: candidates k and m are within 2r of each other
+        near = cosh_distance(cands[:, None, :], cands[None, :, :]) <= cosh2r
+        hit = np.zeros(len(cands), dtype=bool)
+        start = n
+        for k in range(len(cands)):
+            if n == max_centers:
                 break
-            # accept iff strictly farther than 2r from every kept center
-            if n == 0 or np.min(cosh_distance(buf[:n], c)) > cosh2r:
-                buf[n] = c
+            if not hit[k]:
+                hit |= near[k]
+                buf[n] = cands[k]
                 n += 1
-                gained = True
-        idle = 0 if gained else idle + 1
+        idle = 0 if n > start else idle + 1
     return Packing(buf[:n].copy(), r, region, maximal=n < max_centers)
 
 
@@ -345,19 +487,3 @@ def covering_probe(packing, d, n_probes=10000, seed=1):
     cosh2r = np.cosh(2.0 * packing.radius)
     prod = cosh_distance(probes[:, None, :], packing.centers[None, :, :])
     return float(np.mean(np.min(prod, axis=1) <= cosh2r + 1e-12))
-
-
-# --- Poincare-ball cross check ----------------------------------------------
-
-def to_poincare(x):
-    """Map hyperboloid coordinates to the Poincare unit ball."""
-    x = np.asarray(x, dtype=float)
-    return x[..., 1:] / (1.0 + x[..., :1])
-
-
-def poincare_distance(u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    du2 = np.sum((u - v) ** 2, axis=-1)
-    arg = 1.0 + 2.0 * du2 / ((1.0 - np.sum(u * u, axis=-1)) * (1.0 - np.sum(v * v, axis=-1)))
-    return np.arccosh(np.maximum(1.0, arg))

@@ -9,6 +9,7 @@ no code with them.
 import numpy as np
 
 from hypam import geometry as geo
+from hypam.config import stream
 
 
 def brute_force_reduce(word):
@@ -29,6 +30,38 @@ def oracle_nearest_site(sites, points):
     idx = np.argmin(prod, axis=1)
     best = prod[np.arange(len(points)), idx]
     return idx, np.arccosh(np.maximum(1.0, best))
+
+
+def oracle_cov_matrix(spec, sites):
+    """Covariance matrix by evaluating C on the full pairwise distance table."""
+    return spec.cov(np.arccosh(np.maximum(
+        1.0, geo.cosh_distance(sites[:, None, :], sites[None, :, :]))))
+
+
+def oracle_greedy_packing(region, r, d, seed, max_centers):
+    """Greedy packing that measures each candidate, in draw order, against
+    every kept center; the same candidate stream as ``geo.greedy_packing``.
+    Returns the centers and whether the packing is maximal."""
+    inner = geo._shrunk(region, r)
+    if inner is None:
+        return np.empty((0, d + 1)), True
+    rng = stream(seed, "packing")
+    if isinstance(inner, geo.BallRegion) and inner.radius == 0.0:
+        return geo.origin(d)[None, :], True
+    kept = np.empty((max_centers, d + 1))
+    n = 0
+    idle = 0
+    while idle < 8 and n < max_centers:
+        gained = False
+        for c in geo.sample_region(inner, d, rng, 512):
+            if n >= max_centers:
+                break
+            if np.all(geo.cosh_distance(kept[:n], c) > np.cosh(2.0 * r)):
+                kept[n] = c
+                n += 1
+                gained = True
+        idle = 0 if gained else idle + 1
+    return kept[:n], n < max_centers
 
 
 def oracle_islands(fieldr, delta, t, h):

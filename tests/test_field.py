@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypam import field as fd, geometry as geo
 from hypam.config import (BudgetExceeded, COND_RADIUS_FACTOR,
                           ConstraintViolation, stream)
-from oracles import oracle_clusters, oracle_islands, oracle_nearest_site
+from oracles import (oracle_clusters, oracle_cov_matrix, oracle_islands,
+                     oracle_nearest_site)
 
 
 class TestCovarianceSpec:
@@ -60,6 +61,21 @@ class TestCovarianceSpec:
         assert not fresh.rho_grid.flags.writeable
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), radius=st.floats(0.0, 20.0),
+           n=st.integers(1, 150), R0=st.sampled_from([0.5, 1.0]),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_cov_matrix_matches_dense(self, d, radius, n, R0, seed):
+        # ball sites plus a companion within R0 of each, so pairs inside the
+        # support occur at every radius; the entries are the dense table's
+        spec = fd.make_spec(1.3, R0, "poly3", d=d)
+        rng = stream(seed, "cov")
+        base = geo.sample_region(geo.BallRegion(radius), d, rng, n)
+        near = geo.frame_step(base, rng.uniform(-R0, R0, (n, d)) / math.sqrt(d))
+        sites = np.vstack([base, near])
+        assert np.array_equal(spec.cov_matrix(sites), oracle_cov_matrix(spec, sites))
+
+
 class TestSampling:
     def test_single_site_variance(self, spec_unit):
         o = geo.origin(2)[None, :]
@@ -72,6 +88,19 @@ class TestSampling:
         o = geo.origin(2)
         with pytest.raises(ConstraintViolation):
             fd.sample_field(spec_unit, np.vstack([o, o]), seed=0)
+
+    @pytest.mark.parametrize("gap, distinct", [(1e-9, False), (1e-6, True)])
+    def test_near_duplicate_sites(self, spec_unit, gap, distinct):
+        # far from o, sites 1e-9 apart count as one and sites 1e-6 apart as two
+        x = geo.point_at(2, 5.0, np.array([0.6, 0.8]))
+        y = geo.frame_step(x, np.array([gap, 0.0]))
+        others = geo.sample_region(geo.BallRegion(6.0), 2, stream(2, "dup"), 20)
+        sites = np.vstack([others, x, y])
+        if distinct:
+            assert fd.sample_field(spec_unit, sites, seed=0).n_sites == 22
+        else:
+            with pytest.raises(ConstraintViolation):
+                fd.sample_field(spec_unit, sites, seed=0)
 
     def test_oneshot_budget(self, spec_unit):
         sites = np.zeros((5000, 3))
@@ -381,7 +410,7 @@ class TestNeighbourIndex:
         y = geo.frame_step(x, 10.0 ** log_step * step)
         dist = geo.distance(x, y, validate=False)
         for a, b in ((x, y), (y, x)):
-            _, si = fd._SiteIndex(b[None, :]).candidates(a[None, :], dist)
+            _, si = geo._SiteIndex(b[None, :]).candidates(a[None, :], dist)
             assert si.tolist() == [0]
 
     def test_conditioning_candidates_tight(self, monkeypatch):
@@ -391,7 +420,7 @@ class TestNeighbourIndex:
         spec = fd.make_spec(0.25, 1.0)
         cond_radius = COND_RADIUS_FACTOR * spec.R0
         counts = {"pairs": 0, "all": 0}
-        candidates = fd._SiteIndex.candidates
+        candidates = geo._SiteIndex.candidates
 
         def counting(index, points, rho):
             qi, si = candidates(index, points, rho)
@@ -400,7 +429,7 @@ class TestNeighbourIndex:
                 counts["all"] += len(points) * len(index.sites)
             return qi, si
 
-        monkeypatch.setattr(fd._SiteIndex, "candidates", counting)
+        monkeypatch.setattr(geo._SiteIndex, "candidates", counting)
         fk.fk_estimate(spec, 2, 2.0, 0.01, 60, seed=5)
         assert counts["all"] > 0
         assert counts["pairs"] < 0.2 * counts["all"]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypam import geometry as geo
 from hypam.config import stream
+from oracles import oracle_greedy_packing
 
 
 def test_distance_identity():
@@ -177,3 +178,21 @@ class TestPacking:
         p1 = geo.greedy_packing(geo.BallRegion(2.0), 0.3, 2, seed=11)
         p2 = geo.greedy_packing(geo.BallRegion(2.0), 0.3, 2, seed=11)
         assert np.array_equal(p1.centers, p2.centers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), inner=st.none() | st.floats(0.0, 3.0),
+           outer=st.floats(0.3, 4.5), frac=st.floats(0.02, 1.0),
+           max_centers=st.integers(1, 700), seed=st.integers(0, 2 ** 31 - 1))
+    # one batch holds 512 candidates, so a cap of 600 falls inside a later one
+    @example(d=2, inner=None, outer=5.0, frac=0.05, max_centers=600, seed=1)
+    @example(d=2, inner=1.0, outer=2.0, frac=0.1, max_centers=40, seed=2)
+    def test_matches_one_by_one_oracle(self, d, inner, outer, frac, max_centers,
+                                       seed):
+        # a ball of radius outer, or an annulus of that width from inner
+        r = max(frac * outer, 0.1)
+        region = (geo.BallRegion(outer) if inner is None
+                  else geo.AnnulusRegion(inner, inner + outer))
+        p = geo.greedy_packing(region, r, d, seed=seed, max_centers=max_centers)
+        want, maximal = oracle_greedy_packing(region, r, d, seed, max_centers)
+        assert np.array_equal(p.centers, want)
+        assert p.maximal == maximal
