@@ -59,6 +59,9 @@ CALLS = [
      {"d": 2, "t": 1.0, "dt": 0.01, "n_paths": 200}, 4),
     ("energy-bound", "energy-bound",
      {"K": 1.0, "delta": 0.5, "eta": 0.02, "zeta": 0.001, "d": 2}, 115),
+    # the energy gradient through a three-dimensional frame step
+    ("energy-bound-d3", "energy-bound",
+     {"K": 1.0, "delta": 0.5, "eta": 0.02, "zeta": 0.001, "d": 3}, 115),
     ("hk-calibrate", "hk-calibrate", {"d": 3, "n_paths": 1000}, 1),
     ("long-route-tail", "long-route-tail",
      {"eta": 2.0, "t": 4.0, "K0": 2.0, "N_hops": 6}, 1),

@@ -340,7 +340,7 @@ def path_energy(points, times=None):
 
 @dataclass
 class EnergyExcessReport:
-    min_energy: float
+    min_energy: float | None    # None when no SLSQP trial converged
     bound: float
     holds: bool
     base_distance: float
@@ -348,6 +348,7 @@ class EnergyExcessReport:
     deviation: float
     constraints_ok: bool
     n_segments: int
+    n_converged: int
 
 
 def check_eta_zeta(K_star, delta, eta, zeta):
@@ -364,20 +365,86 @@ _N_SEGMENTS = 16
 
 
 def _offset_path_energy(K_star, d, n):
-    """Endpoints o, y at distance K_star and the energy of offset paths.
+    """Endpoints o, y at distance K_star, and the energy of offset paths with
+    its exact gradient.
 
     Node i of the path (i = 1..n) is the geodesic step from the uniform node
     gamma(i/n) of [o, y] with orthonormal-frame coefficients z[i-1]; node 0
-    is o.  ``energy_of`` takes the flattened (n, d) coefficients.
+    is o.  ``energy_of`` and ``energy_grad`` take the flattened (n, d)
+    coefficients.  The energy is n * sum_i D_i^2 over segment lengths D_i,
+    and its gradient is the chain rule through three maps:
+
+    - a segment [a, b] has cosh D = a0 b0 - a_s.b_s, so
+      d(D^2)/da = 2 (D / sinh D) (b0, -b_s), with D / sinh D -> 1 as D -> 0;
+    - ``project`` sets a0 = sqrt(1 + |a_s|^2), which folds the time
+      component of a node's gradient into the spatial one as a_s / a0;
+    - ``frame_step`` from gamma = (g0, g_s) has spatial part
+      cosh(r) g_s + f(r) T_s z with r = |z|, f(r) = sinh(r) / r and
+      T_s = I + g_s g_s^T / (1 + g0), so
+      dx_s/dz = f(r) (g_s z^T + T_s) + (f'(r) / r) (T_s z) z^T.  That is
+      sinh(r) g_s zhat^T + f(r) T_s + f'(r) (T_s z) zhat^T, written so that
+      r = 0 needs no direction; f'(r) / r -> 1/3 there.
     """
     x = geo.origin(d)
     y = geo.point_at(d, K_star, np.eye(d)[0])
-    gamma = geo.geodesic_point(x, y, np.linspace(0.0, 1.0, n + 1))
+    gamma = geo.geodesic_point(x, y, np.linspace(0.0, 1.0, n + 1))[1:]
+    gs = gamma[:, 1:]
+    gs_scaled = gs / (1.0 + gamma[:, :1])
+    lower = np.r_[1.0, -np.ones(d)]          # p -> (p0, -p_s)
+
+    def nodes(z):
+        return np.vstack([x, geo.frame_step(gamma, z.reshape(n, d))])
 
     def energy_of(z):
-        return path_energy(np.vstack([x, geo.frame_step(gamma[1:], z.reshape(n, d))]))
+        return path_energy(nodes(z))
 
-    return x, y, energy_of
+    def energy_grad(z):
+        z = z.reshape(n, d)
+        pts = nodes(z)
+        D = geo.distance(pts[:-1], pts[1:], validate=False)
+        w = 2.0 * n * np.divide(D, np.sinh(D), out=np.ones(n), where=D > 0.0)
+        low = pts * lower
+        grad_pts = w[:, None] * low[:-1]      # segment i-1 ends at node i
+        grad_pts[:-1] += w[1:, None] * low[2:]
+        grad_s = grad_pts[:, 1:] + grad_pts[:, :1] * pts[1:, 1:] / pts[1:, :1]
+        r = np.sqrt(np.sum(z * z, axis=1))
+        rs = np.maximum(r, 1e-2)
+        small = r < 1e-2
+        r2 = r * r
+        f = np.where(small, 1.0 + r2 / 6.0 + r2 * r2 / 120.0, np.sinh(rs) / rs)
+        h = np.where(small, 1.0 / 3.0 + r2 / 30.0 + r2 * r2 / 840.0,
+                     (rs * np.cosh(rs) - np.sinh(rs)) / rs ** 3)
+        g_dot_grad = np.sum(gs * grad_s, axis=1, keepdims=True)
+        t_grad = grad_s + gs_scaled * g_dot_grad
+        t_z = z + gs_scaled * np.sum(gs * z, axis=1, keepdims=True)
+        out = (f[:, None] * (z * g_dot_grad + t_grad)
+               + (h * np.sum(t_z * grad_s, axis=1))[:, None] * z)
+        return out.ravel()
+
+    return x, y, energy_of, energy_grad
+
+
+def _node_norm_constraint(n, d, k, sign, offset):
+    """SLSQP inequality sign * |z_k| + offset >= 0 with its exact Jacobian,
+    sign * z_k / |z_k| in block k (zero at z_k = 0) and zero elsewhere."""
+    def fun(z):
+        return sign * np.linalg.norm(z.reshape(n, d)[k]) + offset
+
+    def jac(z):
+        out = np.zeros((n, d))
+        zk = z.reshape(n, d)[k]
+        r = np.linalg.norm(zk)
+        if r > 0.0:
+            out[k] = sign * zk / r
+        return out.ravel()
+
+    return {"type": "ineq", "fun": fun, "jac": jac}
+
+
+def _minimize_energy(energy_of, energy_grad, z0, cons, lim):
+    return optimize.minimize(energy_of, z0, jac=energy_grad, method="SLSQP",
+                             constraints=cons, bounds=[(-lim, lim)] * z0.size,
+                             options={"maxiter": 300, "ftol": 1e-12})
 
 
 def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
@@ -388,7 +455,11 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
     offsets at uniform nodes; they must deviate at least delta/4 from the
     geodesic at some node while ending within 3*eta + 2*K_star*zeta of y.
     The constrained minimum is compared against
-    d(x,y)^2 + delta^2/128 - 4*K_star*(5*eta + 2*K_star*zeta).
+    d(x,y)^2 + delta^2/128 - 4*K_star*(5*eta + 2*K_star*zeta).  SLSQP gets
+    the exact energy gradient of ``_offset_path_energy`` and the exact
+    constraint Jacobians, so no objective call goes to finite differences.
+    Only converged trials count; if none converges, ``min_energy`` is None
+    and the bound does not hold.
 
     The quantitative parameter relations are validated and reported; with
     ``enforce_constraints`` a violation raises instead, which makes the bound
@@ -400,47 +471,45 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
             "deviation parameters inadmissible: need delta < K_star and "
             "eta < min(delta/24, delta^2/(2560*K_star)) with zeta small")
     n = _N_SEGMENTS
-    x, y, energy_of = _offset_path_energy(K_star, d, n)
+    x, y, energy_of, energy_grad = _offset_path_energy(K_star, d, n)
     slack = 3.0 * eta + 2.0 * K_star * zeta
     dev = delta / 4.0
     base = float(geo.distance(x, y))
     bound = base ** 2 + delta ** 2 / 128.0 - 4.0 * K_star * (5.0 * eta + 2.0 * K_star * zeta)
+    endpoint = _node_norm_constraint(n, d, n - 1, -1.0, slack)
 
     rng = stream(seed, "energy")
-    best = np.inf
+    best = None
+    n_converged = 0
     candidate_nodes = sorted({n // 4, n // 2, (3 * n) // 4} - {0})
     for j in candidate_nodes:
+        deviated = _node_norm_constraint(n, d, j - 1, 1.0, -dev)
         for trial in range(max(1, n_trials)):
             z0 = 1e-3 * rng.standard_normal(n * d)
             z0 = z0.reshape(n, d)
             sign = 1.0 if trial % 2 == 0 else -1.0
             z0[j - 1, -1] = sign * dev * 1.05      # start on the deviated side
-            cons = [
-                {"type": "ineq",
-                 "fun": lambda z, jj=j: np.linalg.norm(z.reshape(n, d)[jj - 1]) - dev},
-                {"type": "ineq",
-                 "fun": lambda z: slack - np.linalg.norm(z.reshape(n, d)[n - 1])},
-            ]
-            lim = base + 2.0
-            res = optimize.minimize(energy_of, z0.ravel(), method="SLSQP",
-                                    constraints=cons,
-                                    bounds=[(-lim, lim)] * (n * d),
-                                    options={"maxiter": 300, "ftol": 1e-12})
-            if res.success and res.fun < best:
-                best = float(res.fun)
-    holds = bool(best >= bound - 1e-2)
+            res = _minimize_energy(energy_of, energy_grad, z0.ravel(),
+                                   [deviated, endpoint], base + 2.0)
+            if res.success:
+                n_converged += 1
+                if best is None or res.fun < best:
+                    best = float(res.fun)
+    holds = best is not None and best >= bound - 1e-2
     return EnergyExcessReport(best, bound, holds, base, slack, dev,
-                              constraints_ok, n)
+                              constraints_ok, n, n_converged)
 
 
 def geodesic_baseline_energy(K_star, d=2, slack=0.0):
-    """Unconstrained minimum with optional endpoint slack (sanity oracle)."""
+    """Unconstrained minimum with optional endpoint slack (sanity oracle).
+
+    Raises :class:`ConstraintViolation` when SLSQP does not converge.
+    """
     n = _N_SEGMENTS
-    x, y, energy_of = _offset_path_energy(K_star, d, n)
-    cons = [{"type": "ineq",
-             "fun": lambda z: slack - np.linalg.norm(z.reshape(n, d)[n - 1])}]
-    lim = float(geo.distance(x, y)) + 2.0
-    res = optimize.minimize(energy_of, np.zeros(n * d), method="SLSQP",
-                            constraints=cons, bounds=[(-lim, lim)] * (n * d),
-                            options={"maxiter": 300, "ftol": 1e-12})
+    x, y, energy_of, energy_grad = _offset_path_energy(K_star, d, n)
+    res = _minimize_energy(energy_of, energy_grad, np.zeros(n * d),
+                           [_node_norm_constraint(n, d, n - 1, -1.0, slack)],
+                           float(geo.distance(x, y)) + 2.0)
+    if not res.success:
+        raise ConstraintViolation(f"geodesic baseline SLSQP failed: {res.message}")
     return float(res.fun)

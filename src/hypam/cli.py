@@ -27,6 +27,8 @@ from . import geometry as geo
 
 
 def _fmt(x):
+    if x is None:
+        return ""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (float, np.floating)):
@@ -150,7 +152,8 @@ def run_energy_bound(cfg):
     return (["min_energy", "bound", "holds"],
             [[rep.min_energy, rep.bound, rep.holds]],
             {"min_energy": rep.min_energy, "bound": rep.bound,
-             "holds": rep.holds, "constraints_ok": rep.constraints_ok,
+             "holds": rep.holds, "n_converged": rep.n_converged,
+             "constraints_ok": rep.constraints_ok,
              "base_distance": rep.base_distance,
              "endpoint_slack": rep.endpoint_slack, "deviation": rep.deviation})
 

@@ -24,12 +24,28 @@ class InvalidPoint(ValueError):
     """Coordinates do not satisfy the hyperboloid constraints."""
 
 
+def _row_dot(a, b=None):
+    """sum_k a[..., k] * b[..., k] (b defaults to a), added one coordinate
+    column at a time.
+
+    The last axis here holds 2-4 coordinates, where ``np.sum(..., axis=-1)``
+    and ``np.linalg.norm`` pay per-row reduction overhead several times the
+    arithmetic.  Short reductions add sequentially, in this same order, so
+    the result is bit-identical to theirs.
+    """
+    if b is None:
+        b = a
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
 def minkowski_dot(x, y):
     """Pairing -x0*y0 + sum_i xi*yi, broadcast over leading axes."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    s = np.sum(x[..., 1:] * y[..., 1:], axis=-1)
-    return s - x[..., 0] * y[..., 0]
+    return _row_dot(x[..., 1:], y[..., 1:]) - x[..., 0] * y[..., 0]
 
 
 def check_points(x, atol=HYPERBOLOID_ATOL):
@@ -58,7 +74,7 @@ def project(x):
     unlike rescaling by the Minkowski norm.
     """
     x = np.array(x, dtype=float)
-    x[..., 0] = np.sqrt(1.0 + np.sum(x[..., 1:] ** 2, axis=-1))
+    x[..., 0] = np.sqrt(1.0 + _row_dot(x[..., 1:]))
     return x
 
 
@@ -83,13 +99,13 @@ def cosh_distance(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    sx = np.linalg.norm(x[..., 1:], axis=-1)
-    sy = np.linalg.norm(y[..., 1:], axis=-1)
+    sx = np.sqrt(_row_dot(x[..., 1:]))
+    sy = np.sqrt(_row_dot(y[..., 1:]))
     r1 = radius(x)
     r2 = radius(y)
     nx = x[..., 1:] / np.maximum(sx, 1e-300)[..., None]
     ny = y[..., 1:] / np.maximum(sy, 1e-300)[..., None]
-    cross = np.sum((nx - ny) ** 2, axis=-1)
+    cross = _row_dot(nx - ny)
     return np.cosh(r1 - r2) + 0.5 * sx * sy * cross
 
 
@@ -162,7 +178,7 @@ def tangent_step(x, coeffs):
     """
     x = np.asarray(x, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    dot = np.sum(coeffs * x[..., 1:], axis=-1, keepdims=True)
+    dot = _row_dot(coeffs, x[..., 1:])[..., None]
     v = np.concatenate([dot, coeffs + dot / (1.0 + x[..., :1]) * x[..., 1:]],
                        axis=-1)
     return v
@@ -190,8 +206,9 @@ def frame_step(x, coeffs):
     Equivalent to ``exp_map(x, tangent_step(x, coeffs))`` but numerically
     stable at every radius: the tangent norm is the coefficient norm.
     """
+    coeffs = np.asarray(coeffs, dtype=float)
     return exp_map(x, tangent_step(x, coeffs),
-                   norm=np.linalg.norm(coeffs, axis=-1))
+                   norm=np.sqrt(_row_dot(coeffs)))
 
 
 # --- volumes ----------------------------------------------------------------

@@ -24,6 +24,40 @@ def brute_force_reduce(word):
         i = j + 1
 
 
+# The short-axis reductions ``geometry`` used before it added coordinate
+# columns one at a time; the column sums must reproduce them bit for bit.
+
+def oracle_minkowski_dot(x, y):
+    return np.sum(x[..., 1:] * y[..., 1:], axis=-1) - x[..., 0] * y[..., 0]
+
+
+def oracle_project(x):
+    x = np.array(x, dtype=float)
+    x[..., 0] = np.sqrt(1.0 + np.sum(x[..., 1:] ** 2, axis=-1))
+    return x
+
+
+def oracle_cosh_distance(x, y):
+    sx = np.linalg.norm(x[..., 1:], axis=-1)
+    sy = np.linalg.norm(y[..., 1:], axis=-1)
+    nx = x[..., 1:] / np.maximum(sx, 1e-300)[..., None]
+    ny = y[..., 1:] / np.maximum(sy, 1e-300)[..., None]
+    cross = np.sum((nx - ny) ** 2, axis=-1)
+    return np.cosh(geo.radius(x) - geo.radius(y)) + 0.5 * sx * sy * cross
+
+
+def oracle_tangent_step(x, coeffs):
+    dot = np.sum(coeffs * x[..., 1:], axis=-1, keepdims=True)
+    return np.concatenate([dot, coeffs + dot / (1.0 + x[..., :1]) * x[..., 1:]],
+                          axis=-1)
+
+
+def oracle_frame_step(x, coeffs):
+    norm = np.linalg.norm(coeffs, axis=-1)
+    v = oracle_tangent_step(x, coeffs) / np.maximum(norm, 1e-300)[..., None]
+    return oracle_project(np.cosh(norm)[..., None] * x + np.sinh(norm)[..., None] * v)
+
+
 def oracle_nearest_site(sites, points):
     """Nearest site per point by argmin over the full point-by-site table."""
     prod = geo.cosh_distance(points[:, None, :], sites[None, :, :])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats as sps
+from scipy import integrate, optimize, stats as sps
 
 from hypam import brownian as bm, geometry as geo
 from hypam.config import ConstraintViolation, stream
@@ -180,10 +180,78 @@ class TestPathEnergy:
             assert e >= d * d - 1e-9
 
 
+def _offset_coeffs(d, scale, seed, n=16):
+    """Random frame offsets with node 4 on the geodesic (r = 0) and node 11
+    stepped back onto node 10 (a zero-length segment)."""
+    z = scale * stream(seed, "energy-grad", d).standard_normal((n, d))
+    z[3] = 0.0
+    z[9] = 0.0
+    z[10] = 0.0
+    z[10, 0] = -1.0 / n     # frame direction 1 at a geodesic node is the geodesic
+    return z
+
+
+def _rel_err(exact, fd):
+    return np.max(np.abs(exact - fd)) / np.max(np.abs(fd))
+
+
+class TestEnergyGradient:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 0.5])
+    def test_energy_gradient_matches_finite_differences(self, d, scale):
+        x, y, energy_of, energy_grad = bm._offset_path_energy(1.0, d, 16)
+        z = _offset_coeffs(d, scale, seed=int(1e3 * scale))
+        nodes = geo.frame_step(geo.geodesic_point(x, y, np.linspace(0, 1, 17))[1:], z)
+        assert geo.distance(nodes[9], nodes[10], validate=False) < 1e-7
+        z = z.ravel()
+        assert _rel_err(energy_grad(z), optimize.approx_fprime(z, energy_of)) < 1e-5
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 0.5])
+    def test_constraint_jacobians_match_finite_differences(self, d, scale):
+        z = _offset_coeffs(d, scale, seed=7).ravel()
+        for k, sign, offset in ((7, 1.0, -0.125), (15, -1.0, 0.062)):
+            con = bm._node_norm_constraint(16, d, k, sign, offset)
+            jac = con["jac"](z)
+            assert np.count_nonzero(jac) == d
+            assert _rel_err(jac, optimize.approx_fprime(z, con["fun"])) < 1e-5
+        # the r = 0 node takes the zero subgradient
+        assert not np.any(bm._node_norm_constraint(16, d, 3, 1.0, 0.0)["jac"](z))
+
+    def test_gradient_on_the_geodesic(self):
+        # interior nodes are stationary; moving the endpoint along the
+        # geodesic (frame direction 1) changes the energy at rate 2 K
+        g = bm._offset_path_energy(1.3, 3, 16)[3](np.zeros(48)).reshape(16, 3)
+        assert np.max(np.abs(g[:-1])) < 1e-12
+        assert np.allclose(g[-1], [2.6, 0.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+def _fail_minimize(fun, x0, **kwargs):
+    return optimize.OptimizeResult(x=x0, fun=0.0, success=False,
+                                   message="forced failure")
+
+
 class TestEnergyExcess:
     def test_unconstrained_minimum_is_geodesic(self):
         e = bm.geodesic_baseline_energy(1.0, d=2, slack=0.0)
         assert abs(e - 1.0) < 1e-6
+
+    def test_unconstrained_minimum_is_geodesic_d3(self):
+        e = bm.geodesic_baseline_energy(1.0, d=3, slack=0.0)
+        assert abs(e - 1.0) < 1e-6
+
+    def test_no_converged_trial_does_not_hold(self, monkeypatch):
+        monkeypatch.setattr(bm.optimize, "minimize", _fail_minimize)
+        rep = bm.energy_excess_check(1.0, 0.5, 0.02, 0.001, n_trials=2, seed=1)
+        assert rep.n_converged == 0
+        assert rep.min_energy is None
+        assert rep.holds is False
+        with pytest.raises(ConstraintViolation):
+            bm.geodesic_baseline_energy(1.0)
+
+    def test_every_trial_counted(self):
+        rep = bm.energy_excess_check(1.0, 0.5, 0.02, 0.001, n_trials=2, seed=3)
+        assert rep.n_converged == 6 and rep.holds
 
     def test_constraint_check(self):
         assert not bm.check_eta_zeta(1.0, 0.5, 0.02, 0.001)

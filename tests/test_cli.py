@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from scipy import optimize
 
-from hypam import cli
+from hypam import brownian, cli
 from hypam.config import RunConfig, format_config, parse_config
 
 
@@ -133,6 +134,22 @@ class TestDispatch:
                          "--set", f"{key}={value}")
         assert status == 2
         assert key in capsys.readouterr().err
+
+    def test_energy_bound_without_convergence_writes_null(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(brownian.optimize, "minimize",
+                            lambda fun, x0, **kw: optimize.OptimizeResult(
+                                x=x0, fun=0.0, success=False, message="forced"))
+        out = tmp_path / "eb"
+        assert run_cli(tmp_path, "energy-bound", "--out", str(out)) == 0
+
+        def reject(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        summary = json.loads(read(out / "summary.json"), parse_constant=reject)
+        assert summary["min_energy"] is None
+        assert summary["n_converged"] == 0
+        assert summary["holds"] is False
 
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"

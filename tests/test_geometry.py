@@ -4,7 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypam import geometry as geo
 from hypam.config import stream
-from oracles import oracle_greedy_packing
+from oracles import (oracle_cosh_distance, oracle_frame_step,
+                     oracle_greedy_packing, oracle_minkowski_dot,
+                     oracle_project, oracle_tangent_step)
 
 
 def test_distance_identity():
@@ -93,6 +95,28 @@ def test_frame_step_batch(d):
     tol = 1e-9 + 2.0 * np.finfo(float).eps * x[:, 0]
     err = np.abs(geo.distance(x, y) - np.linalg.norm(c, axis=1))
     assert np.all(err <= tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), m=st.integers(1, 40), k=st.integers(1, 9),
+       scale=st.floats(0.0, 12.0), seed=st.integers(0, 2 ** 31 - 1))
+def test_column_sums_match_axis_reductions(d, m, k, scale, seed):
+    # pairs, a broadcast (m, k) block, a single point and zero spatial parts
+    rng = stream(seed, "colsum")
+    x = geo.point_at(d, scale * rng.random(m), rng.standard_normal((m, d)))
+    y = geo.point_at(d, scale * rng.random(k), rng.standard_normal((k, d)))
+    x[0] = geo.origin(d)
+    c = rng.standard_normal((m, d)) * rng.random((m, 1))
+    c[-1] = 0.0
+    for a, b in ((x, x[::-1]), (x[:, None, :], y[None, :, :]), (x[0], y[-1])):
+        assert np.array_equal(geo.cosh_distance(a, b), oracle_cosh_distance(a, b))
+        assert np.array_equal(geo.minkowski_dot(a, b), oracle_minkowski_dot(a, b))
+    assert np.array_equal(geo.project(y), oracle_project(y))
+    assert np.array_equal(geo.tangent_step(x, c), oracle_tangent_step(x, c))
+    assert np.array_equal(geo.frame_step(x, c), oracle_frame_step(x, c))
+    fan = c[:, None, :] * rng.random((1, k, 1))
+    assert np.array_equal(geo.frame_step(x[:, None, :], fan),
+                          oracle_frame_step(x[:, None, :], fan))
 
 
 def test_geodesic_convexity():
