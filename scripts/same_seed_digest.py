@@ -26,6 +26,11 @@ CALLS = [
     # the farthest paths pass radius 8, deep in the Poincare ball's rim
     ("fk-quenched-t4", "fk",
      {"sigma2": 0.25, "t": 4.0, "dt": 0.01, "n_paths": 20, "mode": "quenched"}, 3),
+    # a three-dimensional lazy lattice large enough to hit the 96-site
+    # conditioning cap and to thin new sites greedily in d = 3
+    ("fk-quenched-d3", "fk",
+     {"d": 3, "sigma2": 0.25, "t": 1.0, "dt": 0.01, "n_paths": 24,
+      "mode": "quenched"}, 3),
     ("fk-annealed", "fk",
      {"sigma2": 0.25, "t": 1.0, "dt": 0.01, "n_paths": 32, "mode": "annealed"}, 3),
     ("fk-localized", "fk-localized",

@@ -274,21 +274,21 @@ def simulate_bridge_batch(spec, dt, seed, n_paths, n_candidates=16, stream_id=0)
     return times, out
 
 
-def simulate_bridge(spec, dt, seed, n_candidates=16):
-    times, pts = simulate_bridge_batch(spec, dt, seed, 1, n_candidates)
+def simulate_bridge(spec, dt, seed):
+    times, pts = simulate_bridge_batch(spec, dt, seed, 1)
     d = spec.start.shape[-1] - 1
-    return Trajectory(times, pts[:, 0, :], d,
-                      meta={"dt": dt, "seed": seed, "n_candidates": n_candidates})
+    return Trajectory(times, pts[:, 0, :], d, meta={"dt": dt, "seed": seed})
 
 
 def bridge_tube_exceedance(spec, delta_half, dt, seed, n_paths, stream_id=0):
-    """P(sup_v d(bridge_v, geodesic_v) > delta_half) on the sampling grid."""
+    """Number of the ``n_paths`` bridges with sup_v d(bridge_v, geodesic_v)
+    > delta_half on the sampling grid."""
     times, pts = simulate_bridge_batch(spec, dt, seed, n_paths,
                                        stream_id=stream_id)
     fracs = times / spec.s
     gamma = geo.geodesic_point(spec.start, spec.end, fracs)   # (n_steps+1, d+1)
     dev = geo.distance(pts, gamma[:, None, :], validate=False)
-    return float(np.mean(np.max(dev, axis=0) > delta_half))
+    return int(np.count_nonzero(np.max(dev, axis=0) > delta_half))
 
 
 def bridge_ldp_decay(x, y, delta, s_list, n_paths, seed):
@@ -303,9 +303,9 @@ def bridge_ldp_decay(x, y, delta, s_list, n_paths, seed):
     xs, ys = [], []
     for k, s in enumerate(s_list):
         spec = BridgeSpec(np.asarray(x, float), np.asarray(y, float), float(s))
-        p = bridge_tube_exceedance(spec, delta / 2.0, s / 64, seed, n_paths,
-                                   stream_id=k)
-        hits = int(round(p * n_paths))
+        hits = bridge_tube_exceedance(spec, delta / 2.0, s / 64, seed, n_paths,
+                                      stream_id=k)
+        p = hits / n_paths
         lo, hi = wilson_ci(hits, n_paths)
         rows.append({"s": float(s), "p_hat": p, "hits": hits, "n": n_paths,
                      "ci_lo": lo, "ci_hi": hi})
@@ -318,8 +318,8 @@ def bridge_ldp_decay(x, y, delta, s_list, n_paths, seed):
 
 # --- path energy --------------------------------------------------------------
 
-def path_energy(points, times=None):
-    """Discrete Dirichlet energy after reparametrizing to [0, 1].
+def path_energy(points):
+    """Discrete Dirichlet energy of points at uniform parameters in [0, 1].
 
     sum of d(x_i, x_{i+1})^2 / dv_i; for a geodesic sampled uniformly this is
     exactly d(x_0, x_end)^2 at any resolution.
@@ -327,11 +327,7 @@ def path_energy(points, times=None):
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1 or len(pts) < 2:
         raise ConstraintViolation("need at least two points")
-    if times is None:
-        v = np.linspace(0.0, 1.0, len(pts))
-    else:
-        times = np.asarray(times, dtype=float)
-        v = (times - times[0]) / (times[-1] - times[0])
+    v = np.linspace(0.0, 1.0, len(pts))
     seg = geo.distance(pts[:-1], pts[1:], validate=False)
     return float(np.sum(seg ** 2 / np.diff(v)))
 

@@ -7,8 +7,9 @@ the keys it gives), validates it, runs the subcommand, and only then writes a
 ``data.csv`` and a ``summary.json``.  Identical config and seed give
 byte-identical outputs; re-running from a manifest reproduces the run.
 
-Exit codes: 0 success, 2 constraint violation or config error, 3 budget
-exceeded.
+Exit codes: 0 success, 2 constraint violation (a region too small to pack
+included) or config error, 3 budget exceeded or a failed covariance
+factorisation or heat-kernel calibration.
 """
 
 import argparse
@@ -257,8 +258,9 @@ def run(subcommand, cfg):
     except ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, FactorizationError) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+    except (BudgetExceeded, FactorizationError,
+            heatkernel.CalibrationFailed) as exc:
+        print(f"budget exceeded or numerical failure: {exc}", file=sys.stderr)
         return 3
     # written only after a successful run, so a failed run into a reused
     # --out leaves the previous run's three files together

@@ -17,6 +17,7 @@ HYPERBOLOID_ATOL = 1e-10    # |<x,x>_M + 1| for a valid point
 # --- field / linear algebra ----------------------------------------------
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)   # multiples of sigma2 tried in turn
 COND_RADIUS_FACTOR = 1.5                    # conditioning radius, in units of R0
+COND_SITE_CAP = 96                          # nearest sites an extension conditions on
 LATTICE_SPACING_FACTOR = 0.25               # default site spacing, in units of R0
 
 # --- budgets ---------------------------------------------------------------
@@ -129,6 +130,11 @@ class RunConfig:
             raise ConstraintViolation("sigma2 and R0 must be positive")
         if self.dt <= 0:
             raise ConstraintViolation("dt must be positive")
+        for key in ("n_paths", "n_reps", "site_cap"):
+            if getattr(self, key) < 1:
+                raise ConstraintViolation(f"{key} must be at least 1")
+        if self.spacing_factor <= 0:
+            raise ConstraintViolation("spacing_factor must be positive")
         if need_cluster_scales:
             from . import field as _field
             _, eta_delta = _field.cluster_constants(

@@ -17,7 +17,7 @@ from scipy import integrate
 from scipy.special import log_ndtr, logsumexp
 
 from .config import (BudgetExceeded, ConstraintViolation, LONG_ROUTE_N_CAP,
-                     LATTICE_SPACING_FACTOR, MAX_FIELD_SITES, stream)
+                     LATTICE_SPACING_FACTOR, stream)
 from . import geometry as geo
 from .brownian import simulate_bm_batch, radial_drift_bound
 from .field import CovarianceSpec, extend_field, sample_field
@@ -54,14 +54,17 @@ class LazyFieldEvaluator:
 
     Sites are created on demand: a query point reuses the nearest existing
     site when one lies within the snap distance R0/4, otherwise it becomes a
-    new site whose value is drawn by conditional extension given the 96
-    nearest existing sites within the conditioning radius.  Points without
-    a site in reach are accepted as new sites greedily in query order,
-    skipping any within the snap distance of one accepted before it.  Snap
-    lookups go through :meth:`FieldRealization.nearest_site_within` and
-    return exactly the sites a dense scan would.  Each extension replaces
-    the realization (none is edited), and every path of a quenched run sees
-    the same field.  Query order is deterministic, hence so are the values.
+    new site whose value is drawn by :func:`extend_field`, conditioned on at
+    most 96 nearest existing sites within the conditioning radius.  Points
+    without a site in reach are thinned in query order by
+    :func:`geometry._greedy_keep`, each skipped when within the snap
+    distance of one accepted before it.  Snap lookups go through
+    :meth:`FieldRealization.nearest_site_within` and return exactly the
+    sites a dense scan would.  Each extension replaces the realization (none
+    is edited) and draws from the stream numbered by the realization's
+    extension count; ``extend_field`` enforces the site budget.  Every path
+    of a quenched run sees the same field.  Query order is deterministic,
+    hence so are the values.
     """
 
     def __init__(self, spec, d, seed):
@@ -69,7 +72,6 @@ class LazyFieldEvaluator:
         self.d = d
         self.seed = seed
         self.snap_h = spec.R0 * LATTICE_SPACING_FACTOR
-        self._counter = 0
         origin = geo.origin(d)[None, :]
         self.realization = sample_field(spec, origin, seed=stream(seed, "lazy-init").integers(2 ** 31))
 
@@ -85,18 +87,11 @@ class LazyFieldEvaluator:
             # close[i, j]: missing point j lies within reach of missing point i
             close = geo.distance(missing[:, None, :], missing[None, :, :],
                                  validate=False) <= self.snap_h
-            accepted = []
-            for j in range(len(missing)):
-                if not close[accepted, j].any():
-                    accepted.append(j)
-            if self.n_sites + len(accepted) > MAX_FIELD_SITES:
-                raise BudgetExceeded(
-                    f"lazy field lattice would exceed {MAX_FIELD_SITES} sites")
-            self._counter += 1
+            accepted = geo._greedy_keep(close, len(missing))
+            n_ext = self.realization.meta.get("extensions", 0) + 1
             self.realization = extend_field(
                 self.realization, missing[accepted],
-                seed=stream(self.seed, "lazy", self._counter).integers(2 ** 31),
-                k_cap=96)
+                seed=stream(self.seed, "lazy", n_ext).integers(2 ** 31))
             # every point now lies within snap_h of a site: a missing point
             # was accepted, or lies within snap_h of one that was
             idx, _ = self.realization.nearest_site_within(pts, self.snap_h)
@@ -246,7 +241,7 @@ def annealed_moment_estimate(spec, d, t, dt, n_paths, seed):
 
 
 def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
-                       n_paths, r_peak=1.0, dt=None):
+                       n_paths, r_peak, dt):
     """Restricted Feynman-Kac sum over the localized Brownian scenario.
 
     A path contributes only when it stays within ``delta_tube`` of the
@@ -258,8 +253,6 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
     A scenario no path can meet, with K*t^(4/3) + r_peak below the peak's
     distance from o, raises :class:`ConstraintViolation`.
     """
-    if dt is None:
-        dt = min(0.01 * t, 0.01)
     if not 0 < eps < 1:
         raise ConstraintViolation("eps must lie in (0, 1)")
     peak_center = np.asarray(peak_center, dtype=float)
@@ -332,23 +325,18 @@ def route_extract(traj, clusters, lam, t):
     for k, time in enumerate(traj.times):
         if time > t + 1e-12:
             break
-        if state is None:
-            lab = int(point_cluster[k])
-            if lab >= 0:
-                word.append(lab)
-                entries.append(float(time))
-                state = lab
-        else:
-            sites = cluster_sites[state]
-            dmin = float(np.min(geo.distance(sites, pts[k], validate=False)))
-            if dmin > exit_radius:
-                exits.append(float(time))
-                state = None
-                lab = int(point_cluster[k])
-                if lab >= 0:
-                    word.append(lab)
-                    entries.append(float(time))
-                    state = lab
+        if state is not None:
+            dmin = float(np.min(geo.distance(cluster_sites[state], pts[k],
+                                             validate=False)))
+            if dmin <= exit_radius:
+                continue
+            exits.append(float(time))
+            state = None
+        lab = int(point_cluster[k])
+        if lab >= 0:
+            word.append(lab)
+            entries.append(float(time))
+            state = lab
     return Route(word, entries, exits, float(t), float(lam))
 
 
@@ -427,27 +415,22 @@ def staying_excursion_split(traj, clusters, fieldr, lam, delta, t, mu):
     staying_time = float(np.sum(w[staying_mask]))
     excursion_time = float(np.sum(w) - staying_time)
 
-    if route.word:
-        visited = sorted(set(route.word))
-        dmax = 0.0
-        for c in clusters.clusters:
-            if c.label in visited:
-                pts = fieldr.sites[np.asarray(c.site_indices)]
-                dmax = max(dmax, float(np.max(geo.distance(
-                    pts, geo.origin(fieldr.d), validate=False))))
-        k_star = dmax / t ** (4.0 / 3.0)
-    else:
-        k_star = 0.0
-    bound = delta * t ** (5.0 / 3.0)
-    if route.word:
-        bound += mu * math.sqrt(k_star) * t ** (2.0 / 3.0) * staying_time
-    level = mu * math.sqrt(max(k_star, 0.0) * t ** (4.0 / 3.0))
+    # no visit: k_star = staying_time = 0, and the bound is delta * t^(5/3)
+    visited = set(route.word)
+    dmax = 0.0
+    for c in clusters.clusters:
+        if c.label in visited:
+            pts = fieldr.sites[np.asarray(c.site_indices)]
+            dmax = max(dmax, float(np.max(geo.distance(
+                pts, geo.origin(fieldr.d), validate=False))))
+    k_star = dmax / t ** (4.0 / 3.0)
+    bound = (delta * t ** (5.0 / 3.0)
+             + mu * math.sqrt(k_star) * t ** (2.0 / 3.0) * staying_time)
+    level = mu * math.sqrt(k_star * t ** (4.0 / 3.0))
     threshold = delta * t ** (2.0 / 3.0)
     max_abs = float(np.max(np.abs(vals)))
-    exc_ok = bool(np.all(vals[~staying_mask] <= threshold + 1e-12)) \
-        if np.any(~staying_mask) else True
-    stay_ok = bool(np.all(np.abs(vals[staying_mask]) <= level + 1e-12)) \
-        if np.any(staying_mask) else True
+    exc_ok = bool(np.all(vals[~staying_mask] <= threshold + 1e-12))
+    stay_ok = bool(np.all(np.abs(vals[staying_mask]) <= level + 1e-12))
     return StayingSplit(staying_time, excursion_time, bound, xi_integral,
                         k_star, max_abs, exc_ok and stay_ok, route)
 
@@ -522,8 +505,7 @@ class RouteBudgetReport:
     m_reduced: int
 
 
-def route_budget(geom, t, alpha, mu, params, lam, eta, delta, K0, C_R0_hat,
-                 check_constraint=True):
+def route_budget(geom, t, alpha, mu, params, lam, eta, delta, K0, C_R0_hat):
     """Evaluate the route upper-bound budget for a given geometry.
 
     ``log_bound`` is (delta + relaxed growth value) * t^(5/3) + log(error
@@ -536,7 +518,7 @@ def route_budget(geom, t, alpha, mu, params, lam, eta, delta, K0, C_R0_hat,
     the R_t discount that the error integral absorbs.
     """
     consts, err_fn = route_constants(eta, lam, delta, K0, params, C_R0_hat,
-                                     check_constraint=check_constraint,
+                                     check_constraint=True,
                                      alpha=alpha, mu=mu)
     word = list(geom.word)
     gaps = np.asarray(geom.gaps, dtype=float)
@@ -618,8 +600,7 @@ _WORD_PATTERNS = (
 )
 
 
-def synthetic_route_geometry(rng, t, lam, delta, mu, K0, consts,
-                             k_star_min=None):
+def synthetic_route_geometry(rng, t, lam, delta, mu, K0, consts):
     """Random feasible route geometry on a radial ray.
 
     Clusters are disjoint intervals on one geodesic ray through the base
@@ -631,13 +612,11 @@ def synthetic_route_geometry(rng, t, lam, delta, mu, K0, consts,
     lam-neighbourhood width (re-entries cross exactly that width).
     """
     scale = t ** (4.0 / 3.0)
-    if k_star_min is None:
-        k_star_min = (delta / mu) ** 2
     diam_cap = 2.0 * consts.L_delta * lam * scale
     pattern, far_pos = _WORD_PATTERNS[int(rng.integers(0, len(_WORD_PATTERNS)))]
     n_clusters = max(pattern) + 1
 
-    lo = k_star_min * scale * (1.0 + 0.02 * rng.random())
+    lo = (delta / mu) ** 2 * scale * (1.0 + 0.02 * rng.random())
     hi = K0 * scale * 0.98
     positions = []
     for _ in range(n_clusters):

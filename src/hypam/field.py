@@ -30,9 +30,10 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
-from .config import (BudgetExceeded, COND_RADIUS_FACTOR, ConstraintViolation,
-                     FactorizationError, JITTER_LADDER, LATTICE_SPACING_FACTOR,
-                     MAX_FIELD_SITES, MAX_ONESHOT_SITES, stream)
+from .config import (BudgetExceeded, COND_RADIUS_FACTOR, COND_SITE_CAP,
+                     ConstraintViolation, FactorizationError, JITTER_LADDER,
+                     LATTICE_SPACING_FACTOR, MAX_FIELD_SITES, MAX_ONESHOT_SITES,
+                     stream)
 from . import geometry as geo
 
 _BUMPS = {
@@ -149,6 +150,22 @@ def _cholesky_with_jitter(mat, sigma2):
         f"covariance factorisation failed within jitter cap: {last}")
 
 
+def _lattice_factor(spec, sites):
+    """Cholesky factor and jitter of the covariance over a (n, d+1) site array.
+
+    The site count is checked against ``MAX_ONESHOT_SITES`` first.  Sites
+    then count as distinct when the cosh of every pairwise distance exceeds
+    1 + 1e-14; the pairs tested are those the neighbour index finds within
+    1e-6, which hold every pair that could fail.
+    """
+    if len(sites) > MAX_ONESHOT_SITES:
+        raise BudgetExceeded(f"site count {len(sites)} above cap {MAX_ONESHOT_SITES}")
+    i, j, _ = geo._SiteIndex(sites).close_pairs(1e-6)
+    if np.any(geo.cosh_distance(sites[i], sites[j]) <= 1.0 + 1e-14):
+        raise ConstraintViolation("sites must be pairwise distinct")
+    return _cholesky_with_jitter(spec.cov_matrix(sites), spec.sigma2)
+
+
 @dataclass
 class FieldRealization:
     """Sampled field values on a site set, extendable by conditioning.
@@ -197,25 +214,16 @@ class FieldRealization:
 def sample_field(spec, sites, seed):
     """Exact joint Gaussian draw with covariance C(d(x_i, x_j)).
 
-    Sites count as distinct when the cosh of every pairwise distance exceeds
-    1 + 1e-14; the pairs tested are those the neighbour index finds within
-    1e-6, which hold every pair that could fail.  The covariance comes from
-    :meth:`CovarianceSpec.cov_matrix` and is factorised densely.
+    The sites go through :func:`_lattice_factor`: at most
+    ``MAX_ONESHOT_SITES`` of them, pairwise distinct, factorised densely.
     """
     sites = np.asarray(sites, dtype=float)
     if sites.ndim != 2:
         raise ConstraintViolation("sites must be a (n, d+1) array")
-    d = sites.shape[1] - 1
-    if len(sites) > MAX_ONESHOT_SITES:
-        raise BudgetExceeded(f"site count {len(sites)} above cap {MAX_ONESHOT_SITES}")
-    i, j, _ = geo._SiteIndex(sites).close_pairs(1e-6)
-    if np.any(geo.cosh_distance(sites[i], sites[j]) <= 1.0 + 1e-14):
-        raise ConstraintViolation("sites must be pairwise distinct")
-    cov = spec.cov_matrix(sites)
-    L, jit = _cholesky_with_jitter(cov, spec.sigma2)
-    rng = stream(seed, "field")
-    values = L @ rng.standard_normal(len(sites))
-    return FieldRealization(spec, sites, values, d, meta={"jitter": jit, "seed": seed})
+    L, jit = _lattice_factor(spec, sites)
+    values = L @ stream(seed, "field").standard_normal(len(sites))
+    return FieldRealization(spec, sites, values, sites.shape[1] - 1,
+                            meta={"jitter": jit, "seed": seed})
 
 
 def tilted_sample(spec, sites, h, seed):
@@ -230,24 +238,25 @@ def tilted_sample(spec, sites, h, seed):
                             meta={**base.meta, "tilt": h})
 
 
-def extend_field(fieldr, new_sites, seed, k_cap=None):
+def extend_field(fieldr, new_sites, seed):
     """Conditional (kriging) extension of a realization to new sites.
 
     Conditions on existing sites within 1.5 * R0 of the new block (compact
-    support makes farther sites nearly irrelevant), optionally capped to the
-    ``k_cap`` nearest.  New sites must lie at least 1e-9 from every existing
-    site.  Those existing sites come from the realization's neighbour index,
-    and only they are measured against the new block; the conditioning set
-    and its order are those of a dense scan.  Returns a new realization over
-    the union, whose ``meta["jitter"]`` is the largest jitter used by any
-    factorisation so far; the original is untouched.
+    support makes farther sites nearly irrelevant), capped to the
+    ``COND_SITE_CAP`` (96) nearest.  New sites must lie at least 1e-9 from
+    every existing site; the union holds at most ``MAX_FIELD_SITES``.  Those
+    existing sites come from the realization's neighbour index, and only they
+    are measured against the new block; the conditioning set and its order
+    are those of a dense scan.  Returns a new realization over the union,
+    with the largest jitter used so far in ``meta["jitter"]`` and the
+    extension count in ``meta["extensions"]``; the original is untouched.
     """
     spec = fieldr.spec
     new_sites = np.asarray(new_sites, dtype=float)
     if new_sites.ndim == 1:
         new_sites = new_sites[None, :]
     if fieldr.n_sites + len(new_sites) > MAX_FIELD_SITES:
-        raise BudgetExceeded("conditioning site budget exceeded")
+        raise BudgetExceeded(f"field site count above cap {MAX_FIELD_SITES}")
 
     cond_radius = COND_RADIUS_FACTOR * spec.R0
     cand = np.unique(fieldr._neighbours().candidates(new_sites, cond_radius)[1])
@@ -257,9 +266,9 @@ def extend_field(fieldr, new_sites, seed, k_cap=None):
         raise ConstraintViolation("new sites must be disjoint from existing sites")
 
     keep = np.flatnonzero(np.min(dist_on, axis=1) <= cond_radius)
-    if k_cap is not None and keep.size > k_cap:
+    if keep.size > COND_SITE_CAP:
         order = np.argsort(np.min(dist_on[keep], axis=1))
-        keep = keep[order[:k_cap]]
+        keep = keep[order[:COND_SITE_CAP]]
     near = cand[keep]
 
     rng = stream(seed, "extend", fieldr.meta.get("extensions", 0))
@@ -301,41 +310,36 @@ class MaxScanRow:
     mean_max: float
     max_max: float
     maxima: np.ndarray          # per-rep max |xi|
-    exceedance: dict            # eps -> fraction of reps with max > mu(eps)*sqrt(R)
+    exceedance: dict            # {0.5: fraction of reps with max > sqrt(3 sigma2 (d-1) R)}
 
 
-def max_scan(spec, d, R_list, spacing, n_reps, seed, eps_list=(0.5,),
-             site_cap=2048):
+def max_scan(spec, d, R_list, spacing, n_reps, seed, site_cap=2048):
     """Maximum statistics of |xi| over balls of growing radius.
 
     Sites form a greedy (spacing/2)-packing of Q_R: pairwise gaps exceed the
     spacing and, when the packing is maximal, every location of the ball is
     within one spacing of a site.  Site counts are capped at ``site_cap``
     (recorded per row; the ball volume grows exponentially, so large radii
-    are necessarily subsampled at desk scale).  One factorisation per radius
-    serves all replicates.
+    are necessarily subsampled at desk scale).  One :func:`_lattice_factor`
+    per radius, within ``MAX_ONESHOT_SITES``, serves all replicates.
+    Exceedance is counted above sqrt(2 sigma2 (d-1) (1 + eps) R), eps = 0.5.
     """
     if spacing > spec.R0 / 2.0:
         raise ConstraintViolation("spacing must be at most R0/2")
+    eps = 0.5
     rows = []
     for k, R in enumerate(R_list):
         packing = geo.greedy_packing(geo.BallRegion(float(R)), spacing / 2.0, d,
                                      seed=stream(seed, "scan", k).integers(2 ** 31),
                                      max_centers=site_cap)
         sites = packing.centers
-        cov = spec.cov_matrix(sites)
-        L, _ = _cholesky_with_jitter(cov, spec.sigma2)
-        rng = stream(seed, "scan-draws", k)
-        z = rng.standard_normal((n_reps, len(sites)))
-        vals = z @ L.T
-        maxima = np.max(np.abs(vals), axis=1)
-        exceed = {}
-        for eps in eps_list:
-            thr = math.sqrt(2.0 * spec.sigma2 * (d - 1) * (1.0 + eps) * R)
-            exceed[eps] = float(np.mean(maxima > thr))
+        L, _ = _lattice_factor(spec, sites)
+        z = stream(seed, "scan-draws", k).standard_normal((n_reps, len(sites)))
+        maxima = np.max(np.abs(z @ L.T), axis=1)
+        thr = math.sqrt(2.0 * spec.sigma2 * (d - 1) * (1.0 + eps) * R)
         rows.append(MaxScanRow(float(R), len(sites), packing.maximal,
                                float(np.mean(maxima)), float(np.max(maxima)),
-                               maxima, exceed))
+                               maxima, {eps: float(np.mean(maxima > thr))}))
     return rows
 
 
@@ -371,8 +375,7 @@ def estimate_tail_constant(spec, d, n_reps=4000, seed=0):
     spacing = spec.R0 * LATTICE_SPACING_FACTOR
     packing = geo.greedy_packing(geo.BallRegion(spec.R0), spacing / 2.0, d,
                                  seed=seed)
-    cov = spec.cov_matrix(packing.centers)
-    L, _ = _cholesky_with_jitter(cov, spec.sigma2)
+    L, _ = _lattice_factor(spec, packing.centers)
     rng = stream(seed, "tail")
     sups = np.max(rng.standard_normal((n_reps, len(packing.centers))) @ L.T, axis=1)
     lams = np.quantile(sups, np.linspace(0.5, 0.995, 24))
@@ -548,7 +551,12 @@ def cluster_constants(delta, d, K0, C_R0_hat):
 
 def rich_ball_event(fieldr, threshold, ball_radius, min_points, separation):
     """Does some site-centered ball hold >= min_points super-threshold sites
-    pairwise >= separation apart?  Greedy separated-subset check per center."""
+    pairwise >= separation apart?
+
+    Per center, the super-threshold sites inside the ball are thinned in
+    index order by :func:`geometry._greedy_keep`, a site dropping out when
+    it lies closer than ``separation`` to one kept before it.
+    """
     super_idx = np.flatnonzero(fieldr.values > threshold)
     if super_idx.size < min_points:
         return False
@@ -559,14 +567,10 @@ def rich_ball_event(fieldr, threshold, ball_radius, min_points, separation):
     need = int(math.ceil(min_points))
     for c in range(len(fieldr.sites)):
         inside = np.flatnonzero(dist_cp[c] <= ball_radius)
-        if inside.size < need:
-            continue
-        chosen = []
-        for i in inside:
-            if all(dist_pp[i, j] >= separation for j in chosen):
-                chosen.append(i)
-                if len(chosen) >= need:
-                    return True
+        # near[m, k]: the distance from site k to site m is below separation
+        if inside.size >= need and geo._greedy_keep(
+                dist_pp[np.ix_(inside, inside)].T < separation, need).size == need:
+            return True
     return False
 
 
@@ -584,8 +588,7 @@ def cluster_property_trend(spec, d, t_grid, delta, K0, C_R0_hat, seed,
     packing = geo.greedy_packing(geo.BallRegion(region_radius), spacing / 2.0, d,
                                  seed=seed, max_centers=site_cap)
     sites = packing.centers
-    cov = spec.cov_matrix(sites)
-    L, _ = _cholesky_with_jitter(cov, spec.sigma2)
+    L, _ = _lattice_factor(spec, sites)
     freqs = []
     for k, t in enumerate(t_grid):
         rng = stream(seed, "cluster-trend", k)

@@ -17,7 +17,8 @@ import numpy as np
 from scipy import integrate, special
 from scipy.spatial import cKDTree
 
-from .config import (HYPERBOLOID_ATOL, MAX_PACKING_CENTERS, stream)
+from .config import (ConstraintViolation, HYPERBOLOID_ATOL,
+                     MAX_PACKING_CENTERS, stream)
 
 
 class InvalidPoint(ValueError):
@@ -48,7 +49,7 @@ def minkowski_dot(x, y):
     return _row_dot(x[..., 1:], y[..., 1:]) - x[..., 0] * y[..., 0]
 
 
-def check_points(x, atol=HYPERBOLOID_ATOL):
+def check_points(x):
     """Validate hyperboloid membership; raises :class:`InvalidPoint`.
 
     The Minkowski form of a far point is a difference of e^(2r)-sized terms,
@@ -59,10 +60,10 @@ def check_points(x, atol=HYPERBOLOID_ATOL):
     x = np.asarray(x, dtype=float)
     norm_err = np.abs(minkowski_dot(x, x) + 1.0)
     scale = np.maximum(1.0, x[..., 0] ** 2)
-    if np.any(norm_err > atol * scale):
+    if np.any(norm_err > HYPERBOLOID_ATOL * scale):
         raise InvalidPoint(
             f"Minkowski norm off the hyperboloid by {np.max(norm_err / scale):.3e} (relative)")
-    if np.any(x[..., 0] < 1.0 - atol):
+    if np.any(x[..., 0] < 1.0 - HYPERBOLOID_ATOL):
         raise InvalidPoint("time coordinate below 1")
     return x
 
@@ -135,14 +136,9 @@ def geodesic_point(x, y, s, validate=True):
     return np.cosh(sr) * x + np.sinh(sr) * u
 
 
-def point_at(d, radius, direction=None, rng=None):
-    """Point at given distance from the base point o.
-
-    ``direction`` is a unit d-vector of spatial direction; a random one is
-    drawn from ``rng`` when omitted.
-    """
-    if direction is None:
-        direction = random_direction(d, rng)
+def point_at(d, radius, direction):
+    """Point at given distance from the base point o, in the spatial
+    direction of a d-vector (normalised here; broadcasts with ``radius``)."""
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
     radius = np.asarray(radius, dtype=float)
@@ -397,8 +393,8 @@ class Packing:
         return len(self.centers)
 
 
-class RegionTooSmall(ValueError):
-    pass
+class RegionTooSmall(ConstraintViolation):
+    """The region cannot hold a single packing ball."""
 
 
 def _radial_sampler(lo, hi, d):
@@ -445,6 +441,23 @@ def _shrunk(region, r):
     raise TypeError(f"unsupported region {region!r}")
 
 
+def _greedy_keep(near, limit):
+    """Indices kept by one in-order greedy pass over a square boolean matrix.
+
+    Index k is kept unless an earlier kept index m has ``near[m, k]``; the
+    pass stops once ``limit`` indices are kept.  Returns them ascending.
+    """
+    blocked = np.zeros(len(near), dtype=bool)
+    kept = []
+    for k in range(len(near)):
+        if len(kept) == limit:
+            break
+        if not blocked[k]:
+            kept.append(k)
+            blocked |= near[k]
+    return np.array(kept, dtype=np.intp)
+
+
 def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
     """Randomized greedy maximal r-packing of ``region``.
 
@@ -452,12 +465,12 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
     batches of 512 and kept, in draw order, when more than 2r from every
     accepted center.  Each batch is decided at once: the neighbour index over
     the centers kept so far finds those within 2r of a candidate, one
-    candidate-by-candidate block covers the batch itself, and a pass in draw
-    order keeps what neither rules out.  Both tests compare the same
-    ``cosh_distance`` values with cosh(2r) as a one-by-one scan would, so
-    the centers are the scan's.  Sampling stops after 8 consecutive
-    fruitless batches (declared maximal) or at ``max_centers`` (recorded as
-    non-maximal).  Deterministic given ``seed``.
+    candidate-by-candidate block covers the batch itself, and
+    :func:`_greedy_keep` keeps, in draw order, what neither rules out.  Both
+    tests compare the same ``cosh_distance`` values with cosh(2r) as a
+    one-by-one scan would, so the centers are the scan's.  Sampling stops
+    after 8 consecutive fruitless batches (declared maximal) or at
+    ``max_centers`` (recorded as non-maximal).  Deterministic given ``seed``.
     """
     batch, patience = 512, 8
     if r <= 0:
@@ -481,16 +494,10 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
         cands = cands[free]
         # near[k, m]: candidates k and m are within 2r of each other
         near = cosh_distance(cands[:, None, :], cands[None, :, :]) <= cosh2r
-        hit = np.zeros(len(cands), dtype=bool)
-        start = n
-        for k in range(len(cands)):
-            if n == max_centers:
-                break
-            if not hit[k]:
-                hit |= near[k]
-                buf[n] = cands[k]
-                n += 1
-        idle = 0 if n > start else idle + 1
+        keep = _greedy_keep(near, max_centers - n)
+        buf[n:n + keep.size] = cands[keep]
+        n += keep.size
+        idle = 0 if keep.size else idle + 1
     return Packing(buf[:n].copy(), r, region, maximal=n < max_centers)
 
 

@@ -131,14 +131,13 @@ def calibrate(d, t_grid=None, rho_grid=None, n_paths=200000, dt=2e-3, seed=0):
         rho_grid = np.linspace(0.0, 20.0, 81)
     t_grid = np.asarray(t_grid, dtype=float)
     rho_grid = np.asarray(rho_grid, dtype=float)
+    grid_spec = {"t": [float(t_grid[0]), float(t_grid[-1]), int(t_grid.size)],
+                 "rho": [float(rho_grid[0]), float(rho_grid[-1]), int(rho_grid.size)]}
 
-    ratios = []
     if d == 3:
         tt, rr = np.meshgrid(t_grid, rho_grid, indexing="ij")
         ratios = np.exp(log_exact_h3(tt, rr) - log_comparison_fn(tt, rr, d)).ravel()
-        grid_spec = {"t": [float(t_grid[0]), float(t_grid[-1]), int(t_grid.size)],
-                     "rho": [float(rho_grid[0]), float(rho_grid[-1]), int(rho_grid.size)],
-                     "reference": "exact"}
+        grid_spec["reference"] = "exact"
     else:
         from .brownian import simulate_radial_batch
         area = sphere_area(d)
@@ -156,11 +155,8 @@ def calibrate(d, t_grid=None, rho_grid=None, n_paths=200000, dt=2e-3, seed=0):
             q = comparison_fn(float(t), mids[ok], d)
             collected.append(p_hat / q)
         ratios = np.concatenate(collected)
-        grid_spec = {"t": [float(t_grid[0]), float(t_grid[-1]), int(t_grid.size)],
-                     "rho": [float(rho_grid[0]), float(rho_grid[-1]), int(rho_grid.size)],
-                     "reference": "mc", "n_paths": int(n_paths), "dt": float(dt)}
+        grid_spec.update(reference="mc", n_paths=int(n_paths), dt=float(dt))
 
-    ratios = np.asarray(ratios)
     if ratios.size == 0 or not np.all(np.isfinite(ratios)) or np.any(ratios <= 0):
         raise CalibrationFailed("reference/comparison ratio unbounded or empty on grid")
     C1, C2 = float(np.min(ratios)), float(np.max(ratios))

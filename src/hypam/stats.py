@@ -36,8 +36,9 @@ def linear_fit(x, y):
                      (float(res.slope - half), float(res.slope + half)))
 
 
-def wilson_ci(k, n, z=1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(k, n):
+    """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054
     if n == 0:
         return 0.0, 1.0
     p = k / n

@@ -57,15 +57,16 @@ def f_eval(eps, K, params):
     return (1.0 - eps) * np.sqrt(2.0 * params.a * K) - K ** 2 / (4.0 * eps)
 
 
-def _golden_max(fun, lo, hi, tol=1e-12, max_iter=200):
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
+def _golden_max(fun, lo, hi):
+    """Golden-section maximization of a unimodal function on [lo, hi], to a
+    bracket below 1e-12 or 200 steps."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d_ = a + invphi * (b - a)
     fc, fd = fun(c), fun(d_)
-    for _ in range(max_iter):
-        if b - a < tol:
+    for _ in range(200):
+        if b - a < 1e-12:
             break
         if fc > fd:
             b, d_, fd = d_, c, fc
@@ -100,7 +101,8 @@ def _search_optimum(value, K_hi):
     return eps_best, K_best, val
 
 
-def _fd_gradient_norm(value, eps, K, h=1e-5):
+def _fd_gradient_norm(value, eps, K):
+    h = 1e-5
     ge = (value(eps + h, K) - value(eps - h, K)) / (2.0 * h)
     gk = (value(eps, K + h) - value(eps, K - h)) / (2.0 * h)
     return float(np.hypot(ge, gk))

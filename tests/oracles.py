@@ -6,6 +6,8 @@ so the production implementations are checked against something that shares
 no code with them.
 """
 
+import math
+
 import numpy as np
 
 from hypam import geometry as geo
@@ -201,3 +203,28 @@ def oracle_localized_accept(times, pts, eps, t, dt, K, delta_tube, center,
                 ok = ok and geo.distance(p, center, validate=False) <= 2.0 * r_peak
         out.append(bool(ok))
     return np.array(out)
+
+
+def oracle_rich_ball_event(fieldr, threshold, ball_radius, min_points, separation):
+    """Rich-ball event by a literal scan: per center, the super-threshold
+    sites in the ball are chosen one by one in index order, each when at
+    least ``separation`` from every site chosen before it."""
+    super_idx = np.flatnonzero(fieldr.values > threshold)
+    if super_idx.size < min_points:
+        return False
+    pts = fieldr.sites[super_idx]
+    dist_pp = geo.distance(pts[:, None, :], pts[None, :, :], validate=False)
+    dist_cp = geo.distance(fieldr.sites[:, None, :], pts[None, :, :],
+                           validate=False)
+    need = int(math.ceil(min_points))
+    for c in range(len(fieldr.sites)):
+        inside = np.flatnonzero(dist_cp[c] <= ball_radius)
+        if inside.size < need:
+            continue
+        chosen = []
+        for i in inside:
+            if all(dist_pp[i, j] >= separation for j in chosen):
+                chosen.append(i)
+                if len(chosen) >= need:
+                    return True
+    return False

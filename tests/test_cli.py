@@ -151,6 +151,30 @@ class TestDispatch:
         assert summary["n_converged"] == 0
         assert summary["holds"] is False
 
+    @pytest.mark.parametrize("sub,sets,status,message", [
+        ("field-max-scan", ["n_reps=0"], 2, "n_reps"),
+        ("field-max-scan", ["site_cap=0"], 2, "site_cap"),
+        ("radial-check", ["n_paths=0"], 2, "n_paths"),
+        ("bridge-ldp", ["n_paths=0"], 2, "n_paths"),
+        ("fk", ["n_paths=0"], 2, "n_paths"),
+        ("fk", ["n_paths=-3"], 2, "n_paths"),
+        ("exit-check", ["n_paths=-5"], 2, "n_paths"),
+        ("clusters", ["spacing_factor=0"], 2, "spacing_factor"),
+        # a spacing of 5 R0 needs packing balls wider than the 2.0 region
+        ("clusters", ["spacing_factor=5"], 2, "packing ball"),
+        # 20 paths leave no histogram bin with the 50 samples a ratio needs
+        ("hk-calibrate", ["d=2", "n_paths=20"], 3, "ratio"),
+    ])
+    def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
+                                              sets, status, message):
+        out = tmp_path / "o"
+        argv = [sub, "--out", str(out)]
+        for s in sets:
+            argv += ["--set", s]
+        assert run_cli(tmp_path, *argv) == status
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nope = 1\n")

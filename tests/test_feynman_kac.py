@@ -238,7 +238,7 @@ class TestRouteExtraction:
 
 
 def test_lazy_evaluator_budget(spec_unit, monkeypatch):
-    monkeypatch.setattr(fk, "MAX_FIELD_SITES", 8)
+    monkeypatch.setattr(fd, "MAX_FIELD_SITES", 8)
     ev = fk.LazyFieldEvaluator(spec_unit, 2, seed=1)
     pts = geo.sample_region(geo.BallRegion(4.0), 2, stream(9, "budget"), 40)
     with pytest.raises(BudgetExceeded):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypam import field as fd, geometry as geo
 from hypam.config import (BudgetExceeded, COND_RADIUS_FACTOR,
                           ConstraintViolation, stream)
 from oracles import (oracle_clusters, oracle_cov_matrix, oracle_islands,
-                     oracle_nearest_site)
+                     oracle_nearest_site, oracle_rich_ball_event)
 
 
 class TestCovarianceSpec:
@@ -249,6 +250,13 @@ class TestMaxScan:
         with pytest.raises(ConstraintViolation):
             fd.max_scan(spec_unit, 2, [1.0], spacing=0.7, n_reps=2, seed=0)
 
+    def test_oneshot_budget(self, spec_unit, monkeypatch):
+        # the scan's factorisation is held to the one-shot site budget too
+        monkeypatch.setattr(fd, "MAX_ONESHOT_SITES", 100)
+        with pytest.raises(BudgetExceeded):
+            fd.max_scan(spec_unit, 2, [5.0], spacing=0.25, n_reps=2, seed=0,
+                        site_cap=128)
+
     def test_exceedance_trend_and_borell(self, spec_unit):
         rows = fd.max_scan(spec_unit, 2, [5.0, 10.0, 20.0], spacing=0.25,
                            n_reps=48, seed=9, site_cap=1024)
@@ -479,3 +487,19 @@ def test_cluster_property_trend():
     vals = [f for _, f in freqs]
     assert vals[0] >= vals[1] >= vals[2]
     assert vals[0] > 0 and vals[2] < vals[0]
+
+
+@pytest.mark.parametrize("d, seed", [(2, 31), (2, 32), (2, 33), (2, 34), (3, 35), (3, 36)])
+def test_rich_ball_event_matches_literal_scan(d, seed):
+    # random sites, so ball contents and pairwise separations vary over the grid
+    spec = fd.make_spec(1.0, 1.0, "poly3", d=d)
+    sites = geo.sample_region(geo.BallRegion(2.0), d, stream(seed, "rich"), 60)
+    f = fd.sample_field(spec, sites, seed=seed)
+    outcomes = []
+    # threshold, ball radius, min_points, separation
+    for args in itertools.product((-0.5, 0.5, 1.2), (0.4, 1.0, 2.5), (1, 2.5, 4),
+                                  (0.2, 0.6, 1.2)):
+        got = fd.rich_ball_event(f, *args)
+        assert got == oracle_rich_ball_event(f, *args)
+        outcomes.append(got)
+    assert any(outcomes) and not all(outcomes)
