@@ -54,6 +54,9 @@ CALLS = [
      {"R_list": "5,10,20", "n_reps": 8, "site_cap": 1024}, 1),
     ("exit-check", "exit-check",
      {"R_list": "5,7,9", "t": 2.0, "dt": 0.01, "d": 2, "n_paths": 20000}, 1),
+    # a two-point fit: its infinite interval is written as null
+    ("exit-check-two-radii", "exit-check",
+     {"R_list": "5,7", "t": 2.0, "dt": 0.01, "d": 2, "n_paths": 20000}, 1),
     ("bridge-ldp", "bridge-ldp",
      {"delta": 1.0, "s_list": "0.4,0.2,0.1", "n_paths": 200}, 1),
     ("route-budget", "route-budget",

@@ -138,10 +138,17 @@ def _unscaled_profile(R0, bump_shape, d):
 
 
 def _cholesky_with_jitter(mat, sigma2):
+    """Cholesky factor of ``mat`` plus the first ladder jitter that works.
+
+    ``mat`` is never modified; it is copied only for a nonzero jitter, so
+    the first attempt holds no second n x n array.
+    """
     last = None
     for j in JITTER_LADDER:
-        shifted = mat.copy()
-        shifted[np.diag_indices_from(shifted)] += j * sigma2
+        shifted = mat
+        if j > 0:
+            shifted = mat.copy()
+            shifted[np.diag_indices_from(shifted)] += j * sigma2
         try:
             return np.linalg.cholesky(shifted), j
         except np.linalg.LinAlgError as exc:

@@ -228,3 +228,15 @@ def oracle_rich_ball_event(fieldr, threshold, ball_radius, min_points, separatio
                 if len(chosen) >= need:
                     return True
     return False
+
+
+def oracle_linear_fit(x, y):
+    """Slope, intercept, r2 and 95% slope interval from
+    ``scipy.stats.linregress`` and ``t.ppf``; infinite interval for two
+    points."""
+    from scipy import stats as sps
+    res = sps.linregress(x, y)
+    n = len(x)
+    half = sps.t.ppf(0.975, n - 2) * res.stderr if n > 2 else np.inf
+    return (float(res.slope), float(res.intercept), float(res.rvalue ** 2),
+            (float(res.slope - half), float(res.slope + half)))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from scipy import optimize
 
+import hypam
 from hypam import brownian, cli
 from hypam.config import RunConfig, format_config, parse_config
 
@@ -14,6 +18,14 @@ def run_cli(tmp_path, *argv):
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def read_strict_json(path):
+    """Parse a JSON file, refusing the NaN and Infinity tokens JSON lacks."""
+    def reject(token):
+        raise ValueError(f"invalid JSON constant {token}")
+
+    return json.loads(read(path), parse_constant=reject)
 
 
 class TestConfigParsing:
@@ -142,11 +154,7 @@ class TestDispatch:
                                 x=x0, fun=0.0, success=False, message="forced"))
         out = tmp_path / "eb"
         assert run_cli(tmp_path, "energy-bound", "--out", str(out)) == 0
-
-        def reject(token):
-            raise ValueError(f"invalid JSON constant {token}")
-
-        summary = json.loads(read(out / "summary.json"), parse_constant=reject)
+        summary = read_strict_json(out / "summary.json")
         assert summary["min_energy"] is None
         assert summary["n_converged"] == 0
         assert summary["holds"] is False
@@ -243,6 +251,34 @@ class TestDispatch:
                        "--seed", "1", "--set", "t=0.1") == 0
         summary = json.loads(read(out / "summary.json"))
         assert summary["n_paths"] == 13
+
+    @pytest.mark.parametrize("sub,sets,r2_null", [
+        # two radii: a two-point fit has an infinite half-width
+        ("exit-check", ["R_list=5,7", "t=2", "dt=0.01", "n_paths=20000"], False),
+        # every row hits, so all y are equal: r2 and the interval are NaN
+        ("bridge-ldp", ["delta=0.05", "s_list=0.4,0.2,0.1", "n_paths=100"], True),
+    ])
+    def test_non_finite_fit_written_as_null(self, tmp_path, sub, sets, r2_null):
+        out = tmp_path / sub
+        argv = [sub, "--out", str(out), "--seed", "1"]
+        for s in sets:
+            argv += ["--set", s]
+        assert run_cli(tmp_path, *argv) == 0
+        fit = read_strict_json(out / "summary.json")["fit"]
+        assert fit["ci"] == [None, None]
+        assert (fit["r2"] is None) == r2_null
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats alone costs about half a second at import; no hypam
+    # module may bring it back
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypam.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hypam.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 class TestOverrides:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,33 @@ class TestExtension:
         prods = two[:, :, None] * two[:, None, :]
         se = np.std(prods, axis=0) / math.sqrt(n)
         assert np.all(np.abs(emp - joint) <= 4 * se + 1e-12)
+
+
+class TestJitterLadder:
+    def test_jitter_zero_holds_no_copy(self, spec_unit):
+        # a 1024-site packing factorises at jitter 0; copying the matrix
+        # first would double the peak to about 2 n^2 doubles
+        sites = geo.greedy_packing(geo.BallRegion(10.0), 0.125, 2, seed=5,
+                                   max_centers=1024).centers
+        n = len(sites)
+        cov = spec_unit.cov_matrix(sites)
+        tracemalloc.start()
+        try:
+            L, jit = fd._cholesky_with_jitter(cov, spec_unit.sigma2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 1024 and jit == 0.0
+        assert peak < 1.25 * n * n * 8
+        assert np.array_equal(L, np.linalg.cholesky(cov))
+
+    def test_positive_jitter_leaves_input(self):
+        # rank one: the jitter-0 attempt fails, the first positive one works
+        mat = np.ones((3, 3))
+        L, jit = fd._cholesky_with_jitter(mat, 1.0)
+        assert jit > 0.0
+        assert np.array_equal(mat, np.ones((3, 3)))
+        assert np.allclose(L @ L.T, mat + jit * np.eye(3), rtol=0, atol=1e-15)
 
 
 class TestTilted:
