@@ -40,6 +40,12 @@ CALLS = [
     ("fk-localized-accepting", "fk-localized",
      {"t": 1.0, "dt": 0.01, "n_paths": 300, "eps": 0.25, "K": 4.0,
       "delta_tube": 1.2, "r_peak": 1.0}, 5),
+    # accepted weights near 1e235, whose squares overflow: se from the
+    # scaled log-weights keeps summary.json strict JSON
+    ("fk-localized-large-weights", "fk-localized",
+     {"t": 1.0, "dt": 0.01, "n_paths": 300, "eps": 0.25, "K": 4.0,
+      "delta_tube": 1.2, "r_peak": 1.0, "peak_height": 1200.0,
+      "peak_distance": 1.5}, 5),
     ("clusters", "clusters",
      {"delta": 0.5, "t": 3.0, "eta": 5e-4, "lam": 1e-4, "R0": 1.0,
       "spacing_factor": 0.25, "site_cap": 512}, 2),

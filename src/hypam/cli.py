@@ -144,7 +144,7 @@ def run_bridge_ldp(cfg):
             [[r["s"], r["p_hat"], r["hits"], r["n"], r["ci_lo"], r["ci_hi"]]
              for r in rows],
             {"rows": rows, "fit": fit.to_dict() if fit else None,
-             "kappa_hat": -fit.slope if fit else None})
+             "kappa_hat": -fit.slope if fit and np.isfinite(fit.r2) else None})
 
 
 def run_energy_bound(cfg):

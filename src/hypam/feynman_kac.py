@@ -21,6 +21,7 @@ from .config import (BudgetExceeded, ConstraintViolation, LONG_ROUTE_N_CAP,
 from . import geometry as geo
 from .brownian import simulate_bm_batch, radial_drift_bound
 from .field import CovarianceSpec, extend_field, sample_field
+from .stats import _finite_or_none
 from .varopt import l_star_relaxed, route_constants, _golden_max
 
 
@@ -116,7 +117,13 @@ class FKEstimate:
 
     @property
     def se(self):
-        return math.sqrt(self.variance / self.n_paths) if self.n_paths else 0.0
+        """Standard error of the mean weight, from the weights scaled by the
+        largest accepted one: finite wherever the mean is; 0 with none."""
+        if not np.any(self.accepted):
+            return 0.0
+        m = np.max(self.log_weights[self.accepted])
+        scaled = np.exp(np.where(self.accepted, self.log_weights - m, -np.inf))
+        return float(np.exp(m) * np.std(scaled)) / math.sqrt(self.n_paths)
 
     @property
     def log_mean(self):
@@ -128,9 +135,11 @@ class FKEstimate:
         return float(logsumexp(lw) - math.log(self.n_paths))
 
     def summary(self):
+        """Plain dict for ``summary.json``; non-finite numbers become None."""
         return {"mode": self.mode, "t": self.t, "dt": self.dt,
-                "n_paths": self.n_paths, "mean": self.mean, "se": self.se,
-                "params": dict(self.meta)}
+                "n_paths": self.n_paths, "params": dict(self.meta),
+                "mean": _finite_or_none(self.mean), "se": _finite_or_none(self.se),
+                "log_mean": _finite_or_none(self.log_mean)}
 
 
 def _trapezoid_weights(times):

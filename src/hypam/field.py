@@ -4,9 +4,9 @@ The covariance profile is built as the autocorrelation of a C^2 radial bump
 supported in radius R0/2, which makes it positive semidefinite on every site
 set, exactly zero beyond distance R0, twice differentiable with C'(0) = 0,
 and then rescaled so C(0) = sigma2.  Sampling is exact multivariate Gaussian
-via Cholesky; lazy evaluation along trajectories goes through conditional
-(kriging) extension that exploits the compact support by conditioning only on
-nearby sites.
+through one Cholesky factor: of the sites' covariance for a one-shot draw, of
+the joint covariance of nearby conditioning sites and new sites for the
+conditional (kriging) extension that evaluates the field along trajectories.
 
 Every "which sites are near these points" question (covariance assembly,
 the distinct-sites check, nearest-site lookups, the conditioning set of an
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_triangular
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
@@ -254,14 +255,16 @@ def extend_field(fieldr, new_sites, seed):
     every existing site; the union holds at most ``MAX_FIELD_SITES``.  Those
     existing sites come from the realization's neighbour index, and only they
     are measured against the new block; the conditioning set and its order
-    are those of a dense scan.  Returns a new realization over the union,
-    with the largest jitter used so far in ``meta["jitter"]`` and the
-    extension count in ``meta["extensions"]``; the original is untouched.
+    are those of a dense scan.  With ``[[L11, 0], [L21, L22]]`` one Cholesky
+    factor of the covariance of those sites then the new ones, the new values
+    are ``L21 L11^-1 x + L22 z`` (x their values, z standard normals), the
+    kriging law: ``L21 L11^-1 = C_no C_oo^-1`` and ``L22 L22^T = C_nn - C_no
+    C_oo^-1 C_on``, and ``L22 z`` with no conditioning site.  Returns a new
+    realization over the union (the original is untouched), with the largest
+    jitter so far in ``meta["jitter"]``, extensions in ``meta["extensions"]``.
     """
     spec = fieldr.spec
-    new_sites = np.asarray(new_sites, dtype=float)
-    if new_sites.ndim == 1:
-        new_sites = new_sites[None, :]
+    new_sites = np.atleast_2d(np.asarray(new_sites, dtype=float))
     if fieldr.n_sites + len(new_sites) > MAX_FIELD_SITES:
         raise BudgetExceeded(f"field site count above cap {MAX_FIELD_SITES}")
 
@@ -279,32 +282,19 @@ def extend_field(fieldr, new_sites, seed):
     near = cand[keep]
 
     rng = stream(seed, "extend", fieldr.meta.get("extensions", 0))
-    jitter = fieldr.meta.get("jitter", 0.0)
-    # one assembly over the conditioning sites followed by the new ones
     k = near.size
-    cov = spec.cov_matrix(np.vstack([fieldr.sites[near], new_sites]))
-    cov_nn = cov[k:, k:]
-    if k == 0:
-        mean = np.zeros(len(new_sites))
-        cond = cov_nn
-    else:
-        cov_oo, cov_on = cov[:k, :k], cov[:k, k:]
-        L, jit = _cholesky_with_jitter(cov_oo, spec.sigma2)
-        jitter = max(jitter, jit)
-        w = np.linalg.solve(L.T, np.linalg.solve(L, cov_on))
-        mean = w.T @ fieldr.values[near]
-        cond = cov_nn - cov_on.T @ w
-        cond = 0.5 * (cond + cond.T)
-    Lc, jit = _cholesky_with_jitter(cond, spec.sigma2)
-    new_values = mean + Lc @ rng.standard_normal(len(new_sites))
-    out = FieldRealization(
+    L, jit = _cholesky_with_jitter(
+        spec.cov_matrix(np.vstack([fieldr.sites[near], new_sites])), spec.sigma2)
+    new_values = (L[k:, :k] @ solve_triangular(L[:k, :k], fieldr.values[near],
+                                               lower=True)
+                  + L[k:, k:] @ rng.standard_normal(len(new_sites)))
+    return FieldRealization(
         spec,
         np.vstack([fieldr.sites, new_sites]),
         np.concatenate([fieldr.values, new_values]),
         fieldr.d, h=fieldr.h,
         meta={**fieldr.meta, "extensions": fieldr.meta.get("extensions", 0) + 1,
-              "jitter": max(jitter, jit)})
-    return out
+              "jitter": max(fieldr.meta.get("jitter", 0.0), jit)})
 
 
 # --- extremal statistics -------------------------------------------------------

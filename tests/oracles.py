@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from hypam import geometry as geo
-from hypam.config import stream
+from hypam import field as fd, geometry as geo
+from hypam.config import COND_RADIUS_FACTOR, COND_SITE_CAP, stream
 
 
 def brute_force_reduce(word):
@@ -240,3 +240,38 @@ def oracle_linear_fit(x, y):
     half = sps.t.ppf(0.975, n - 2) * res.stderr if n > 2 else np.inf
     return (float(res.slope), float(res.intercept), float(res.rvalue ** 2),
             (float(res.slope - half), float(res.slope + half)))
+
+
+def oracle_extend_values(fieldr, new_sites, seed):
+    """New values and jitter of a conditional extension through the Schur
+    complement: the conditioning set by a dense scan of every site, the
+    kriging weights from a Cholesky factor of the conditioning block and two
+    solves, and ``mean + Lc z`` with Lc a factor of the symmetrised
+    conditional covariance; the same stream as ``field.extend_field``."""
+    spec = fieldr.spec
+    cond_radius = COND_RADIUS_FACTOR * spec.R0
+    dist_on = geo.distance(fieldr.sites[:, None, :], new_sites[None, :, :],
+                           validate=False)
+    near = np.flatnonzero(np.min(dist_on, axis=1) <= cond_radius)
+    if near.size > COND_SITE_CAP:
+        order = np.argsort(np.min(dist_on[near], axis=1))
+        near = near[order[:COND_SITE_CAP]]
+
+    rng = stream(seed, "extend", fieldr.meta.get("extensions", 0))
+    jitter = fieldr.meta.get("jitter", 0.0)
+    k = near.size
+    cov = spec.cov_matrix(np.vstack([fieldr.sites[near], new_sites]))
+    cov_nn = cov[k:, k:]
+    if k == 0:
+        mean = np.zeros(len(new_sites))
+        cond = cov_nn
+    else:
+        cov_oo, cov_on = cov[:k, :k], cov[:k, k:]
+        L, jit = fd._cholesky_with_jitter(cov_oo, spec.sigma2)
+        jitter = max(jitter, jit)
+        w = np.linalg.solve(L.T, np.linalg.solve(L, cov_on))
+        mean = w.T @ fieldr.values[near]
+        cond = cov_nn - cov_on.T @ w
+        cond = 0.5 * (cond + cond.T)
+    Lc, jit = fd._cholesky_with_jitter(cond, spec.sigma2)
+    return mean + Lc @ rng.standard_normal(len(new_sites)), max(jitter, jit)

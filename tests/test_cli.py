@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -267,6 +268,31 @@ class TestDispatch:
         fit = read_strict_json(out / "summary.json")["fit"]
         assert fit["ci"] == [None, None]
         assert (fit["r2"] is None) == r2_null
+
+    def test_degenerate_decay_fit_reports_no_rate(self, tmp_path):
+        # every row hits: the fit over equal log p has no r2, so no rate
+        out = tmp_path / "ldp"
+        assert run_cli(tmp_path, "bridge-ldp", "--out", str(out), "--seed", "1",
+                       "--set", "delta=0.05", "--set", "s_list=0.4,0.2,0.1",
+                       "--set", "n_paths=100") == 0
+        summary = read_strict_json(out / "summary.json")
+        assert summary["fit"]["r2"] is None
+        assert summary["kappa_hat"] is None
+
+    def test_large_localized_weights_write_finite_se(self, tmp_path):
+        # accepted weights near 1e235: their squares overflow, the spread of
+        # the weights scaled by the largest one does not
+        out = tmp_path / "loc"
+        assert run_cli(tmp_path, "fk-localized", "--out", str(out),
+                       "--seed", "5", "--set", "t=1.0", "--set", "n_paths=300",
+                       "--set", "eps=0.25", "--set", "K=4.0",
+                       "--set", "delta_tube=1.2",
+                       "--set", "peak_height=1200") == 0
+        summary = read_strict_json(out / "summary.json")
+        assert summary["mean"] > 1e235
+        assert 0 < summary["se"] < summary["mean"]
+        assert math.isclose(summary["log_mean"], math.log(summary["mean"]),
+                            rel_tol=1e-12)
 
 
 def test_import_leaves_out_scipy_stats():

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hypam import field as fd, geometry as geo
 from hypam.config import (BudgetExceeded, COND_RADIUS_FACTOR,
                           ConstraintViolation, stream)
-from oracles import (oracle_clusters, oracle_cov_matrix, oracle_islands,
-                     oracle_nearest_site, oracle_rich_ball_event)
+from oracles import (oracle_clusters, oracle_cov_matrix, oracle_extend_values,
+                     oracle_islands, oracle_nearest_site,
+                     oracle_rich_ball_event)
 
 
 class TestCovarianceSpec:
@@ -209,6 +210,41 @@ class TestExtension:
         prods = two[:, :, None] * two[:, None, :]
         se = np.std(prods, axis=0) / math.sqrt(n)
         assert np.all(np.abs(emp - joint) <= 4 * se + 1e-12)
+
+    @given(d=st.sampled_from([2, 3]), n_old=st.integers(1, 60),
+           n_new=st.integers(1, 8), seed=st.integers(0, 2 ** 20))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_schur_complement_oracle(self, d, n_old, n_new, seed):
+        # the joint factor's law equals the Schur-complement draw's, and the
+        # same seed feeds both the same normals, so the values agree to
+        # roundoff; new sites sit near old ones or anywhere up to radius 4
+        # (a block beyond the conditioning radius has no conditioning site)
+        spec = fd.make_spec(1.0, 1.0, "poly3", d=d)
+        old = geo.greedy_packing(geo.BallRegion(1.5), 0.125, d, seed=seed,
+                                 max_centers=n_old).centers
+        base = fd.sample_field(spec, old, seed=seed)
+        rng = stream(seed, "extend-oracle")
+        dirs = rng.standard_normal((32, d))
+        steps = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        near = geo.frame_step(old[rng.integers(0, len(old), 32)],
+                              steps * rng.uniform(0.05, 0.6, (32, 1)))
+        cand = np.concatenate([near, geo.sample_region(geo.BallRegion(4.0), d,
+                                                       rng, 32)])
+        new = []
+        for p in cand[rng.permutation(len(cand))]:
+            if (np.min(geo.distance(old, p, validate=False)) >= 0.05
+                    and all(geo.distance(q, p, validate=False) >= 0.05
+                            for q in new)):
+                new.append(p)
+            if len(new) == n_new:
+                break
+        new = np.array(new)
+        ext = fd.extend_field(base, new, seed=seed + 1)
+        want, want_jitter = oracle_extend_values(base, new, seed + 1)
+        assert base.meta["jitter"] == 0.0
+        assert ext.meta["jitter"] == 0.0 and want_jitter == 0.0
+        assert np.array_equal(ext.values[:len(old)], base.values)
+        assert np.allclose(ext.values[len(old):], want, rtol=0, atol=1e-10)
 
 
 class TestJitterLadder:
