@@ -167,12 +167,12 @@ def run_hk_calibrate(cfg):
              "grid_spec": cal.grid_spec})
 
 
-def _fk_output(est, **extra):
-    """One data row per path, and the estimate's summary plus ``extra``."""
+def _fk_output(est):
+    """One data row per path, and the estimate's summary."""
     return (["path_id", "log_weight", "accepted", "route_word"],
             [[i, lw, bool(acc), ""]
              for i, (lw, acc) in enumerate(zip(est.log_weights, est.accepted))],
-            {**est.summary(), **extra})
+            est.summary())
 
 
 def run_fk(cfg):
@@ -185,10 +185,9 @@ def run_fk_localized(cfg):
     center = geo.point_at(cfg.d, cfg.peak_distance, np.eye(cfg.d)[0])
     potential = feynman_kac.PlantedPeakPotential(center, cfg.peak_height,
                                                  width=cfg.R0)
-    est = feynman_kac.fk_localized_lower(
+    return _fk_output(feynman_kac.fk_localized_lower(
         potential, cfg.d, cfg.t, cfg.eps, cfg.K, cfg.delta_tube, center,
-        cfg.seed, cfg.n_paths, r_peak=cfg.r_peak, dt=cfg.dt)
-    return _fk_output(est, accept_fraction=est.accept_fraction)
+        cfg.seed, cfg.n_paths, r_peak=cfg.r_peak, dt=cfg.dt))
 
 
 def run_route_budget(cfg):

@@ -103,32 +103,49 @@ class LazyFieldEvaluator:
 
 @dataclass
 class FKEstimate:
-    """Monte Carlo summary of E[exp(int_0^t xi(W_s) ds)]."""
-    mean: float
-    variance: float
-    n_paths: int
+    """Monte Carlo estimate of E[exp(int_0^t xi(W_s) ds)] from per-path
+    log-weights; rejected paths contribute zero.
+
+    Every summary number is read off one reduction of the log-weights (see
+    :meth:`_scaled`): none overflows before the value it stands for, and
+    one that does is inf, never NaN.
+    """
+    log_weights: np.ndarray
+    accepted: np.ndarray
     t: float
     dt: float
     mode: str
-    log_weights: np.ndarray
-    accepted: np.ndarray
-    accept_fraction: float = 1.0
     meta: dict = dfield(default_factory=dict)
 
-    @property
-    def se(self):
-        """Standard error of the mean weight, from the weights scaled by the
-        largest accepted one: finite wherever the mean is; 0 with none."""
-        if not np.any(self.accepted):
+    def __post_init__(self):
+        if len(self.log_weights) < 1:
+            raise ConstraintViolation("an estimate needs at least one path")
+
+    def _scaled(self):
+        """m, the largest accepted log-weight (0 with none), and the weights
+        divided by e^m, rejected paths 0."""
+        acc = self.accepted
+        m = float(np.max(self.log_weights[acc])) if np.any(acc) else 0.0
+        return m, np.exp(np.where(acc, self.log_weights - m, -np.inf))
+
+    def _unscaled(self, reduce, power=1):
+        """reduce(scaled weights) * e^(power * m); exactly 0 when it is 0."""
+        m, w = self._scaled()
+        x = reduce(w)
+        if x == 0.0:
             return 0.0
-        m = np.max(self.log_weights[self.accepted])
-        scaled = np.exp(np.where(self.accepted, self.log_weights - m, -np.inf))
-        return float(np.exp(m) * np.std(scaled)) / math.sqrt(self.n_paths)
+        with np.errstate(over="ignore"):
+            return float(np.exp(power * m) * x)
+
+    n_paths = property(lambda self: len(self.log_weights))
+    accept_fraction = property(lambda self: float(np.mean(self.accepted)))
+    mean = property(lambda self: self._unscaled(np.mean))
+    variance = property(lambda self: self._unscaled(np.var, 2))
+    se = property(lambda self: self._unscaled(np.std) / math.sqrt(self.n_paths))
 
     @property
     def log_mean(self):
-        """log of the mean weight from the log-weights; finite where the
-        weights themselves overflow, -inf when no path is accepted."""
+        """log of the mean weight, -inf when no path is accepted."""
         lw = self.log_weights[self.accepted]
         if lw.size == 0:
             return -math.inf
@@ -138,8 +155,8 @@ class FKEstimate:
         """Plain dict for ``summary.json``; non-finite numbers become None."""
         return {"mode": self.mode, "t": self.t, "dt": self.dt,
                 "n_paths": self.n_paths, "params": dict(self.meta),
-                "mean": _finite_or_none(self.mean), "se": _finite_or_none(self.se),
-                "log_mean": _finite_or_none(self.log_mean)}
+                **{key: _finite_or_none(getattr(self, key))
+                   for key in ("mean", "se", "log_mean", "accept_fraction")}}
 
 
 def _trapezoid_weights(times):
@@ -153,24 +170,15 @@ def _trapezoid_weights(times):
     return w
 
 
-def _path_integrals(evaluator, times, pts):
-    """Trapezoid integral of ``evaluator.values_at`` along each path.
-
-    ``pts`` is (steps, paths, d+1).  Paths are queried one at a time in
-    column order: a lazy field grows in query order, so this order fixes
-    its values.
-    """
+def _simulate_log_weights(evaluator, d, t, dt, seed, n_paths, batch_id):
+    """Times, points (steps, paths, d+1) and trapezoid integrals of
+    ``evaluator.values_at`` for a batch simulated on ``stream(seed, "bm",
+    batch_id)``.  Paths are queried one at a time in column order: a lazy
+    field grows in query order, so this order fixes its values."""
+    times, pts = simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=batch_id)
     w = _trapezoid_weights(times)
-    return np.array([float(np.dot(w, evaluator.values_at(pts[:, j, :])))
-                     for j in range(pts.shape[1])])
-
-
-def _estimate(log_weights, accepted, t, dt, mode, meta):
-    """Summarize per-path log-weights; rejected paths contribute zero."""
-    weights = np.exp(log_weights) * accepted
-    return FKEstimate(float(np.mean(weights)), float(np.var(weights)),
-                      len(log_weights), t, dt, mode, log_weights, accepted,
-                      float(np.mean(accepted)), meta)
+    return times, pts, np.array([float(np.dot(w, evaluator.values_at(pts[:, j, :])))
+                                 for j in range(n_paths)])
 
 
 def _resolve_potential(potential, d, seed, *ids):
@@ -189,45 +197,34 @@ def fk_estimate(potential, d, t, dt, n_paths, seed, mode="quenched"):
     ``potential`` may be a covariance spec (Gaussian field), a constant, or
     any object with ``values_at``.  Quenched mode shares one realization
     across all paths; annealed mode redraws the field for every batch of
-    max(1, n_paths // 16) paths; any other mode is rejected.  The time integral is a trapezoid on the
-    simulation grid, which for a field must resolve its variation:
-    dt <= min(t / 100, R0^2 / 8).
+    max(1, n_paths // 16) paths; any other mode is rejected.  The time
+    integral is a trapezoid on the simulation grid, which for a field must
+    resolve its variation: dt <= min(t / 100, R0^2 / 8) when t > 0.
     """
-    if t < 0:
-        raise ConstraintViolation("t must be nonnegative")
     if mode not in ("quenched", "annealed"):
         raise ConstraintViolation(
             f"mode must be 'quenched' or 'annealed', got {mode!r}")
-    all_paths = np.ones(n_paths, dtype=bool)
-    if t == 0:
-        # integral over [0, 0] vanishes: exactly 1, even for zero paths
-        return FKEstimate(1.0, 0.0, n_paths, 0.0, dt, mode,
-                          np.zeros(n_paths), all_paths)
     is_spec = isinstance(potential, CovarianceSpec)
-    if is_spec:
+    if is_spec and t > 0:
         cap = min(0.01 * t, potential.R0 ** 2 / 8.0)
         if dt > cap + 1e-12:
             raise ConstraintViolation(
                 f"dt={dt} too coarse to resolve field variation: need <= {cap:.4g}")
-    batch_size = n_paths if mode == "quenched" else max(1, n_paths // 16)
+    size = max(1, n_paths if mode == "quenched" else n_paths // 16)
     redraw = is_spec and mode == "annealed"
     evaluator = None if redraw else _resolve_potential(potential, d, seed, "field")
-    log_weights = np.empty(n_paths)
-    done = 0
-    batch_id = 0
-    while done < n_paths:
-        m = min(batch_size, n_paths - done)
+    log_weights = []
+    for batch_id, start in enumerate(range(0, n_paths, size)):
         if redraw:
             evaluator = _resolve_potential(potential, d, seed, "field-batch", batch_id)
-        times, pts = simulate_bm_batch(d, t, dt, seed, m, stream_id=batch_id)
-        log_weights[done:done + m] = _path_integrals(evaluator, times, pts)
-        done += m
-        batch_id += 1
+        log_weights.extend(_simulate_log_weights(
+            evaluator, d, t, dt, seed, min(size, n_paths - start), batch_id)[2])
     meta = {"seed": seed}
     if is_spec and mode == "quenched":
         meta["n_field_sites"] = evaluator.n_sites
         meta["snap_h"] = evaluator.snap_h
-    return _estimate(log_weights, all_paths, t, dt, mode, meta)
+    return FKEstimate(np.array(log_weights), np.ones(len(log_weights), dtype=bool),
+                      t, dt, mode, meta)
 
 
 def annealed_moment_estimate(spec, d, t, dt, n_paths, seed):
@@ -245,8 +242,8 @@ def annealed_moment_estimate(spec, d, t, dt, n_paths, seed):
         cmat = spec.cov(geo.distance(path[:, None, :], path[None, :, :],
                                      validate=False))
         log_weights[j] = 0.5 * float(w @ cmat @ w)
-    return _estimate(log_weights, np.ones(n_paths, dtype=bool), t, dt,
-                     "annealed-moment", {"seed": seed})
+    return FKEstimate(log_weights, np.ones(n_paths, dtype=bool), t, dt,
+                      "annealed-moment", {"seed": seed})
 
 
 def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
@@ -257,10 +254,10 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
     geodesic from the base point to ``peak_center`` up to time eps*t while
     remaining inside the ball of radius K*t^(4/3), sits inside the peak ball
     of radius ``r_peak`` at time eps*t, and stays inside the doubled peak
-    ball afterwards.  With the same seed this shares its paths with
-    :func:`fk_estimate`, so the restricted mean is a pathwise lower bound.
-    A scenario no path can meet, with K*t^(4/3) + r_peak below the peak's
-    distance from o, raises :class:`ConstraintViolation`.
+    ball afterwards.  With the same seed this shares its paths and field
+    with quenched :func:`fk_estimate`, so the restricted mean is a pathwise
+    lower bound.  A scenario no path can meet, with K*t^(4/3) + r_peak below
+    the peak's distance from o, raises :class:`ConstraintViolation`.
     """
     if not 0 < eps < 1:
         raise ConstraintViolation("eps must lie in (0, 1)")
@@ -273,8 +270,8 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
             f"r_peak = {r_peak:.6g} is below the peak distance "
             f"d(o, peak_center) = {peak_dist:.6g}")
     evaluator = _resolve_potential(potential, d, seed, "field")
-    times, pts = simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0)
-    log_weights = _path_integrals(evaluator, times, pts)
+    times, pts, log_weights = _simulate_log_weights(evaluator, d, t, dt, seed,
+                                                    n_paths, 0)
     i_eps = min(max(int(round(eps * t / dt)), 1), len(times) - 1)
 
     fracs = times[: i_eps + 1] / times[i_eps]
@@ -288,11 +285,10 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
     ok_enter = geo.distance(pts[i_eps], peak_center, validate=False) <= r_peak
     ok_stay = np.all(geo.distance(pts[i_eps:], peak_center, validate=False)
                      <= 2.0 * r_peak, axis=0)
-    accepted = ok_tube & ok_enter & ok_stay
     meta = {"seed": seed, "eps": eps, "K": K, "delta_tube": delta_tube,
-            "r_peak": r_peak,
-            "zero_acceptance": float(np.mean(accepted)) == 0.0}
-    return _estimate(log_weights, accepted, t, dt, "localized", meta)
+            "r_peak": r_peak}
+    return FKEstimate(log_weights, ok_tube & ok_enter & ok_stay, t, dt,
+                      "localized", meta)
 
 
 # --- routes ---------------------------------------------------------------------

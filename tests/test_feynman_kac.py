@@ -58,8 +58,8 @@ class TestPlainEstimator:
         # exp(800 * 1.25) overflows a float; its logarithm does not
         est = fk.fk_estimate(800.0, 2, 1.25, 0.01, 4, seed=0)
         assert abs(est.log_mean - 1000.0) <= 1e-9
-        none = fk.FKEstimate(0.0, 0.0, 3, 1.0, 0.01, "localized", np.zeros(3),
-                             np.zeros(3, dtype=bool))
+        none = fk.FKEstimate(np.zeros(3), np.zeros(3, dtype=bool), 1.0, 0.01,
+                             "localized")
         assert none.log_mean == -math.inf
 
     def test_quenched_pinned(self, spec_quarter):
@@ -152,7 +152,7 @@ class TestLocalized:
         est = fk.fk_localized_lower(pot, 2, 0.5, 0.5, 24.0, 0.05, center,
                                     seed=1, n_paths=50, r_peak=0.05, dt=0.005)
         assert est.accept_fraction == 0.0
-        assert est.meta["zero_acceptance"]
+        assert est.summary()["accept_fraction"] == 0.0
 
     def test_infeasible_scenario_rejected(self):
         # K t^(4/3) + r_peak = 0.4 + 1.0 < 1.5: no path is ever accepted
