@@ -111,10 +111,11 @@ def _radial_drift(r, d, dt):
     sqrt(2*dt)/2 so a single Euler step cannot overshoot by more than one
     diffusive increment; reflection at zero handles the rest.
     """
-    r_eff = np.maximum(r, 0.5 * math.sqrt(2.0 * dt))
-    near = (d - 1.0) * (1.0 / r_eff + 1.0)
-    far = (d - 1.0) / np.tanh(np.maximum(r, 0.1))
-    return np.where(r < 0.1, near, far)
+    drift = (d - 1.0) / np.tanh(np.maximum(r, 0.1))
+    near = r < 0.1
+    r_eff = np.maximum(r[near], 0.5 * math.sqrt(2.0 * dt))
+    drift[near] = (d - 1.0) * (1.0 / r_eff + 1.0)
+    return drift
 
 
 def simulate_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0,

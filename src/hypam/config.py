@@ -139,11 +139,6 @@ class RunConfig:
             from . import field as _field
             _, eta_delta = _field.cluster_constants(
                 self.delta, self.d, self.K0, self.C_R0_hat)
-            if not 0 < self.lam < self.eta:
-                raise ConstraintViolation(
-                    "cluster scales must satisfy lam < eta: the fine route scale "
-                    "has to sit strictly below the coarse one "
-                    f"(got lam={self.lam}, eta={self.eta})")
             if not self.eta < eta_delta:
                 raise ConstraintViolation(
                     "eta must lie below the admissible cluster threshold "

@@ -151,12 +151,25 @@ class FKEstimate:
             return -math.inf
         return float(logsumexp(lw) - math.log(self.n_paths))
 
+    def weight_diagnostics(self):
+        """ESS (sum w)^2 / sum w^2, the largest weight's share of the total
+        and se / mean, read off the scaled weights w: finite where the
+        weights overflow, NaN with no accepted path."""
+        _, w = self._scaled()
+        if not np.any(self.accepted):
+            return dict.fromkeys(("ess", "top_share", "rel_se"), math.nan)
+        return {"ess": float(np.sum(w) ** 2 / np.sum(w * w)),
+                "top_share": float(np.max(w) / np.sum(w)),
+                "rel_se": float(np.std(w) / (np.mean(w) * math.sqrt(w.size)))}
+
     def summary(self):
         """Plain dict for ``summary.json``; non-finite numbers become None."""
+        numbers = {key: getattr(self, key)
+                   for key in ("mean", "se", "log_mean", "accept_fraction")}
+        numbers.update(self.weight_diagnostics())
         return {"mode": self.mode, "t": self.t, "dt": self.dt,
                 "n_paths": self.n_paths, "params": dict(self.meta),
-                **{key: _finite_or_none(getattr(self, key))
-                   for key in ("mean", "se", "log_mean", "accept_fraction")}}
+                **{key: _finite_or_none(v) for key, v in numbers.items()}}
 
 
 def _trapezoid_weights(times):

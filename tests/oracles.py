@@ -181,6 +181,15 @@ def sample_hitting_times(a, dt, t_max, n, rng):
     return times
 
 
+def oracle_radial_drift(r, d, dt):
+    """The clamped radial drift with both branches evaluated everywhere and
+    selected by ``np.where``, in ``brownian._radial_drift``'s arithmetic."""
+    r_eff = np.maximum(r, 0.5 * math.sqrt(2.0 * dt))
+    near = (d - 1.0) * (1.0 / r_eff + 1.0)
+    far = (d - 1.0) / np.tanh(np.maximum(r, 0.1))
+    return np.where(r < 0.1, near, far)
+
+
 def oracle_localized_accept(times, pts, eps, t, dt, K, delta_tube, center,
                             r_peak):
     """Localized-scenario acceptance by a literal per-path, per-step scan."""

@@ -5,6 +5,8 @@ from scipy import integrate, optimize, stats as sps
 from hypam import brownian as bm, geometry as geo
 from hypam.config import ConstraintViolation, stream
 
+from oracles import oracle_radial_drift
+
 
 def test_zero_time_trajectory():
     traj = bm.simulate_bm(2, 0.0, 0.01, seed=0)
@@ -37,6 +39,16 @@ def test_radial_drift_clamp():
         assert abs(drift - (d - 1)) < 1e-6
     near = bm._radial_drift(np.array([0.05]), 2, 0.01)
     assert np.isfinite(near[0]) and near[0] > 1.0
+
+
+def test_radial_drift_matches_two_branch_oracle():
+    # patching only the entries below 0.1 keeps every bit of the drift
+    r = np.concatenate([[0.0, 0.01, 0.05, 0.1, 30.0],
+                        stream(3, "drift").exponential(0.2, 2000)])
+    for d in (2, 3, 5):
+        for dt in (1e-3, 0.01, 0.04):
+            np.testing.assert_array_equal(bm._radial_drift(r, d, dt),
+                                          oracle_radial_drift(r, d, dt))
 
 
 def test_radial_marginal_matches_full(params2):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -96,6 +97,21 @@ class TestDispatch:
         status = run_cli(tmp_path, "clusters", "--out", str(tmp_path / "c"),
                          "--set", "lam=0.5", "--set", "eta=0.1")
         assert status == 2
+
+    def test_clusters_ignore_lam(self, tmp_path):
+        # clusters never reads lam: the default lam = 1e-4 above this eta
+        # must not reject the run
+        assert run_cli(tmp_path, "clusters", "--out", str(tmp_path / "c"),
+                       "--set", "eta=5e-5", "--set", "site_cap=64") == 0
+
+    def test_route_budget_rejects_lam_above_eta(self, tmp_path, capsys):
+        status = run_cli(tmp_path, "route-budget", "--out", str(tmp_path / "rb"),
+                         "--set", "K0=40", "--set", "alpha=0.05",
+                         "--set", "mu_factor=1.05", "--set", "delta=9.1537",
+                         "--set", "C_R0_hat=4.8216", "--set", "eta=2.0",
+                         "--set", "lam=2.5", "--set", "t=20")
+        assert status == 2
+        assert "lam < eta" in capsys.readouterr().err
 
     def test_infeasible_localized_exit_2(self, tmp_path, capsys):
         # the default scenario: K t^(4/3) + r_peak = 0.4 + 1.0 < 1.5
@@ -293,6 +309,28 @@ class TestDispatch:
         assert 0 < summary["se"] < summary["mean"]
         assert math.isclose(summary["log_mean"], math.log(summary["mean"]),
                             rel_tol=1e-12)
+        assert 1 <= summary["ess"] <= summary["n_paths"]
+
+
+def _readme_commands():
+    """argv of every ``hypam ...`` line in the README's CLI block."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    block = read(readme).split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:]
+            for line in lines if line.startswith("hypam ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_examples_pass_validation(tmp_path, monkeypatch, argv):
+    # each README example gets through config resolution and the checks
+    # cli.run makes before dispatch; a stub stands in for the subcommand
+    calls = []
+    monkeypatch.setitem(cli.SUBCOMMANDS, argv[0],
+                        lambda cfg: calls.append(cfg) or (["x"], [], {}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_import_leaves_out_scipy_stats():

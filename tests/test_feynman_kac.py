@@ -1,11 +1,13 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from hypam import brownian as bm, field as fd, feynman_kac as fk, geometry as geo
+from hypam import brownian as bm, cli, field as fd, feynman_kac as fk, geometry as geo
 from hypam.config import BudgetExceeded, ConstraintViolation, stream
 from hypam.varopt import ModelParams, l_star_relaxed, route_constants
 
@@ -61,6 +63,28 @@ class TestPlainEstimator:
         none = fk.FKEstimate(np.zeros(3), np.zeros(3, dtype=bool), 1.0, 0.01,
                              "localized")
         assert none.log_mean == -math.inf
+
+    def test_weights_beyond_float_range_summarised(self, tmp_path):
+        # every weight is e^1000: the mean overflows and is written as null,
+        # the zero spread and the weight diagnostics stay exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = fk.fk_estimate(800.0, 2, 1.25, 0.01, 4, seed=0)
+            cli.write_json(tmp_path / "summary.json", est.summary())
+
+        def reject(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        with open(tmp_path / "summary.json") as fh:
+            summary = json.load(fh, parse_constant=reject)
+        assert abs(summary["log_mean"] - 1000.0) <= 1e-9
+        assert summary["se"] == summary["rel_se"] == 0.0
+        assert summary["ess"] == summary["n_paths"] == 4
+        assert summary["mean"] is None
+
+    def test_no_path_rejected(self):
+        with pytest.raises(ConstraintViolation, match="at least one path"):
+            fk.fk_estimate(0.7, 2, 1.0, 0.01, 0, seed=1)
 
     def test_quenched_pinned(self, spec_quarter):
         # recorded from the dense-scan implementation with extensions drawn
@@ -119,6 +143,17 @@ class TestLocalized:
                                     seed=5, n_paths=300, r_peak=np.inf, dt=0.01)
         assert vac.accept_fraction == 1.0
         assert np.isclose(vac.mean, full.mean)
+
+    @pytest.mark.parametrize("field", [False, True])
+    def test_vacuous_scenario_shares_paths(self, spec_quarter, field):
+        # one pipeline draws both estimators' paths and field: bit for bit
+        center = geo.point_at(2, 1.5, np.array([1.0, 0.0]))
+        pot = spec_quarter if field else fk.PlantedPeakPotential(center, 2.0, 1.0)
+        full = fk.fk_estimate(pot, 2, 1.0, 0.01, 40, seed=5)
+        vac = fk.fk_localized_lower(pot, 2, 1.0, 0.25, np.inf, np.inf, center,
+                                    seed=5, n_paths=40, r_peak=np.inf, dt=0.01)
+        assert vac.accepted.all()
+        assert vac.log_weights.tobytes() == full.log_weights.tobytes()
 
     def test_matches_per_path_scan(self):
         center = geo.point_at(2, 1.5, np.array([1.0, 0.0]))
