@@ -8,8 +8,8 @@ the keys it gives), validates it, runs the subcommand, and only then writes a
 byte-identical outputs; re-running from a manifest reproduces the run.
 
 Exit codes: 0 success, 2 constraint violation (a region too small to pack
-included) or config error, 3 budget exceeded or a failed covariance
-factorisation or heat-kernel calibration.
+included) or config error (a ``subcommand`` override included), 3 budget
+exceeded or a failed covariance factorisation or heat-kernel calibration.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .config import (BudgetExceeded, ConstraintViolation, FactorizationError,
-                     RunConfig, _parse_pairs, format_config, parse_config,
+                     RunConfig, _parse_item, format_config, parse_config,
                      stream)
 from . import brownian, field, feynman_kac, heatkernel, varopt
 from . import geometry as geo
@@ -160,8 +160,7 @@ def run_energy_bound(cfg):
 
 
 def run_hk_calibrate(cfg):
-    cal = heatkernel.calibrate(cfg.d, seed=cfg.seed,
-                               n_paths=min(cfg.n_paths, 200000))
+    cal = heatkernel.calibrate(cfg.d, seed=cfg.seed, n_paths=cfg.n_paths)
     return (["d", "C1", "C2"], [[cal.d, cal.C1, cal.C2]],
             {"d": cal.d, "C1": cal.C1, "C2": cal.C2,
              "grid_spec": cal.grid_spec})
@@ -288,12 +287,12 @@ def main(argv=None):
                         metavar="KEY=VALUE", help="single config override")
     args = parser.parse_args(argv)
 
-    # overrides: HYPAM_<KEY> env vars first, then --set, applied in order;
-    # env names match field names case-insensitively (HYPAM_R0 sets R0)
+    # overrides, one key=value item each: HYPAM_<KEY> env vars, then --set, in
+    # order; env names match field names case-insensitively (HYPAM_R0 sets R0)
     names = {f.name.lower(): f.name for f in fields(RunConfig)}
-    overrides = [f"{names.get(k[6:].lower(), k[6:].lower())} = {v}"
+    overrides = [(k, f"{names.get(k[6:].lower(), k[6:].lower())}={v}")
                  for k, v in sorted(os.environ.items()) if k.startswith("HYPAM_")]
-    overrides += args.set
+    overrides += [("--set", item) for item in args.set]
     try:
         if args.config:
             with open(args.config) as fh:
@@ -303,7 +302,7 @@ def main(argv=None):
                                  f"not match {args.subcommand!r}")
         else:
             cfg = RunConfig()
-        pairs, _ = _parse_pairs("\n".join(overrides), path="<overrides>")
+        pairs = dict(_parse_item(item, where) for where, item in overrides)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,11 +19,13 @@ JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)   # multiples of sigma2 tried in turn
 COND_RADIUS_FACTOR = 1.5                    # conditioning radius, in units of R0
 COND_SITE_CAP = 96                          # nearest sites an extension conditions on
 LATTICE_SPACING_FACTOR = 0.25               # default site spacing, in units of R0
+COINCIDENT_DISTANCE = float(np.arccosh(1 + 1e-14))  # closer field sites coincide
 
 # --- budgets ---------------------------------------------------------------
 MAX_PACKING_CENTERS = 4096      # packing truncates here (recorded on the result)
 MAX_FIELD_SITES = 20000         # conditional-simulation site budget
 MAX_ONESHOT_SITES = 4096        # one-shot Cholesky site budget
+MAX_CALIBRATION_PATHS = 200000  # Monte Carlo heat-kernel calibration paths
 LONG_ROUTE_N_CAP = 8            # convolution recursion depth cap
 
 
@@ -146,47 +148,43 @@ class RunConfig:
         return self
 
 
-def _parse_pairs(text, path="<config>"):
-    """Parse flat ``key = value`` text into typed ``{key: value}`` pairs.
-
-    Every field is an int, float or str and is parsed by calling its type.
-    Returns the pairs in the order given (a repeated key keeps its last
-    value) and the ``subcommand`` value, if any.  Unknown keys, malformed
-    lines and type mismatches raise ``ValueError`` with the line number.
-    """
+def _parse_item(item, where):
+    """Typed ``(field, value)`` of one ``key=value`` item.  The value is all
+    of the item after the first ``=``, parsed by calling the field's type
+    (int, float or str).  A missing ``=``, an unknown key (``subcommand`` is
+    none) or a type mismatch raises ``ValueError`` naming ``where``."""
+    key, eq, value = item.partition("=")
+    if not eq:
+        raise ValueError(f"{where}: expected 'key = value', got {item!r}")
+    key = key.strip()
+    if key == "lambda":   # friendlier alias for the reserved word
+        key = "lam"
     types = {f.name: f.type for f in fields(RunConfig)}
-    pairs = {}
-    subcommand = None
-    for lineno, raw in enumerate(str(text).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "subcommand":
-            subcommand = value
-            continue
-        if key == "lambda":   # friendlier alias for the reserved word
-            key = "lam"
-        if key not in types:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            pairs[key] = types[key](value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{path}:{lineno}: field {key!r} cannot take value {value!r}") from exc
-    return pairs, subcommand
+    if key not in types:
+        raise ValueError(f"{where}: unknown config key {key!r}")
+    try:
+        return key, types[key](value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: field {key!r} cannot take value {value!r}") from exc
 
 
 def parse_config(text, path="<config>"):
     """Parse flat ``key = value`` text into a :class:`RunConfig`.
 
-    Keys not given keep their defaults.  A ``subcommand`` key is allowed and
+    ``#`` starts a comment, and each line's value is stripped before
+    :func:`_parse_item` types it.  Keys not given keep their defaults, a
+    repeated key keeps its last value.  A ``subcommand`` key is allowed and
     returned separately (manifests carry it so a run can be replayed).
     """
-    pairs, subcommand = _parse_pairs(text, path)
+    pairs = {}
+    subcommand = None
+    for lineno, raw in enumerate(str(text).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        key, eq, value = line.partition("=")
+        if eq and key.strip() == "subcommand":
+            subcommand = value.strip()
+        elif line:
+            pairs.update([_parse_item(key + eq + value.strip(), f"{path}:{lineno}")])
     return RunConfig(**pairs), subcommand
 
 

@@ -194,12 +194,17 @@ def _simulate_log_weights(evaluator, d, t, dt, seed, n_paths, batch_id):
                                  for j in range(n_paths)])
 
 
-def _resolve_potential(potential, d, seed, *ids):
+def _resolve_potential(potential, d, t, dt, seed, *ids):
     """Evaluator for a potential: numbers become constants, covariance specs
-    a lazily grown field drawn from ``stream(seed, *ids)``."""
+    a lazily grown field drawn from ``stream(seed, *ids)``, once the time
+    grid resolves it: dt <= min(t / 100, R0^2 / 8) when t > 0."""
     if isinstance(potential, (int, float)):
         return ConstantPotential(float(potential))
     if isinstance(potential, CovarianceSpec):
+        cap = min(0.01 * t, potential.R0 ** 2 / 8.0)
+        if t > 0 and dt > cap + 1e-12:
+            raise ConstraintViolation(
+                f"dt={dt} too coarse to resolve field variation: need <= {cap:.4g}")
         return LazyFieldEvaluator(potential, d, stream(seed, *ids).integers(2 ** 31))
     return potential
 
@@ -218,18 +223,13 @@ def fk_estimate(potential, d, t, dt, n_paths, seed, mode="quenched"):
         raise ConstraintViolation(
             f"mode must be 'quenched' or 'annealed', got {mode!r}")
     is_spec = isinstance(potential, CovarianceSpec)
-    if is_spec and t > 0:
-        cap = min(0.01 * t, potential.R0 ** 2 / 8.0)
-        if dt > cap + 1e-12:
-            raise ConstraintViolation(
-                f"dt={dt} too coarse to resolve field variation: need <= {cap:.4g}")
     size = max(1, n_paths if mode == "quenched" else n_paths // 16)
     redraw = is_spec and mode == "annealed"
-    evaluator = None if redraw else _resolve_potential(potential, d, seed, "field")
+    evaluator = None if redraw else _resolve_potential(potential, d, t, dt, seed, "field")
     log_weights = []
     for batch_id, start in enumerate(range(0, n_paths, size)):
         if redraw:
-            evaluator = _resolve_potential(potential, d, seed, "field-batch", batch_id)
+            evaluator = _resolve_potential(potential, d, t, dt, seed, "field-batch", batch_id)
         log_weights.extend(_simulate_log_weights(
             evaluator, d, t, dt, seed, min(size, n_paths - start), batch_id)[2])
     meta = {"seed": seed}
@@ -269,8 +269,8 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
     of radius ``r_peak`` at time eps*t, and stays inside the doubled peak
     ball afterwards.  With the same seed this shares its paths and field
     with quenched :func:`fk_estimate`, so the restricted mean is a pathwise
-    lower bound.  A scenario no path can meet, with K*t^(4/3) + r_peak below
-    the peak's distance from o, raises :class:`ConstraintViolation`.
+    lower bound; a field needs the same dt.  A scenario no path can meet
+    (K*t^(4/3) + r_peak below d(o, peak)) raises :class:`ConstraintViolation`.
     """
     if not 0 < eps < 1:
         raise ConstraintViolation("eps must lie in (0, 1)")
@@ -282,7 +282,7 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
             f"no path can be accepted: K*t^(4/3) = {ball_radius:.6g} plus "
             f"r_peak = {r_peak:.6g} is below the peak distance "
             f"d(o, peak_center) = {peak_dist:.6g}")
-    evaluator = _resolve_potential(potential, d, seed, "field")
+    evaluator = _resolve_potential(potential, d, t, dt, seed, "field")
     times, pts, log_weights = _simulate_log_weights(evaluator, d, t, dt, seed,
                                                     n_paths, 0)
     i_eps = min(max(int(round(eps * t / dt)), 1), len(times) - 1)

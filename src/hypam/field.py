@@ -4,12 +4,12 @@ The covariance profile is built as the autocorrelation of a C^2 radial bump
 supported in radius R0/2, which makes it positive semidefinite on every site
 set, exactly zero beyond distance R0, twice differentiable with C'(0) = 0,
 and then rescaled so C(0) = sigma2.  Sampling is exact multivariate Gaussian
-through one Cholesky factor: of the sites' covariance for a one-shot draw, of
-the joint covariance of nearby conditioning sites and new sites for the
-conditional (kriging) extension that evaluates the field along trajectories.
+through one :func:`_lattice_factor` Cholesky factor: of the sites' covariance
+for a one-shot draw, of the joint covariance of nearby conditioning sites and
+new sites for the conditional (kriging) extension along trajectories.
 
-Every "which sites are near these points" question (covariance assembly,
-the distinct-sites check, nearest-site lookups, the conditioning set of an
+Every "which sites are near these points" question (covariance assembly and
+its distinct-sites check, nearest-site lookups, the conditioning set of an
 extension, island and cluster adjacency) goes through one neighbour index,
 ``geometry._SiteIndex``, which the greedy packing shares: a k-d tree over the
 sites' Poincare-ball coordinates, queried with a Euclidean radius that
@@ -31,10 +31,10 @@ from scipy.linalg import solve_triangular
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
-from .config import (BudgetExceeded, COND_RADIUS_FACTOR, COND_SITE_CAP,
-                     ConstraintViolation, FactorizationError, JITTER_LADDER,
-                     LATTICE_SPACING_FACTOR, MAX_FIELD_SITES, MAX_ONESHOT_SITES,
-                     stream)
+from .config import (BudgetExceeded, COINCIDENT_DISTANCE, COND_RADIUS_FACTOR,
+                     COND_SITE_CAP, ConstraintViolation, FactorizationError,
+                     JITTER_LADDER, LATTICE_SPACING_FACTOR, MAX_FIELD_SITES,
+                     MAX_ONESHOT_SITES, stream)
 from . import geometry as geo
 
 _BUMPS = {
@@ -62,16 +62,20 @@ class CovarianceSpec:
         return out if out.ndim else float(out)
 
     def cov_matrix(self, sites):
-        """Matrix C(d(x_i, x_j)) over a (n, d+1) site array.
+        """Matrix C(d(x_i, x_j)) over a (n, d+1) array of distinct sites.
 
-        Only pairs within R0 (found through the neighbour index) are
-        evaluated, once each, and written into both triangles of a zeroed
-        matrix; the diagonal is C(0).  Every entry equals the dense
-        evaluation's, as C vanishes from R0 on and the distance is symmetric.
+        One neighbour-index pass finds the pairs within R0; a pair within
+        ``COINCIDENT_DISTANCE`` (cosh d <= 1 + 1e-14) raises
+        :class:`ConstraintViolation`.  The rest are evaluated once each and
+        written into both triangles of a zeroed matrix; the diagonal is C(0).
+        Every entry equals the dense evaluation's, as C vanishes from R0 on
+        and the distance is symmetric.
         """
         sites = np.asarray(sites, dtype=float)
         mat = np.zeros((len(sites), len(sites)))
-        i, j, dist = geo._SiteIndex(sites).close_pairs(self.R0)
+        i, j, dist = geo._SiteIndex(sites).close_pairs(max(self.R0, COINCIDENT_DISTANCE))
+        if np.any(dist <= COINCIDENT_DISTANCE):
+            raise ConstraintViolation("sites must be pairwise distinct")
         vals = self.cov(dist)
         mat[i, j] = vals
         mat[j, i] = vals
@@ -159,18 +163,11 @@ def _cholesky_with_jitter(mat, sigma2):
 
 
 def _lattice_factor(spec, sites):
-    """Cholesky factor and jitter of the covariance over a (n, d+1) site array.
-
-    The site count is checked against ``MAX_ONESHOT_SITES`` first.  Sites
-    then count as distinct when the cosh of every pairwise distance exceeds
-    1 + 1e-14; the pairs tested are those the neighbour index finds within
-    1e-6, which hold every pair that could fail.
-    """
+    """Cholesky factor and jitter of the covariance of every factorised site
+    set (a (n, d+1) array; one-shot draws and extension blocks alike): at most
+    ``MAX_ONESHOT_SITES`` sites, coincident ones rejected by ``cov_matrix``."""
     if len(sites) > MAX_ONESHOT_SITES:
         raise BudgetExceeded(f"site count {len(sites)} above cap {MAX_ONESHOT_SITES}")
-    i, j, _ = geo._SiteIndex(sites).close_pairs(1e-6)
-    if np.any(geo.cosh_distance(sites[i], sites[j]) <= 1.0 + 1e-14):
-        raise ConstraintViolation("sites must be pairwise distinct")
     return _cholesky_with_jitter(spec.cov_matrix(sites), spec.sigma2)
 
 
@@ -223,7 +220,7 @@ def sample_field(spec, sites, seed):
     """Exact joint Gaussian draw with covariance C(d(x_i, x_j)).
 
     The sites go through :func:`_lattice_factor`: at most
-    ``MAX_ONESHOT_SITES`` of them, pairwise distinct, factorised densely.
+    ``MAX_ONESHOT_SITES`` of them, none coincident, factorised densely.
     """
     sites = np.asarray(sites, dtype=float)
     if sites.ndim != 2:
@@ -251,12 +248,14 @@ def extend_field(fieldr, new_sites, seed):
 
     Conditions on existing sites within 1.5 * R0 of the new block (compact
     support makes farther sites nearly irrelevant), capped to the
-    ``COND_SITE_CAP`` (96) nearest.  New sites must lie at least 1e-9 from
-    every existing site; the union holds at most ``MAX_FIELD_SITES``.  Those
-    existing sites come from the realization's neighbour index, and only they
-    are measured against the new block; the conditioning set and its order
-    are those of a dense scan.  With ``[[L11, 0], [L21, L22]]`` one Cholesky
-    factor of the covariance of those sites then the new ones, the new values
+    ``COND_SITE_CAP`` (96) nearest.  By the rule of ``cov_matrix``, new
+    sites must lie more than ``COINCIDENT_DISTANCE`` from each other and
+    from every existing site; the union holds at most ``MAX_FIELD_SITES``,
+    one block at most ``MAX_ONESHOT_SITES``.  Existing sites come from the
+    realization's neighbour index, and only they are measured against the
+    new block; the conditioning set and its order are those of a dense scan.
+    With ``[[L11, 0], [L21, L22]]`` the :func:`_lattice_factor` of the
+    covariance of those sites then the new ones, the new values
     are ``L21 L11^-1 x + L22 z`` (x their values, z standard normals), the
     kriging law: ``L21 L11^-1 = C_no C_oo^-1`` and ``L22 L22^T = C_nn - C_no
     C_oo^-1 C_on``, and ``L22 z`` with no conditioning site.  Returns a new
@@ -272,7 +271,7 @@ def extend_field(fieldr, new_sites, seed):
     cand = np.unique(fieldr._neighbours().candidates(new_sites, cond_radius)[1])
     dist_on = geo.distance(fieldr.sites[cand][:, None, :], new_sites[None, :, :],
                            validate=False)
-    if cand.size and np.min(dist_on) < 1e-9:
+    if cand.size and np.min(dist_on) <= COINCIDENT_DISTANCE:
         raise ConstraintViolation("new sites must be disjoint from existing sites")
 
     keep = np.flatnonzero(np.min(dist_on, axis=1) <= cond_radius)
@@ -283,8 +282,7 @@ def extend_field(fieldr, new_sites, seed):
 
     rng = stream(seed, "extend", fieldr.meta.get("extensions", 0))
     k = near.size
-    L, jit = _cholesky_with_jitter(
-        spec.cov_matrix(np.vstack([fieldr.sites[near], new_sites])), spec.sigma2)
+    L, jit = _lattice_factor(spec, np.vstack([fieldr.sites[near], new_sites]))
     new_values = (L[k:, :k] @ solve_triangular(L[:k, :k], fieldr.values[near],
                                                lower=True)
                   + L[k:, k:] @ rng.standard_normal(len(new_sites)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .config import KernelUnavailable
+from .config import BudgetExceeded, KernelUnavailable, MAX_CALIBRATION_PATHS
 from .geometry import distance, side_length, sphere_area
 
 
@@ -115,14 +115,15 @@ class CalibrationFailed(RuntimeError):
     pass
 
 
-def calibrate(d, t_grid=None, rho_grid=None, n_paths=200000, dt=2e-3, seed=0):
+def calibrate(d, t_grid=None, rho_grid=None, n_paths=MAX_CALIBRATION_PATHS,
+              dt=2e-3, seed=0):
     """Fit the sandwich constants of the comparison profile.
 
     d = 3 uses the exact kernel on the full (t, rho) grid.  Other dimensions
     estimate the kernel from simulated radial marginals (histogram density
     divided by the sphere-area surface factor), which restricts the grid to
-    bins with at least 50 samples.  Fails when the fitted spread C2/C1
-    exceeds 100.
+    bins with at least 50 samples, from at most ``MAX_CALIBRATION_PATHS``
+    paths per time.  Fails when the fitted spread C2/C1 exceeds 100.
     """
     ratio_cap = 100.0
     if t_grid is None:
@@ -139,6 +140,8 @@ def calibrate(d, t_grid=None, rho_grid=None, n_paths=200000, dt=2e-3, seed=0):
         ratios = np.exp(log_exact_h3(tt, rr) - log_comparison_fn(tt, rr, d)).ravel()
         grid_spec["reference"] = "exact"
     else:
+        if n_paths > MAX_CALIBRATION_PATHS:
+            raise BudgetExceeded(f"paths {n_paths} above cap {MAX_CALIBRATION_PATHS}")
         from .brownian import simulate_radial_batch
         area = sphere_area(d)
         collected = []

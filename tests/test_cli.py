@@ -200,6 +200,20 @@ class TestDispatch:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_hk_calibrate_paths_over_budget_exit_3(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the typed path count is used or refused, never cut; the refusal
+        # comes before any path is simulated
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated paths above the budget")
+
+        monkeypatch.setattr(brownian, "simulate_radial_batch", simulate)
+        out = tmp_path / "hk"
+        assert run_cli(tmp_path, "hk-calibrate", "--out", str(out),
+                       "--set", "d=2", "--set", "n_paths=200001") == 3
+        assert "200001" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nope = 1\n")
@@ -379,3 +393,27 @@ class TestOverrides:
     def test_env_names_match_case_insensitively(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPAM_R0", "0.75")
         assert self.resolved(tmp_path).R0 == 0.75
+
+    def test_set_value_taken_verbatim(self, tmp_path):
+        # '#' starts a comment in a config file, not in an override
+        out = tmp_path / "o#4"
+        assert run_cli(tmp_path, "optimize", "--set", f"out={out}") == 0
+        assert (out / "manifest.cfg").exists()
+        assert not (tmp_path / "o").exists()
+
+    def test_env_newline_adds_no_key(self, tmp_path, monkeypatch, capsys):
+        # the whole value is one int field's text, not a second line
+        monkeypatch.setenv("HYPAM_N_PATHS", "13\nd=3")
+        assert run_cli(tmp_path, "optimize", "--out", str(tmp_path / "o")) == 2
+        assert "'n_paths'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["env", "set"])
+    def test_subcommand_override_exit_2(self, tmp_path, monkeypatch, source):
+        # only a --config manifest may name the subcommand
+        argv = ["optimize", "--out", str(tmp_path / "o")]
+        if source == "env":
+            monkeypatch.setenv("HYPAM_SUBCOMMAND", "fk")
+        else:
+            argv += ["--set", "subcommand=fk"]
+        assert run_cli(tmp_path, *argv) == 2
+        assert not (tmp_path / "o").exists()

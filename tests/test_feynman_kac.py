@@ -189,6 +189,15 @@ class TestLocalized:
         assert est.accept_fraction == 0.0
         assert est.summary()["accept_fraction"] == 0.0
 
+    def test_dt_precondition(self, spec_quarter):
+        # both estimators hold a field to dt <= min(t / 100, R0^2 / 8)
+        center = geo.point_at(2, 1.5, np.array([1.0, 0.0]))
+        with pytest.raises(ConstraintViolation, match="too coarse"):
+            fk.fk_localized_lower(spec_quarter, 2, 1.0, 0.5, 10.0, 5.0, center,
+                                  1, 4, r_peak=5.0, dt=0.5)
+        with pytest.raises(ConstraintViolation, match="too coarse"):
+            fk.fk_estimate(spec_quarter, 2, 1.0, 0.5, 32, seed=1, mode="annealed")
+
     def test_infeasible_scenario_rejected(self):
         # K t^(4/3) + r_peak = 0.4 + 1.0 < 1.5: no path is ever accepted
         center = geo.point_at(2, 1.5, np.array([1.0, 0.0]))

@@ -70,13 +70,21 @@ class TestCovarianceSpec:
            seed=st.integers(0, 2 ** 31 - 1))
     def test_cov_matrix_matches_dense(self, d, radius, n, R0, seed):
         # ball sites plus a companion within R0 of each, so pairs inside the
-        # support occur at every radius; the entries are the dense table's
+        # support occur at every radius; the entries are the dense table's,
+        # and a set the dense table shows to hold coincident sites (radius 0
+        # puts every base site at o) is rejected
         spec = fd.make_spec(1.3, R0, "poly3", d=d)
         rng = stream(seed, "cov")
         base = geo.sample_region(geo.BallRegion(radius), d, rng, n)
         near = geo.frame_step(base, rng.uniform(-R0, R0, (n, d)) / math.sqrt(d))
         sites = np.vstack([base, near])
-        assert np.array_equal(spec.cov_matrix(sites), oracle_cov_matrix(spec, sites))
+        prod = geo.cosh_distance(sites[:, None, :], sites[None, :, :])
+        if np.any(prod[np.triu_indices(len(sites), 1)] <= 1.0 + 1e-14):
+            with pytest.raises(ConstraintViolation):
+                spec.cov_matrix(sites)
+        else:
+            assert np.array_equal(spec.cov_matrix(sites),
+                                  oracle_cov_matrix(spec, sites))
 
 
 class TestSampling:
@@ -104,6 +112,16 @@ class TestSampling:
         else:
             with pytest.raises(ConstraintViolation):
                 fd.sample_field(spec_unit, sites, seed=0)
+
+    def test_one_index_per_draw(self, spec_unit, monkeypatch):
+        # the distinct-sites check and the assembly share one k-d tree
+        built = []
+        init = geo._SiteIndex.__init__
+        monkeypatch.setattr(geo._SiteIndex, "__init__",
+                            lambda self, sites: built.append(1) or init(self, sites))
+        sites = geo.sample_region(geo.BallRegion(2.0), 2, stream(3, "one"), 40)
+        fd.sample_field(spec_unit, sites, seed=0)
+        assert len(built) == 1
 
     def test_oneshot_budget(self, spec_unit):
         sites = np.zeros((5000, 3))
@@ -185,6 +203,30 @@ class TestExtension:
         base = fd.sample_field(spec_unit, sites, seed=3)
         with pytest.raises(ConstraintViolation):
             fd.extend_field(base, sites[2:3], seed=0)
+
+    def test_coincident_new_sites_rejected(self, spec_unit):
+        # two equal new sites would give one point two values
+        base = fd.sample_field(spec_unit, geo.origin(2)[None, :], seed=1)
+        p = geo.point_at(2, 0.5, np.array([1.0, 0.0]))
+        with pytest.raises(ConstraintViolation):
+            fd.extend_field(base, np.vstack([p, p]), seed=3)
+
+    def test_coincidence_rule_matches_one_shot(self, spec_unit):
+        # far from o, a new site next to an existing one is rejected exactly
+        # when a one-shot draw rejects the pair (1e-7 apart, cosh d - 1 is
+        # 4.9e-15, below the 1e-14 threshold)
+        x = geo.point_at(2, 5.0, np.array([0.6, 0.8]))
+        base = fd.sample_field(spec_unit, x[None, :], seed=0)
+        for gap, distinct in [(1e-9, False), (1e-7, False), (1e-6, True)]:
+            y = geo.frame_step(x, np.array([gap, 0.0]))
+            if distinct:
+                assert fd.sample_field(spec_unit, np.vstack([x, y]), 0).n_sites == 2
+                assert fd.extend_field(base, y, seed=1).n_sites == 2
+                continue
+            with pytest.raises(ConstraintViolation):
+                fd.sample_field(spec_unit, np.vstack([x, y]), seed=0)
+            with pytest.raises(ConstraintViolation):
+                fd.extend_field(base, y, seed=1)
 
     def test_largest_jitter_kept(self, spec_unit, monkeypatch):
         jitters = iter([1e-8, 1e-10, 1e-12, 0.0])
