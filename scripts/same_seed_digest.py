@@ -58,6 +58,10 @@ CALLS = [
     # rim-radius packings and a 1024-site covariance assembly
     ("field-max-scan-1024", "field-max-scan",
      {"R_list": "5,10,20", "n_reps": 8, "site_cap": 1024}, 1),
+    # a three-dimensional one-shot lattice: packing, covariance and factor
+    # in d = 3
+    ("field-max-scan-d3", "field-max-scan",
+     {"d": 3, "R_list": "2,4", "n_reps": 8, "site_cap": 256}, 1),
     ("exit-check", "exit-check",
      {"R_list": "5,7,9", "t": 2.0, "dt": 0.01, "d": 2, "n_paths": 20000}, 1),
     # a two-point fit: its infinite interval is written as null

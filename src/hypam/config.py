@@ -7,6 +7,8 @@ stream with :func:`stream`, which makes results reproducible bit-for-bit and
 independent of scheduling or chunking.
 """
 
+import ast
+import re
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
@@ -168,31 +170,61 @@ def _parse_item(item, where):
         raise ValueError(f"{where}: field {key!r} cannot take value {value!r}") from exc
 
 
+# a quoted value: one Python string literal, then at most a comment
+_QUOTED = re.compile(r"""\s*('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(#.*)?""")
+
+
 def parse_config(text, path="<config>"):
     """Parse flat ``key = value`` text into a :class:`RunConfig`.
 
     ``#`` starts a comment, and each line's value is stripped before
-    :func:`_parse_item` types it.  Keys not given keep their defaults, a
-    repeated key keeps its last value.  A ``subcommand`` key is allowed and
-    returned separately (manifests carry it so a run can be replayed).
+    :func:`_parse_item` types it.  A value that starts with a quote is one
+    Python string literal, read through its closing quote (``#`` inside it
+    is text), as :func:`format_config` writes the str values that need it.
+    Keys not given keep their defaults, a repeated key keeps its last value.
+    A ``subcommand`` key is allowed and returned separately (manifests carry
+    it so a run can be replayed).
     """
     pairs = {}
     subcommand = None
     for lineno, raw in enumerate(str(text).splitlines(), start=1):
+        where = f"{path}:{lineno}"
         line = raw.split("#", 1)[0].strip()
         key, eq, value = line.partition("=")
+        value = value.strip()
+        rest = raw.partition("=")[2]
+        if eq and rest.lstrip()[:1] in ("'", '"'):
+            quoted = _QUOTED.fullmatch(rest)
+            if quoted is None:
+                raise ValueError(f"{where}: malformed quoted value {rest.strip()!r}")
+            value = ast.literal_eval(quoted.group(1))
         if eq and key.strip() == "subcommand":
-            subcommand = value.strip()
+            subcommand = value
         elif line:
-            pairs.update([_parse_item(key + eq + value.strip(), f"{path}:{lineno}")])
+            pairs.update([_parse_item(key + eq + value, where)])
     return RunConfig(**pairs), subcommand
 
 
+def _config_text(val):
+    """A value as :func:`format_config` writes it: floats by ``repr``, a str
+    that holds ``#`` or a line break, starts with a quote or has surrounding
+    whitespace as a quoted literal (which :func:`parse_config` reads back),
+    anything else as its plain text."""
+    if isinstance(val, float):
+        return repr(val)
+    if isinstance(val, str) and ("#" in val or val != val.strip()
+                                 or "".join(val.splitlines()) != val
+                                 or val[:1] in ("'", '"')):
+        return repr(val)
+    return str(val)
+
+
 def format_config(cfg, subcommand=None):
-    """Render a config (plus optional subcommand) back to flat text."""
+    """Render a config (plus optional subcommand) back to flat text that
+    :func:`parse_config` reads back to the same config."""
     lines = []
     if subcommand is not None:
         lines.append(f"subcommand = {subcommand}")
     for key, val in asdict(cfg).items():
-        lines.append(f"{key} = {val!r}" if isinstance(val, float) else f"{key} = {val}")
+        lines.append(f"{key} = {_config_text(val)}")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,9 @@ set, exactly zero beyond distance R0, twice differentiable with C'(0) = 0,
 and then rescaled so C(0) = sigma2.  Sampling is exact multivariate Gaussian
 through one :func:`_lattice_factor` Cholesky factor: of the sites' covariance
 for a one-shot draw, of the joint covariance of nearby conditioning sites and
-new sites for the conditional (kriging) extension along trajectories.
+new sites for the conditional (kriging) extension along trajectories.  LAPACK
+factors each covariance in its own memory, so a draw of n sites holds one
+n x n array.
 
 Every "which sites are near these points" question (covariance assembly and
 its distinct-sites check, nearest-site lookups, the conditioning set of an
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
@@ -143,29 +146,53 @@ def _unscaled_profile(R0, bump_shape, d):
 
 
 def _cholesky_with_jitter(mat, sigma2):
-    """Cholesky factor of ``mat`` plus the first ladder jitter that works.
+    """Lower Cholesky factor of the symmetric ``mat`` plus the first ladder
+    jitter that works.
 
-    ``mat`` is never modified; it is copied only for a nonzero jitter, so
-    the first attempt holds no second n x n array.
+    LAPACK ``dpotrf`` factors ``mat.T`` in place as the upper factor L^T.
+    For a C-contiguous ``mat``, ``mat.T`` is its column-major view, so a
+    jitter-0 factor overwrites ``mat`` and is C-ordered; no second n x n
+    array is held.  The wrapper copies any other layout, so the factor is
+    always the array LAPACK returns, and such a ``mat`` is left unchanged.
+    A failed jitter-0 attempt writes only ``mat``'s lower triangle, which is
+    restored from the untouched strict upper triangle and a saved diagonal;
+    each positive jitter is tried on a copy, leaving ``mat`` unchanged.
     """
-    last = None
+    diag = np.diag(mat).copy()
     for j in JITTER_LADDER:
         shifted = mat
         if j > 0:
             shifted = mat.copy()
             shifted[np.diag_indices_from(shifted)] += j * sigma2
-        try:
-            return np.linalg.cholesky(shifted), j
-        except np.linalg.LinAlgError as exc:
-            last = exc
+        upper, info = dpotrf(shifted.T, lower=0, overwrite_a=1, clean=0)
+        if info == 0:
+            _zero_strict_upper(upper.T)
+            return upper.T, j
+        if j == 0 and np.shares_memory(upper, mat):
+            np.copyto(mat, mat.T, where=np.tri(len(mat), k=-1, dtype=bool))
+            np.fill_diagonal(mat, diag)
     raise FactorizationError(
-        f"covariance factorisation failed within jitter cap: {last}")
+        "covariance factorisation failed within jitter cap: leading minor "
+        f"of order {info} not positive definite")
+
+
+def _zero_strict_upper(mat):
+    """Zero the strict upper triangle of a square array in place, one band of
+    256 rows at a time, so no mask is larger than 256 x 256."""
+    b = 256
+    upper = ~np.tri(min(b, len(mat)), dtype=bool)
+    for i in range(0, len(mat), b):
+        mat[i:i + b, i + b:] = 0.0
+        band = mat[i:i + b, i:i + b]
+        np.copyto(band, 0.0, where=upper[:len(band), :len(band)])
 
 
 def _lattice_factor(spec, sites):
     """Cholesky factor and jitter of the covariance of every factorised site
     set (a (n, d+1) array; one-shot draws and extension blocks alike): at most
-    ``MAX_ONESHOT_SITES`` sites, coincident ones rejected by ``cov_matrix``."""
+    ``MAX_ONESHOT_SITES`` sites, coincident ones rejected by ``cov_matrix``.
+    The factor takes the covariance's memory when no jitter is needed, so a
+    draw of n sites holds one n x n array (128 MB at the 4096-site cap)."""
     if len(sites) > MAX_ONESHOT_SITES:
         raise BudgetExceeded(f"site count {len(sites)} above cap {MAX_ONESHOT_SITES}")
     return _cholesky_with_jitter(spec.cov_matrix(sites), spec.sigma2)
@@ -331,6 +358,7 @@ def max_scan(spec, d, R_list, spacing, n_reps, seed, site_cap=2048):
         L, _ = _lattice_factor(spec, sites)
         z = stream(seed, "scan-draws", k).standard_normal((n_reps, len(sites)))
         maxima = np.max(np.abs(z @ L.T), axis=1)
+        del L, z    # the next radius's covariance must not coexist with them
         thr = math.sqrt(2.0 * spec.sigma2 * (d - 1) * (1.0 + eps) * R)
         rows.append(MaxScanRow(float(R), len(sites), packing.maximal,
                                float(np.mean(maxima)), float(np.max(maxima)),

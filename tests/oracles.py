@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from hypam import field as fd, geometry as geo
+from hypam import geometry as geo
 from hypam.config import COND_RADIUS_FACTOR, COND_SITE_CAP, stream
 
 
@@ -256,7 +256,9 @@ def oracle_extend_values(fieldr, new_sites, seed):
     complement: the conditioning set by a dense scan of every site, the
     kriging weights from a Cholesky factor of the conditioning block and two
     solves, and ``mean + Lc z`` with Lc a factor of the symmetrised
-    conditional covariance; the same stream as ``field.extend_field``."""
+    conditional covariance; the same stream as ``field.extend_field``.  Both
+    factors come from numpy's Cholesky with no jitter (a block that needs one
+    raises ``LinAlgError``), so the jitter returned is the realization's."""
     spec = fieldr.spec
     cond_radius = COND_RADIUS_FACTOR * spec.R0
     dist_on = geo.distance(fieldr.sites[:, None, :], new_sites[None, :, :],
@@ -276,11 +278,10 @@ def oracle_extend_values(fieldr, new_sites, seed):
         cond = cov_nn
     else:
         cov_oo, cov_on = cov[:k, :k], cov[:k, k:]
-        L, jit = fd._cholesky_with_jitter(cov_oo, spec.sigma2)
-        jitter = max(jitter, jit)
+        L = np.linalg.cholesky(cov_oo)
         w = np.linalg.solve(L.T, np.linalg.solve(L, cov_on))
         mean = w.T @ fieldr.values[near]
         cond = cov_nn - cov_on.T @ w
         cond = 0.5 * (cond + cond.T)
-    Lc, jit = fd._cholesky_with_jitter(cond, spec.sigma2)
-    return mean + Lc @ rng.standard_normal(len(new_sites)), max(jitter, jit)
+    Lc = np.linalg.cholesky(cond)
+    return mean + Lc @ rng.standard_normal(len(new_sites)), jitter

@@ -37,6 +37,20 @@ class TestConfigParsing:
         parsed, sub = parse_config(text)
         assert parsed == cfg and sub == "fk"
 
+    @pytest.mark.parametrize("text", [
+        "o#4", " lead", "trail ", "a\nb", "a\r\nb", "a\u2028b", "'q'", '"',
+        "it's #1", "x = y", "", "plain/dir"])
+    def test_round_trip_str_values(self, text):
+        for key in ("kernel_shape", "mode", "R_list", "s_list", "out"):
+            cfg = RunConfig(**{key: text})
+            assert parse_config(format_config(cfg))[0] == cfg
+        # a value that needs no quotes is written as its plain text
+        assert "out = plain/dir\n" in format_config(RunConfig(out="plain/dir"))
+
+    def test_malformed_quoted_value(self):
+        with pytest.raises(ValueError, match=":2: malformed quoted value"):
+            parse_config("d = 2\nout = 'o#4\n")
+
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config("frobnicate = 3")
@@ -399,6 +413,16 @@ class TestOverrides:
         out = tmp_path / "o#4"
         assert run_cli(tmp_path, "optimize", "--set", f"out={out}") == 0
         assert (out / "manifest.cfg").exists()
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_replays_hash_in_value(self, tmp_path):
+        # the manifest quotes the value, so its replay writes to o#4 too
+        out = tmp_path / "o#4"
+        assert run_cli(tmp_path, "optimize", "--set", f"out={out}") == 0
+        manifest = read(out / "manifest.cfg")
+        assert run_cli(tmp_path, "optimize", "--config",
+                       str(out / "manifest.cfg")) == 0
+        assert read(out / "manifest.cfg") == manifest
         assert not (tmp_path / "o").exists()
 
     def test_env_newline_adds_no_key(self, tmp_path, monkeypatch, capsys):

@@ -88,15 +88,15 @@ class TestPlainEstimator:
 
     def test_quenched_pinned(self, spec_quarter):
         # recorded from the dense-scan implementation with extensions drawn
-        # from one factor of the joint covariance: every looked-up value of
-        # the lazy field feeds these weights
+        # from one LAPACK dpotrf factor of the joint covariance: every
+        # looked-up value of the lazy field feeds these weights
         est = fk.fk_estimate(spec_quarter, 2, 1.0, 0.01, 12, seed=7)
         assert est.meta["n_field_sites"] == 141
         assert est.log_weights.tolist() == [
-            -0.2332526558830562, -0.06652216807468642, 0.1595507478301434,
-            -0.019355615018895888, 0.00045658164780960556, -0.07282889125542097,
-            0.03381507926685221, -0.03401495637098437, -0.0042613771789765725,
-            -0.0045840791164414585, -0.10632457991322994, -0.26090316435900907]
+            -0.2332526558830562, -0.06652216807468639, 0.15955074783014345,
+            -0.019355615018895884, 0.0004565816478096091, -0.07282889125542098,
+            0.03381507926685222, -0.03401495637098436, -0.004261377178976552,
+            -0.0045840791164414516, -0.10632457991322995, -0.2609031643590091]
 
     def test_time_zero(self):
         est = fk.fk_estimate(0.7, 2, 0.0, 0.01, 16, seed=1)

@@ -297,6 +297,7 @@ class TestJitterLadder:
                                    max_centers=1024).centers
         n = len(sites)
         cov = spec_unit.cov_matrix(sites)
+        saved = cov.copy()
         tracemalloc.start()
         try:
             L, jit = fd._cholesky_with_jitter(cov, spec_unit.sigma2)
@@ -305,7 +306,13 @@ class TestJitterLadder:
             tracemalloc.stop()
         assert n == 1024 and jit == 0.0
         assert peak < 1.25 * n * n * 8
-        assert np.array_equal(L, np.linalg.cholesky(cov))
+        # tracemalloc misses LAPACK's own buffers; sharing memory does not
+        assert np.shares_memory(L, cov) and L.flags.c_contiguous
+        assert not np.any(np.triu(L, 1))
+        # Cholesky's backward error bound: |L L^T - A| <= gamma_(n+1) |L| |L^T|
+        # entrywise, and |L| |L^T| <= sigma2 = 1 by Cauchy-Schwarz, so
+        # (n + 1) * 2^-53 = 1.14e-13 at n = 1024
+        assert np.allclose(L @ L.T, saved, rtol=0, atol=1.14e-13)
 
     def test_positive_jitter_leaves_input(self):
         # rank one: the jitter-0 attempt fails, the first positive one works
@@ -314,6 +321,28 @@ class TestJitterLadder:
         assert jit > 0.0
         assert np.array_equal(mat, np.ones((3, 3)))
         assert np.allclose(L @ L.T, mat + jit * np.eye(3), rtol=0, atol=1e-15)
+
+    def test_failed_factor_restores_input(self):
+        # indefinite at every rung: each jitter-0 write to the lower triangle
+        # and diagonal is undone from the strict upper triangle
+        mat = np.array([[4.0, 2.0, 1.0], [2.0, 0.5, 0.3], [1.0, 0.3, 1.0]])
+        saved = mat.copy()
+        with pytest.raises(fd.FactorizationError):
+            fd._cholesky_with_jitter(mat, 1.0)
+        assert np.array_equal(mat, saved)
+
+    def test_noncontiguous_input_left_unchanged(self, spec_unit):
+        # LAPACK copies a strided view, so the factor lives in new memory
+        sites = geo.greedy_packing(geo.BallRegion(1.5), 0.125, 2, seed=3,
+                                   max_centers=40).centers
+        whole = spec_unit.cov_matrix(sites)
+        saved = whole.copy()
+        view = whole[::2, ::2]
+        L, jit = fd._cholesky_with_jitter(view, spec_unit.sigma2)
+        assert jit == 0.0 and not np.shares_memory(L, whole)
+        assert np.array_equal(whole, saved)
+        assert not np.any(np.triu(L, 1))
+        assert np.allclose(L @ L.T, saved[::2, ::2], rtol=0, atol=1e-14)
 
 
 class TestTilted:
@@ -362,6 +391,26 @@ class TestMaxScan:
         with pytest.raises(BudgetExceeded):
             fd.max_scan(spec_unit, 2, [5.0], spacing=0.25, n_reps=2, seed=0,
                         site_cap=128)
+
+    def test_one_factor_at_a_time(self, spec_unit, monkeypatch):
+        # both radii hit the cap; from the second radius's factorisation on,
+        # the first radius's n x n factor must already be released
+        factor = fd._lattice_factor
+
+        def reset_then_factor(spec, sites):
+            tracemalloc.reset_peak()
+            return factor(spec, sites)
+
+        monkeypatch.setattr(fd, "_lattice_factor", reset_then_factor)
+        tracemalloc.start()
+        try:
+            rows = fd.max_scan(spec_unit, 2, [5.0, 10.0], spacing=0.25,
+                               n_reps=4, seed=0, site_cap=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.n_sites for r in rows] == [512, 512]
+        assert peak < 1.3 * 512 * 512 * 8
 
     def test_exceedance_trend_and_borell(self, spec_unit):
         rows = fd.max_scan(spec_unit, 2, [5.0, 10.0, 20.0], spacing=0.25,
