@@ -4,7 +4,8 @@
 Runs a fixed list of small ``hypam`` CLI calls, each with every parameter that
 matters passed explicitly, in a temporary directory.  Run it on two checkouts
 and diff the output to check that a change keeps same-seed results
-byte-identical::
+byte-identical.  The script runs BLAS on one thread whatever the environment
+says, as the outputs depend on the thread count::
 
     PYTHONPATH=src python scripts/same_seed_digest.py > before.txt
     # ... switch checkout ...
@@ -17,7 +18,11 @@ import os
 import sys
 import tempfile
 
-from hypam import cli
+# set before numpy loads: OpenBLAS reads them once, at import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from hypam import cli  # noqa: E402
 
 # (name, subcommand, --set pairs, seed)
 CALLS = [

@@ -85,13 +85,11 @@ def simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0, start=None,
     if record:
         out = np.empty((n_steps + 1, n_paths, d + 1))
         out[0] = x
-        for i in range(n_steps):
-            x = geo.frame_step(x, scale * rng.standard_normal((n_paths, d)))
-            out[i + 1] = x
-        return times, out
-    for _ in range(n_steps):
+    for i in range(n_steps):
         x = geo.frame_step(x, scale * rng.standard_normal((n_paths, d)))
-    return times, x
+        if record:
+            out[i + 1] = x
+    return times, out if record else x
 
 
 def simulate_bm(d, t, dt, seed):

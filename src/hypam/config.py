@@ -3,8 +3,8 @@
 Every numerical tolerance used by the geometry layer lives in this module so
 that the whole package agrees on what "equal" means.  Randomness is organised
 around one master seed: every consumer derives an independent counter-based
-stream with :func:`stream`, which makes results reproducible bit-for-bit and
-independent of scheduling or chunking.
+stream with :func:`stream`, which makes results reproducible bit-for-bit at
+a fixed BLAS thread count and independent of chunking.
 """
 
 import ast

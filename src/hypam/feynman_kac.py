@@ -59,13 +59,13 @@ class LazyFieldEvaluator:
     most 96 nearest existing sites within the conditioning radius.  Points
     without a site in reach are thinned in query order by
     :func:`geometry._greedy_keep`, each skipped when within the snap
-    distance of one accepted before it.  Snap lookups go through
-    :meth:`FieldRealization.nearest_site_within` and return exactly the
-    sites a dense scan would.  Each extension replaces the realization (none
-    is edited) and draws from the stream numbered by the realization's
-    extension count; ``extend_field`` enforces the site budget.  Every path
-    of a quenched run sees the same field.  Query order is deterministic,
-    hence so are the values.
+    distance of one accepted before it.  Their close pairs, like the snap
+    lookups of :meth:`FieldRealization.nearest_site_within`, come from the
+    neighbour index and are exactly those a dense scan would find.  Each
+    extension replaces the realization (none is edited) and draws from the
+    stream numbered by the realization's extension count; ``extend_field``
+    enforces the site budget.  Every path of a quenched run sees the same
+    field.  Query order is deterministic, hence so are the values.
     """
 
     def __init__(self, spec, d, seed):
@@ -85,10 +85,8 @@ class LazyFieldEvaluator:
         idx, _ = self.realization.nearest_site_within(pts, self.snap_h)
         missing = pts[idx < 0]
         if len(missing):
-            # close[i, j]: missing point j lies within reach of missing point i
-            close = geo.distance(missing[:, None, :], missing[None, :, :],
-                                 validate=False) <= self.snap_h
-            accepted = geo._greedy_keep(close, len(missing))
+            i, j, _ = geo._SiteIndex(missing).close_pairs(self.snap_h)
+            accepted = geo._greedy_keep(i, j, len(missing), len(missing))
             n_ext = self.realization.meta.get("extensions", 0) + 1
             self.realization = extend_field(
                 self.realization, missing[accepted],

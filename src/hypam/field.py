@@ -12,15 +12,15 @@ n x n array.
 
 Every "which sites are near these points" question (covariance assembly and
 its distinct-sites check, nearest-site lookups, the conditioning set of an
-extension, island and cluster adjacency) goes through one neighbour index,
-``geometry._SiteIndex``, which the greedy packing shares: a k-d tree over the
-sites' Poincare-ball coordinates, queried with a Euclidean radius that
-provably contains the hyperbolic ball and then filtered with the exact
-``geo.cosh_distance``.  The ball model is conformal, so that radius is tight
-in every direction.  The candidates therefore never drop a site the dense
-scan would find, and the answers are the dense scan's answers; a covariance
-matrix holds only the pairs within R0, written into a zeroed matrix, and
-equals the dense evaluation entry for entry.
+extension, the thinning of new lazy sites, island and cluster adjacency, rich
+balls) goes through one neighbour index, ``geometry._SiteIndex``, which the
+greedy packing shares: a k-d tree over the sites' Poincare-ball coordinates,
+queried with a Euclidean radius that provably contains the hyperbolic ball
+and then filtered with the exact ``geo.cosh_distance``.  The ball model is
+conformal, so that radius is tight in every direction.  The candidates never
+drop a site the dense scan would find, so the answers are the dense scan's;
+a covariance matrix holds only the pairs within R0, written into a zeroed
+matrix, and equals the dense evaluation entry for entry.
 """
 
 import functools
@@ -576,24 +576,31 @@ def rich_ball_event(fieldr, threshold, ball_radius, min_points, separation):
     """Does some site-centered ball hold >= min_points super-threshold sites
     pairwise >= separation apart?
 
-    Per center, the super-threshold sites inside the ball are thinned in
-    index order by :func:`geometry._greedy_keep`, a site dropping out when
-    it lies closer than ``separation`` to one kept before it.
+    One neighbour index over the super-threshold sites finds each ball's
+    members and their pairs closer than ``separation``; per center,
+    :func:`geometry._greedy_keep` thins the members in index order.
     """
     super_idx = np.flatnonzero(fieldr.values > threshold)
     if super_idx.size < min_points:
         return False
     pts = fieldr.sites[super_idx]
-    dist_pp = geo.distance(pts[:, None, :], pts[None, :, :], validate=False)
-    dist_cp = geo.distance(fieldr.sites[:, None, :], pts[None, :, :],
-                           validate=False)
+    index = geo._SiteIndex(pts)
+    i, j, dist = index.close_pairs(separation)
+    i, j = i[dist < separation], j[dist < separation]
+    ci, pi = index.candidates(fieldr.sites, ball_radius)
+    inball = geo.distance(fieldr.sites[ci], pts[pi], validate=False) <= ball_radius
+    ci, pi = ci[inball], pi[inball]
+    bounds = np.searchsorted(ci, np.arange(len(fieldr.sites) + 1))
     need = int(math.ceil(min_points))
-    for c in range(len(fieldr.sites)):
-        inside = np.flatnonzero(dist_cp[c] <= ball_radius)
-        # near[m, k]: the distance from site k to site m is below separation
-        if inside.size >= need and geo._greedy_keep(
-                dist_pp[np.ix_(inside, inside)].T < separation, need).size == need:
-            return True
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        inside = pi[lo:hi]
+        if inside.size >= need:
+            rank = np.full(len(pts), -1)
+            rank[inside] = np.arange(inside.size)
+            both = (rank[i] >= 0) & (rank[j] >= 0)
+            kept = geo._greedy_keep(rank[i[both]], rank[j[both]], inside.size, need)
+            if kept.size == need:
+                return True
     return False
 
 

@@ -7,7 +7,7 @@ The Poincare ball serves as an independent cross-check of distances and as
 the coordinates of the one neighbour index (``_SiteIndex``): a k-d tree whose
 Euclidean query radius provably holds the hyperbolic ball, followed by the
 exact ``cosh_distance`` test.  Packing, covariance assembly, nearest sites,
-conditioning sets, islands and clusters all ask it which points are near.
+conditioning sets, new lazy sites, islands, clusters and rich balls use it.
 """
 
 import itertools
@@ -420,12 +420,7 @@ def sample_region(region, d, rng, n):
     else:
         raise TypeError(f"unsupported region {region!r}")
     radii = _radial_sampler(lo, hi, d)(rng, n)
-    dirs = rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = np.empty((n, d + 1))
-    pts[:, 0] = np.cosh(radii)
-    pts[:, 1:] = np.sinh(radii)[:, None] * dirs
-    return pts
+    return point_at(d, radii, rng.standard_normal((n, d)))
 
 
 def _shrunk(region, r):
@@ -441,20 +436,22 @@ def _shrunk(region, r):
     raise TypeError(f"unsupported region {region!r}")
 
 
-def _greedy_keep(near, limit):
-    """Indices kept by one in-order greedy pass over a square boolean matrix.
+def _greedy_keep(i, j, n, limit):
+    """Indices kept by one in-order greedy pass over 0..n-1, given the close
+    pairs i < j in lexicographic order (as from ``_SiteIndex.close_pairs``).
 
-    Index k is kept unless an earlier kept index m has ``near[m, k]``; the
-    pass stops once ``limit`` indices are kept.  Returns them ascending.
+    Index k is kept unless paired with an earlier kept index; the pass stops
+    once ``limit`` indices are kept.  Returns them ascending.
     """
-    blocked = np.zeros(len(near), dtype=bool)
+    starts = np.searchsorted(i, np.arange(n + 1))
+    blocked = np.zeros(n, dtype=bool)
     kept = []
-    for k in range(len(near)):
+    for k in range(n):
         if len(kept) == limit:
             break
         if not blocked[k]:
             kept.append(k)
-            blocked |= near[k]
+            blocked[j[starts[k]:starts[k + 1]]] = True
     return np.array(kept, dtype=np.intp)
 
 
@@ -463,14 +460,14 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
 
     Candidates are drawn volume-uniformly from the r-shrunken region in
     batches of 512 and kept, in draw order, when more than 2r from every
-    accepted center.  Each batch is decided at once: the neighbour index over
-    the centers kept so far finds those within 2r of a candidate, one
-    candidate-by-candidate block covers the batch itself, and
-    :func:`_greedy_keep` keeps, in draw order, what neither rules out.  Both
-    tests compare the same ``cosh_distance`` values with cosh(2r) as a
-    one-by-one scan would, so the centers are the scan's.  Sampling stops
-    after 8 consecutive fruitless batches (declared maximal) or at
-    ``max_centers`` (recorded as non-maximal).  Deterministic given ``seed``.
+    accepted center.  Each batch is decided at once: one neighbour index over
+    the centers kept so far finds those within 2r of a candidate, another
+    over the batch finds its close candidate pairs, and :func:`_greedy_keep`
+    keeps, in draw order, what neither rules out.  Both tests compare the
+    same ``cosh_distance`` values with cosh(2r) as a one-by-one scan would,
+    so the centers are the scan's.  Sampling stops after 8 consecutive
+    fruitless batches (declared maximal) or at ``max_centers`` (recorded as
+    non-maximal).  Deterministic given ``seed``.
     """
     batch, patience = 512, 8
     if r <= 0:
@@ -492,9 +489,9 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
             qi, si = _SiteIndex(buf[:n]).candidates(cands, 2.0 * r)
             free[qi[cosh_distance(cands[qi], buf[si]) <= cosh2r]] = False
         cands = cands[free]
-        # near[k, m]: candidates k and m are within 2r of each other
-        near = cosh_distance(cands[:, None, :], cands[None, :, :]) <= cosh2r
-        keep = _greedy_keep(near, max_centers - n)
+        qi, si = _SiteIndex(cands).candidates(cands, 2.0 * r)
+        close = (qi < si) & (cosh_distance(cands[qi], cands[si]) <= cosh2r)
+        keep = _greedy_keep(qi[close], si[close], len(cands), max_centers - n)
         buf[n:n + keep.size] = cands[keep]
         n += keep.size
         idle = 0 if keep.size else idle + 1

@@ -100,6 +100,23 @@ def oracle_greedy_packing(region, r, d, seed, max_centers):
     return kept[:n], n < max_centers
 
 
+def oracle_greedy_keep(near, limit):
+    """Indices kept by one in-order greedy pass over a square boolean matrix.
+
+    Index k is kept unless an earlier kept index m has ``near[m, k]``; the
+    pass stops once ``limit`` indices are kept.  Returns them ascending.
+    """
+    blocked = np.zeros(len(near), dtype=bool)
+    kept = []
+    for k in range(len(near)):
+        if len(kept) == limit:
+            break
+        if not blocked[k]:
+            kept.append(k)
+            blocked |= near[k]
+    return np.array(kept, dtype=np.intp)
+
+
 def oracle_islands(fieldr, delta, t, h):
     """Connected components via explicit adjacency matrix and BFS."""
     thr = delta * t ** (2.0 / 3.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -288,6 +289,25 @@ def test_lazy_evaluator_budget(spec_unit, monkeypatch):
     pts = geo.sample_region(geo.BallRegion(4.0), 2, stream(9, "budget"), 40)
     with pytest.raises(BudgetExceeded):
         ev.values_at(pts)
+
+
+def test_lazy_evaluator_thins_without_dense_block(spec_unit):
+    # m missing points 0.2 apart on a circle at radius 5 have O(m) close
+    # pairs; thinning them must not hold an m x m float block
+    m, r = 2000, 5.0
+    theta = 0.2 * np.arange(m) / np.sinh(r)
+    pts = geo.point_at(2, r, np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    ev = fk.LazyFieldEvaluator(spec_unit, 2, seed=1)
+    tracemalloc.start()
+    try:
+        vals = ev.values_at(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8
+    # the snap distance R0/4 exceeds the spacing: every other point is a site
+    assert ev.n_sites == 1 + m // 2
+    assert np.all(np.isfinite(vals))
 
 
 def test_split_bound_on_simulated_instances(spec_unit):

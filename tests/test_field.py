@@ -652,8 +652,8 @@ def test_rich_ball_event_matches_literal_scan(d, seed):
     f = fd.sample_field(spec, sites, seed=seed)
     outcomes = []
     # threshold, ball radius, min_points, separation
-    for args in itertools.product((-0.5, 0.5, 1.2), (0.4, 1.0, 2.5), (1, 2.5, 4),
-                                  (0.2, 0.6, 1.2)):
+    for args in itertools.product((-0.5, 0.5, 1.2), (0.4, 1.0, 2.5, 6.0),
+                                  (1, 2.5, 4), (0.2, 0.6, 1.2)):
         got = fd.rich_ball_event(f, *args)
         assert got == oracle_rich_ball_event(f, *args)
         outcomes.append(got)

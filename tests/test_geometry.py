@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypam import geometry as geo
 from hypam.config import stream
 from oracles import (oracle_cosh_distance, oracle_frame_step,
-                     oracle_greedy_packing, oracle_minkowski_dot,
-                     oracle_project, oracle_tangent_step)
+                     oracle_greedy_keep, oracle_greedy_packing,
+                     oracle_minkowski_dot, oracle_project, oracle_tangent_step)
 
 
 def test_distance_identity():
@@ -166,6 +166,18 @@ def test_side_length_triangle(r1, r2, theta):
     s = geo.side_length(r1, r2, theta)
     assert s <= r1 + r2 + 1e-9
     assert s >= abs(r1 - r2) - 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(0, 60), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_greedy_keep_matches_matrix_oracle(data, n, density, seed):
+    # a random symmetric "too close" matrix, fed as its i < j pairs
+    limit = data.draw(st.integers(0, n + 1))
+    upper = np.triu(stream(seed, "greedy").random((n, n)) < density, k=1)
+    i, j = np.nonzero(upper)
+    assert np.array_equal(geo._greedy_keep(i, j, n, limit),
+                          oracle_greedy_keep(upper | upper.T, limit))
 
 
 class TestPacking:
