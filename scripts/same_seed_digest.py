@@ -36,6 +36,14 @@ CALLS = [
     ("fk-quenched-d3", "fk",
      {"d": 3, "sigma2": 0.25, "t": 1.0, "dt": 0.01, "n_paths": 24,
       "mode": "quenched"}, 3),
+    # the benchmark's quenched shape
+    ("fk-quenched-bench", "fk",
+     {"sigma2": 0.25, "t": 2.0, "dt": 0.01, "n_paths": 60, "mode": "quenched"}, 6004),
+    # about 1600 sites in d = 3: the lazy field's neighbour index rebuilds
+    # its k-d tree a dozen times and scans a tail in between
+    ("fk-quenched-d3-long", "fk",
+     {"d": 3, "sigma2": 0.25, "t": 2.0, "dt": 0.01, "n_paths": 24,
+      "mode": "quenched"}, 7),
     ("fk-annealed", "fk",
      {"sigma2": 0.25, "t": 1.0, "dt": 0.01, "n_paths": 32, "mode": "annealed"}, 3),
     ("fk-localized", "fk-localized",

@@ -60,12 +60,17 @@ class LazyFieldEvaluator:
     without a site in reach are thinned in query order by
     :func:`geometry._greedy_keep`, each skipped when within the snap
     distance of one accepted before it.  Their close pairs, like the snap
-    lookups of :meth:`FieldRealization.nearest_site_within`, come from the
-    neighbour index and are exactly those a dense scan would find.  Each
-    extension replaces the realization (none is edited) and draws from the
-    stream numbered by the realization's extension count; ``extend_field``
-    enforces the site budget.  Every path of a quenched run sees the same
-    field.  Query order is deterministic, hence so are the values.
+    lookups, come from the neighbour index and are exactly those a dense
+    scan would find.  Each extension replaces the realization with one that
+    appends the new sites to the same site store (no site's row is edited)
+    and draws from the stream numbered by the realization's extension count;
+    ``extend_field`` enforces the site budget.  After an extension only a
+    new site can be a point's nearer site, so the points are snapped again
+    against the new sites alone: a new site takes a point when its cosh
+    distance is strictly below the old site's, so ties keep the older, lower
+    index, as a dense argmin over every site would.  Every path of a
+    quenched run sees the same field.  Query order is deterministic, hence
+    so are the values.
     """
 
     def __init__(self, spec, d, seed):
@@ -82,18 +87,23 @@ class LazyFieldEvaluator:
 
     def values_at(self, points):
         pts = np.asarray(points, dtype=float)
-        idx, _ = self.realization.nearest_site_within(pts, self.snap_h)
+        idx, _, best = self.realization._neighbours().nearest_within(pts, self.snap_h)
         missing = pts[idx < 0]
         if len(missing):
             i, j, _ = geo._SiteIndex(missing).close_pairs(self.snap_h)
-            accepted = geo._greedy_keep(i, j, len(missing), len(missing))
+            new_sites = missing[geo._greedy_keep(i, j, len(missing), len(missing))]
+            n_old = self.n_sites
             n_ext = self.realization.meta.get("extensions", 0) + 1
             self.realization = extend_field(
-                self.realization, missing[accepted],
+                self.realization, new_sites,
                 seed=stream(self.seed, "lazy", n_ext).integers(2 ** 31))
-            # every point now lies within snap_h of a site: a missing point
-            # was accepted, or lies within snap_h of one that was
-            idx, _ = self.realization.nearest_site_within(pts, self.snap_h)
+            # only a new site can be nearer now, and it takes a point only
+            # with a strictly smaller cosh (ties keep the older, lower
+            # index); every point now lies within snap_h of a site: a
+            # missing point was accepted, or lies within snap_h of one that was
+            new_idx, _, new_best = geo._SiteIndex(new_sites).nearest_within(
+                pts, self.snap_h)
+            idx = np.where(new_best < best, n_old + new_idx, idx)
         return self.realization.values[idx]
 
 

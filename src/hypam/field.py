@@ -14,13 +14,19 @@ Every "which sites are near these points" question (covariance assembly and
 its distinct-sites check, nearest-site lookups, the conditioning set of an
 extension, the thinning of new lazy sites, island and cluster adjacency, rich
 balls) goes through one neighbour index, ``geometry._SiteIndex``, which the
-greedy packing shares: a k-d tree over the sites' Poincare-ball coordinates,
-queried with a Euclidean radius that provably contains the hyperbolic ball
-and then filtered with the exact ``geo.cosh_distance``.  The ball model is
-conformal, so that radius is tight in every direction.  The candidates never
-drop a site the dense scan would find, so the answers are the dense scan's;
-a covariance matrix holds only the pairs within R0, written into a zeroed
+greedy packing shares: a k-d tree over the sites' Poincare-ball coordinates
+plus a short tail of later sites scanned by broadcast, queried with a
+Euclidean radius that provably contains the hyperbolic ball and then
+filtered with the exact ``geo.cosh_distance``.  The ball model is conformal,
+so that radius is tight in every direction.  The candidates never drop a
+site the dense scan would find, so the answers are the dense scan's; a
+covariance matrix holds only the pairs within R0, written into a zeroed
 matrix, and equals the dense evaluation entry for entry.
+
+A lazily grown field keeps its sites in one append-only :class:`_SiteStore`
+with each site's Poincare image and polar parts computed once, so an
+extension costs what its new sites and their neighbourhood cost, not a copy
+and a new k-d tree over every site.
 """
 
 import functools
@@ -198,14 +204,55 @@ def _lattice_factor(spec, sites):
     return _cholesky_with_jitter(spec.cov_matrix(sites), spec.sigma2)
 
 
+class _SiteStore:
+    """Append-only rows shared by the realizations of one lazily grown
+    field: the sites, their values, and each site's Poincare image and polar
+    parts (``geometry._polar``), computed once when the row is appended.
+
+    A realization views a prefix of the rows, read-only; capacity doubles as
+    rows arrive.  Only the realization viewing every row appends to the
+    store, so rows a realization views are never written again.
+    """
+
+    def __init__(self, fieldr):
+        """A store holding a copy of a realization's rows."""
+        index = fieldr._neighbours()
+        rows = (fieldr.sites, fieldr.values, index._ball, *index._polar)
+        self.n = fieldr.n_sites
+        self._bufs = [np.empty((2 * self.n,) + col.shape[1:]) for col in rows]
+        for buf, col in zip(self._bufs, rows):
+            buf[:self.n] = col
+
+    def append(self, sites, values):
+        """Append sites and their values; returns the views of all rows:
+        sites, values, Poincare images, and the polar parts as a tuple."""
+        rows = (sites, values, geo.to_poincare(sites), *geo._polar(sites))
+        end = self.n + len(sites)
+        if end > len(self._bufs[0]):
+            grown = [np.empty((2 * end,) + buf.shape[1:]) for buf in self._bufs]
+            for new, buf in zip(grown, self._bufs):
+                new[:self.n] = buf[:self.n]
+            self._bufs = grown
+        views = []
+        for buf, col in zip(self._bufs, rows):
+            buf[self.n:end] = col
+            views.append(buf[:end])
+            views[-1].flags.writeable = False
+        self.n = end
+        return *views[:3], tuple(views[3:])
+
+
 @dataclass
 class FieldRealization:
     """Sampled field values on a site set, extendable by conditioning.
 
-    A realization is never modified after it is built (extensions return a
-    new one), so the neighbour index built on first use stays valid for its
-    lifetime.  ``h`` records the lattice spacing of packed sites, read only
-    as :func:`detect_islands`' default adjacency scale.
+    A realization's sites and values never change: an extension returns a
+    new realization.  One-shot draws and hand-built realizations hold plain
+    arrays; the realizations of a lazily grown field view prefixes of one
+    append-only :class:`_SiteStore`, and each one's neighbour index keeps
+    its parent's k-d tree until its tail of new sites is long.  ``h``
+    records the lattice spacing of packed sites, read only as
+    :func:`detect_islands`' default adjacency scale.
     """
     spec: CovarianceSpec
     sites: np.ndarray          # (n, d+1) hyperboloid coordinates
@@ -214,6 +261,8 @@ class FieldRealization:
     h: float | None = None     # lattice spacing when sites come from a packing
     meta: dict = dfield(default_factory=dict)
     _index: geo._SiteIndex | None = dfield(default=None, init=False, repr=False,
+                                       compare=False)
+    _store: _SiteStore | None = dfield(default=None, init=False, repr=False,
                                        compare=False)
 
     @property
@@ -232,7 +281,7 @@ class FieldRealization:
         rho; where one does, the answer equals :meth:`nearest_site`'s, ties
         going to the lowest site index.
         """
-        return self._neighbours().nearest_within(np.asarray(points, dtype=float), rho)
+        return self._neighbours().nearest_within(np.asarray(points, dtype=float), rho)[:2]
 
     def nearest_site(self, points):
         """Indices and distances of the closest site per point of a (..., d+1)
@@ -279,14 +328,15 @@ def extend_field(fieldr, new_sites, seed):
     sites must lie more than ``COINCIDENT_DISTANCE`` from each other and
     from every existing site; the union holds at most ``MAX_FIELD_SITES``,
     one block at most ``MAX_ONESHOT_SITES``.  Existing sites come from the
-    realization's neighbour index, and only they are measured against the
-    new block; the conditioning set and its order are those of a dense scan.
+    realization's neighbour index, and only its candidate pairs are measured;
+    the conditioning set and its order are those of a dense scan.
     With ``[[L11, 0], [L21, L22]]`` the :func:`_lattice_factor` of the
     covariance of those sites then the new ones, the new values
     are ``L21 L11^-1 x + L22 z`` (x their values, z standard normals), the
     kriging law: ``L21 L11^-1 = C_no C_oo^-1`` and ``L22 L22^T = C_nn - C_no
     C_oo^-1 C_on``, and ``L22 z`` with no conditioning site.  Returns a new
-    realization over the union (the original is untouched), with the largest
+    realization over the union, whose rows are appended to the original's
+    :class:`_SiteStore` (the original's rows are untouched), with the largest
     jitter so far in ``meta["jitter"]``, extensions in ``meta["extensions"]``.
     """
     spec = fieldr.spec
@@ -295,15 +345,24 @@ def extend_field(fieldr, new_sites, seed):
         raise BudgetExceeded(f"field site count above cap {MAX_FIELD_SITES}")
 
     cond_radius = COND_RADIUS_FACTOR * spec.R0
-    cand = np.unique(fieldr._neighbours().candidates(new_sites, cond_radius)[1])
-    dist_on = geo.distance(fieldr.sites[cand][:, None, :], new_sites[None, :, :],
-                           validate=False)
-    if cand.size and np.min(dist_on) <= COINCIDENT_DISTANCE:
+    index = fieldr._neighbours()
+    qi, si = index.candidates(new_sites, cond_radius)
+    # an existing site's distance to the new block is the least over its
+    # candidate pairs wherever it is within cond_radius, as every such pair
+    # is a candidate
+    order = np.argsort(si, kind="stable")
+    qi, si = qi[order], si[order]
+    dist_on = np.arccosh(np.maximum(1.0, geo._polar_cosh(
+        geo._take(index._polar, si), geo._take(geo._polar(new_sites), qi))))
+    first = np.flatnonzero(np.diff(si, prepend=-1))
+    cand = si[first]
+    gap = np.minimum.reduceat(dist_on, first) if si.size else dist_on
+    if cand.size and np.min(gap) <= COINCIDENT_DISTANCE:
         raise ConstraintViolation("new sites must be disjoint from existing sites")
 
-    keep = np.flatnonzero(np.min(dist_on, axis=1) <= cond_radius)
+    keep = np.flatnonzero(gap <= cond_radius)
     if keep.size > COND_SITE_CAP:
-        order = np.argsort(np.min(dist_on[keep], axis=1))
+        order = np.argsort(gap[keep])
         keep = keep[order[:COND_SITE_CAP]]
     near = cand[keep]
 
@@ -313,13 +372,19 @@ def extend_field(fieldr, new_sites, seed):
     new_values = (L[k:, :k] @ solve_triangular(L[:k, :k], fieldr.values[near],
                                                lower=True)
                   + L[k:, k:] @ rng.standard_normal(len(new_sites)))
-    return FieldRealization(
-        spec,
-        np.vstack([fieldr.sites, new_sites]),
-        np.concatenate([fieldr.values, new_values]),
-        fieldr.d, h=fieldr.h,
+    store = fieldr._store
+    if store is None or store.n != fieldr.n_sites:
+        # a one-shot realization, or one another extension has outgrown: its
+        # rows start a new store, so no newer realization's rows are written
+        store = _SiteStore(fieldr)
+    sites, values, ball, polar = store.append(new_sites, new_values)
+    out = FieldRealization(
+        spec, sites, values, fieldr.d, h=fieldr.h,
         meta={**fieldr.meta, "extensions": fieldr.meta.get("extensions", 0) + 1,
               "jitter": max(fieldr.meta.get("jitter", 0.0), jit)})
+    out._store = store
+    out._index = geo._SiteIndex._over(sites, ball, polar, index)
+    return out
 
 
 # --- extremal statistics -------------------------------------------------------
@@ -577,8 +642,9 @@ def rich_ball_event(fieldr, threshold, ball_radius, min_points, separation):
     pairwise >= separation apart?
 
     One neighbour index over the super-threshold sites finds each ball's
-    members and their pairs closer than ``separation``; per center,
-    :func:`geometry._greedy_keep` thins the members in index order.
+    members and their pairs closer than ``separation``, grouped once by
+    their lower member; per center, :func:`geometry._greedy_keep` thins the
+    members in index order, reading only the members' groups.
     """
     super_idx = np.flatnonzero(fieldr.values > threshold)
     if super_idx.size < min_points:
@@ -586,21 +652,29 @@ def rich_ball_event(fieldr, threshold, ball_radius, min_points, separation):
     pts = fieldr.sites[super_idx]
     index = geo._SiteIndex(pts)
     i, j, dist = index.close_pairs(separation)
-    i, j = i[dist < separation], j[dist < separation]
+    close = dist < separation
+    # member k's partners above it are j[row[k]:row[k + 1]]
+    j, row = j[close], np.searchsorted(i[close], np.arange(len(pts) + 1))
     ci, pi = index.candidates(fieldr.sites, ball_radius)
     inball = geo.distance(fieldr.sites[ci], pts[pi], validate=False) <= ball_radius
     ci, pi = ci[inball], pi[inball]
     bounds = np.searchsorted(ci, np.arange(len(fieldr.sites) + 1))
     need = int(math.ceil(min_points))
+    rank = np.full(len(pts), -1)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         inside = pi[lo:hi]
-        if inside.size >= need:
-            rank = np.full(len(pts), -1)
-            rank[inside] = np.arange(inside.size)
-            both = (rank[i] >= 0) & (rank[j] >= 0)
-            kept = geo._greedy_keep(rank[i[both]], rank[j[both]], inside.size, need)
-            if kept.size == need:
-                return True
+        if inside.size < need:
+            continue
+        # the members' pairs, in lexicographic order of member rank
+        lens = row[inside + 1] - row[inside]
+        at = np.repeat(row[inside] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        rank[inside] = np.arange(inside.size)
+        mj = rank[j[at]]
+        rank[inside] = -1
+        both = mj >= 0
+        mi = np.repeat(np.arange(inside.size), lens)[both]
+        if geo._greedy_keep(mi, mj[both], inside.size, need).size == need:
+            return True
     return False
 
 

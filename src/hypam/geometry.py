@@ -4,10 +4,12 @@ A point of H^d is a (d+1)-vector x with Minkowski self-product
 ``<x,x> = -x0^2 + x1^2 + ... + xd^2 = -1`` and ``x0 >= 1``.  All functions
 take arrays whose last axis has length d+1 and broadcast over leading axes.
 The Poincare ball serves as an independent cross-check of distances and as
-the coordinates of the one neighbour index (``_SiteIndex``): a k-d tree whose
-Euclidean query radius provably holds the hyperbolic ball, followed by the
-exact ``cosh_distance`` test.  Packing, covariance assembly, nearest sites,
-conditioning sets, new lazy sites, islands, clusters and rich balls use it.
+the coordinates of the one neighbour index (``_SiteIndex``): a k-d tree plus
+a short tail of later sites scanned by broadcast, queried with a Euclidean
+radius that provably holds the hyperbolic ball, followed by the exact
+``cosh_distance`` test.  Packing and its covering probe, covariance assembly,
+nearest sites, conditioning sets, new lazy sites, islands, clusters and rich
+balls use it.
 """
 
 import itertools
@@ -98,16 +100,23 @@ def cosh_distance(x, y):
     are nonnegative, so unlike -<x,y> (a difference of e^(2r)-sized numbers)
     this loses no precision at large radius.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sx = np.sqrt(_row_dot(x[..., 1:]))
-    sy = np.sqrt(_row_dot(y[..., 1:]))
-    r1 = radius(x)
-    r2 = radius(y)
-    nx = x[..., 1:] / np.maximum(sx, 1e-300)[..., None]
-    ny = y[..., 1:] / np.maximum(sy, 1e-300)[..., None]
-    cross = _row_dot(nx - ny)
-    return np.cosh(r1 - r2) + 0.5 * sx * sy * cross
+    return _polar_cosh(_polar(np.asarray(x, dtype=float)),
+                       _polar(np.asarray(y, dtype=float)))
+
+
+def _polar(x):
+    """Polar parts (r, sinh r, unit direction n) of points, as
+    :func:`cosh_distance` measures them; sinh r is the spatial norm."""
+    s = np.sqrt(_row_dot(x[..., 1:]))
+    return radius(x), s, x[..., 1:] / np.maximum(s, 1e-300)[..., None]
+
+
+def _polar_cosh(a, b):
+    """cosh of the distance between points given by their :func:`_polar`
+    parts; elementwise, so cached parts give the same bits."""
+    (r1, s1, n1), (r2, s2, n2) = a, b
+    cross = _row_dot(n1 - n2)
+    return np.cosh(r1 - r2) + 0.5 * s1 * s2 * cross
 
 
 def distance(x, y, validate=True):
@@ -290,64 +299,122 @@ def _poincare_radius(rho, r):
     return np.where(r + rho > _POINCARE_CUTOFF, 2.0, tight)
 
 
+# A _SiteIndex scans the sites appended after its k-d tree (its tail) by
+# broadcast while there are at most this many, and otherwise builds a tree
+# over all its sites; a set of at most this many sites gets no tree.  Chosen
+# by timing lazy quenched runs with bounds from 32 to 512.
+_TAIL_MAX = 128
+
+
+def _gap2(a, b):
+    """Squared Euclidean distances of every row of a to every row of b, one
+    coordinate column at a time."""
+    out = np.subtract.outer(a[:, 0], b[:, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        out += np.subtract.outer(a[:, k], b[:, k]) ** 2
+    return out
+
+
+def _take(polar, idx):
+    return tuple(part[idx] for part in polar)
+
+
 class _SiteIndex:
-    """k-d tree over the Poincare-ball coordinates of a fixed site array.
+    """Neighbour index over the Poincare-ball coordinates of a site array: a
+    k-d tree over its leading sites and a tail of at most ``_TAIL_MAX`` later
+    ones, scanned in one broadcast with the same Euclidean bound.
 
     Queries return candidates from a Euclidean radius that contains the
     hyperbolic ball (:func:`_poincare_radius`); callers keep the candidates
-    that pass the exact hyperbolic test, so results match a dense scan.
+    that pass the exact hyperbolic test, so results match a dense scan.  Each
+    site's Poincare image and :func:`_polar` parts are computed once: an
+    index over sites appended to another index's (:meth:`_over`) takes them
+    as given and keeps the other's tree until its tail would pass
+    ``_TAIL_MAX``.
     """
 
     def __init__(self, sites):
-        self.sites = sites
-        self.tree = cKDTree(to_poincare(sites))
+        sites = np.asarray(sites, dtype=float)
+        self._set(sites, to_poincare(sites), _polar(sites), None, 0)
+
+    @classmethod
+    def _over(cls, sites, ball, polar, base):
+        """Index over sites given with their Poincare images and polar parts,
+        whose leading rows are the sites of the index ``base``."""
+        index = cls.__new__(cls)
+        index._set(sites, ball, polar, base._tree, base._tree_n)
+        return index
+
+    def _set(self, sites, ball, polar, tree, tree_n):
+        if len(sites) - tree_n > _TAIL_MAX:
+            tree, tree_n = cKDTree(ball), len(sites)
+        self.sites, self._ball, self._polar = sites, ball, polar
+        self._tree, self._tree_n = tree, tree_n
 
     def candidates(self, points, rho):
         """Flat (point, site) index pairs that may lie within rho (a scalar
         or one radius per point), grouped by point with ascending site
         indices."""
-        lists = self.tree.query_ball_point(
-            to_poincare(points), _poincare_radius(rho, radius(points)),
-            return_sorted=True)
-        lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-        qi = np.repeat(np.arange(len(points)), lens)
-        si = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
-                         count=int(lens.sum()))
-        return qi, si
+        ball = to_poincare(points)
+        bound = _poincare_radius(rho, radius(points))
+        qi = si = np.empty(0, dtype=np.intp)
+        if self._tree is not None:
+            lists = self._tree.query_ball_point(ball, bound, return_sorted=True)
+            lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+            qi = np.repeat(np.arange(len(points)), lens)
+            si = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
+                             count=int(lens.sum()))
+        tail = self._ball[self._tree_n:]
+        if len(tail) == 0:
+            return qi, si
+        qt, st = np.nonzero(_gap2(ball, tail) <= (bound * bound)[:, None])
+        st += self._tree_n
+        if qi.size == 0:
+            return qt, st
+        # each point's tree sites are all below its tail sites
+        qi, si = np.concatenate([qi, qt]), np.concatenate([si, st])
+        order = np.argsort(qi, kind="stable")
+        return qi[order], si[order]
 
     def nearest_within(self, points, rho):
-        """Nearest site per point and its distance, or -1 and inf where no
-        site lies within rho (a scalar or one radius per point).  Ties go to
-        the lowest site index."""
+        """Nearest site per point, its distance and the distance's cosh, or
+        -1, inf and inf where no site lies within rho (a scalar or one radius
+        per point).  Ties in the cosh go to the lowest site index."""
         rho = np.broadcast_to(np.asarray(rho, dtype=float), (len(points),))
         idx = np.full(len(points), -1, dtype=np.intp)
-        dist = np.full(len(points), np.inf)
+        cosh = np.full(len(points), np.inf)
         qi, si = self.candidates(points, rho)
-        if si.size == 0:
-            return idx, dist
-        prod = cosh_distance(points[qi], self.sites[si])
-        starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
-        best = np.minimum.reduceat(prod, starts)
-        at_best = prod == np.repeat(best, np.diff(np.r_[starts, qi.size]))
-        best_si = np.minimum.reduceat(np.where(at_best, si, len(self.sites)), starts)
-        best_dist = np.arccosh(np.maximum(1.0, best))
-        hit = best_dist <= rho[qi[starts]]
-        idx[qi[starts[hit]]] = best_si[hit]
-        dist[qi[starts[hit]]] = best_dist[hit]
-        return idx, dist
+        if si.size:
+            prod = _polar_cosh(_take(_polar(points), qi), _take(self._polar, si))
+            starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+            best = np.minimum.reduceat(prod, starts)
+            at_best = prod == np.repeat(best, np.diff(np.r_[starts, qi.size]))
+            best_si = np.minimum.reduceat(np.where(at_best, si, len(self.sites)), starts)
+            hit = np.arccosh(np.maximum(1.0, best)) <= rho[qi[starts]]
+            idx[qi[starts[hit]]] = best_si[hit]
+            cosh[qi[starts[hit]]] = best[hit]
+        return idx, np.arccosh(np.maximum(1.0, cosh)), cosh
 
     def nearest(self, points):
         """Nearest site per point and its distance, as a dense argmin over
         every site would give them (ties to the lowest index).
 
-        The Euclidean nearest neighbour in Poincare coordinates lies at
-        hyperbolic distance D, so the true nearest lies within D.  The search
-        radius is at least 1e-3: with D = 0 (a point on a site) a second site closer than cosh's float
-        resolution ties the first in the cosh domain and must be found too.
+        The Euclidean nearest neighbours in Poincare coordinates, of the tree
+        and of the tail, lie at hyperbolic distances whose minimum D holds
+        the true nearest.  The search radius is at least 1e-3: with D = 0 (a
+        point on a site) a second site closer than cosh's float resolution
+        ties the first in the cosh domain and must be found too.
         """
-        _, near = self.tree.query(to_poincare(points))
-        bound = distance(points, self.sites[near], validate=False)
-        return self.nearest_within(points, np.maximum(bound, 1e-3))
+        ball = to_poincare(points)
+        near = []
+        if self._tree is not None:
+            near.append(self._tree.query(ball)[1])
+        if self._tree_n < len(self.sites):
+            tail = self._ball[self._tree_n:]
+            near.append(self._tree_n + np.argmin(_gap2(ball, tail), axis=1))
+        bound = np.min([distance(points, self.sites[k], validate=False)
+                        for k in near], axis=0)
+        return self.nearest_within(points, np.maximum(bound, 1e-3))[:2]
 
     def close_pairs(self, rho):
         """Index pairs i < j of sites at distance at most rho, in
@@ -356,7 +423,8 @@ class _SiteIndex:
         qi, si = self.candidates(self.sites, rho)
         upper = qi < si
         i, j = qi[upper], si[upper]
-        dist = distance(self.sites[i], self.sites[j], validate=False)
+        dist = np.arccosh(np.maximum(1.0, _polar_cosh(_take(self._polar, i),
+                                                      _take(self._polar, j))))
         keep = dist <= rho
         return i[keep], j[keep], dist[keep]
 
@@ -499,12 +567,17 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
 
 
 def covering_probe(packing, d, n_probes=10000, seed=1):
-    """Fraction of random shrunken-region probes within 2r of some center."""
+    """Fraction of random shrunken-region probes within 2r of some center:
+    cosh d <= cosh(2r) + 1e-12, tested on the neighbour index's candidates
+    within the distance arccosh of that bound, so no probe x centre table is
+    held."""
     inner = _shrunk(packing.region, packing.radius)
     if inner is None or len(packing) == 0:
         return 1.0
     rng = stream(seed, "probe")
     probes = sample_region(inner, d, rng, n_probes)
-    cosh2r = np.cosh(2.0 * packing.radius)
-    prod = cosh_distance(probes[:, None, :], packing.centers[None, :, :])
-    return float(np.mean(np.min(prod, axis=1) <= cosh2r + 1e-12))
+    reach = np.cosh(2.0 * packing.radius) + 1e-12
+    qi, si = _SiteIndex(packing.centers).candidates(probes, np.arccosh(reach))
+    covered = np.zeros(n_probes, dtype=bool)
+    covered[qi[cosh_distance(probes[qi], packing.centers[si]) <= reach]] = True
+    return float(np.mean(covered))

@@ -53,7 +53,10 @@ def linear_fit(x, y):
     if ssxm == 0.0 or ssym == 0.0:
         r = np.nan if ssxym == 0 else 0.0
     else:
-        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+        # ssxm * ssym can underflow to 0 (y spread near 1e-160); the quotient
+        # is then +-inf or NaN, and linregress clamps it the same way
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
     slope = ssxym / ssxm
     intercept = ymean - slope * xmean
     if n > 2:

@@ -100,6 +100,19 @@ def oracle_greedy_packing(region, r, d, seed, max_centers):
     return kept[:n], n < max_centers
 
 
+def oracle_covering_probe(packing, d, n_probes=10000, seed=1):
+    """Covering fraction from the full probes x centres cosh table; the same
+    probe stream as ``geo.covering_probe``."""
+    inner = geo._shrunk(packing.region, packing.radius)
+    if inner is None or len(packing) == 0:
+        return 1.0
+    rng = stream(seed, "probe")
+    probes = geo.sample_region(inner, d, rng, n_probes)
+    cosh2r = np.cosh(2.0 * packing.radius)
+    prod = geo.cosh_distance(probes[:, None, :], packing.centers[None, :, :])
+    return float(np.mean(np.min(prod, axis=1) <= cosh2r + 1e-12))
+
+
 def oracle_greedy_keep(near, limit):
     """Indices kept by one in-order greedy pass over a square boolean matrix.
 
@@ -259,9 +272,11 @@ def oracle_rich_ball_event(fieldr, threshold, ball_radius, min_points, separatio
 def oracle_linear_fit(x, y):
     """Slope, intercept, r2 and 95% slope interval from
     ``scipy.stats.linregress`` and ``t.ppf``; infinite interval for two
-    points."""
+    points.  linregress divides by an underflowed ssxm * ssym as numpy
+    does, warning included; the warning is silenced so the values compare."""
     from scipy import stats as sps
-    res = sps.linregress(x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = sps.linregress(x, y)
     n = len(x)
     half = sps.t.ppf(0.975, n - 2) * res.stderr if n > 2 else np.inf
     return (float(res.slope), float(res.intercept), float(res.rvalue ** 2),

@@ -12,7 +12,8 @@ from hypam import brownian as bm, cli, field as fd, feynman_kac as fk, geometry 
 from hypam.config import BudgetExceeded, ConstraintViolation, stream
 from hypam.varopt import ModelParams, l_star_relaxed, route_constants
 
-from oracles import brute_force_reduce, oracle_localized_accept
+from oracles import (brute_force_reduce, oracle_localized_accept,
+                     oracle_nearest_site)
 
 
 class TestReduceWord:
@@ -289,6 +290,42 @@ def test_lazy_evaluator_budget(spec_unit, monkeypatch):
     pts = geo.sample_region(geo.BallRegion(4.0), 2, stream(9, "budget"), 40)
     with pytest.raises(BudgetExceeded):
         ev.values_at(pts)
+
+
+@pytest.mark.parametrize("d, t, n_paths", [(2, 2.0, 30), (3, 1.0, 24)])
+def test_lazy_snaps_match_dense_after_every_extension(d, t, n_paths):
+    # each call's snapped sites are the dense nearest sites over every site
+    # of the grown field; the d = 3 field rebuilds its k-d tree several times
+    spec = fd.make_spec(0.25, 1.0, d=d)
+    ev = fk.LazyFieldEvaluator(spec, d, seed=3)
+    _, paths = bm.simulate_bm_batch(d, t, 0.01, 3, n_paths)
+    for j in range(n_paths):
+        pts = paths[:, j, :]
+        got = ev.values_at(pts)
+        f = ev.realization
+        # the values are distinct, so each one names its site
+        order = np.argsort(f.values)
+        assert np.all(np.diff(f.values[order]) > 0)
+        idx = order[np.minimum(np.searchsorted(f.values[order], got), f.n_sites - 1)]
+        assert np.array_equal(f.values[idx], got)
+        want, dist = oracle_nearest_site(f.sites, pts)
+        assert np.array_equal(idx, want) and np.all(dist <= ev.snap_h)
+    assert f.n_sites > {2: 1, 3: 4}[d] * geo._TAIL_MAX
+
+
+def test_lazy_snap_tie_keeps_older_site(spec_unit):
+    # o lies at one radius from an old site and from a site the same call
+    # adds: equal cosh, so o keeps the older, lower index, as a dense argmin
+    ev = fk.LazyFieldEvaluator(spec_unit, 2, seed=1)
+    rho = 0.6 * ev.snap_h
+    old = geo.point_at(2, rho, np.array([1.0, 0.0]))
+    new = geo.point_at(2, rho, np.array([-1.0, 0.0]))
+    o = geo.origin(2)
+    assert geo.cosh_distance(o, old) == geo.cosh_distance(o, new)
+    ev.realization = fd.FieldRealization(spec_unit, old[None, :], np.array([7.0]), 2)
+    vals = ev.values_at(np.vstack([o, new]))
+    assert ev.n_sites == 2 and ev.realization.values[1] != 7.0
+    assert vals.tolist() == [7.0, ev.realization.values[1]]
 
 
 def test_lazy_evaluator_thins_without_dense_block(spec_unit):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import tracemalloc
@@ -227,6 +228,34 @@ class TestExtension:
                 fd.sample_field(spec_unit, np.vstack([x, y]), seed=0)
             with pytest.raises(ConstraintViolation):
                 fd.extend_field(base, y, seed=1)
+
+    def test_extending_an_older_realization_copies_its_rows(self, spec_unit):
+        # a is extended to b, then a again: b keeps its rows, and a's second
+        # child is the one a deep copy of a gives, whose store is its own
+        rng = stream(8, "fork")
+        base = fd.sample_field(spec_unit, geo.sample_region(geo.BallRegion(1.0), 2, rng, 5),
+                               seed=1)
+        a = fd.extend_field(base, geo.sample_region(geo.AnnulusRegion(1.5, 2.0), 2, rng, 3),
+                            seed=2)
+        twin = copy.deepcopy(a)
+        b = fd.extend_field(a, geo.sample_region(geo.AnnulusRegion(2.5, 3.0), 2, rng, 4),
+                            seed=3)
+        b_rows = b.sites.copy(), b.values.copy()
+        # forty rows pass the store's capacity
+        new = geo.sample_region(geo.AnnulusRegion(3.5, 4.0), 2, rng, 40)
+        c = fd.extend_field(a, new, seed=4)
+        want = fd.extend_field(twin, new, seed=4)
+        assert np.array_equal(b.sites, b_rows[0]) and np.array_equal(b.values, b_rows[1])
+        assert np.array_equal(c.sites, want.sites) and np.array_equal(c.values, want.values)
+        assert c.meta == want.meta and c.n_sites == a.n_sites + 40
+        assert np.array_equal(c.sites[:a.n_sites], a.sites)
+        # b, still the newest view of its store, appends in place; c is untouched
+        c_rows = c.sites.copy(), c.values.copy()
+        e = fd.extend_field(b, new, seed=5)
+        assert np.array_equal(e.sites[:b.n_sites], b_rows[0])
+        assert np.array_equal(c.sites, c_rows[0]) and np.array_equal(c.values, c_rows[1])
+        with pytest.raises(ValueError):
+            e.values[0] = 0.0
 
     def test_largest_jitter_kept(self, spec_unit, monkeypatch):
         jitters = iter([1e-8, 1e-10, 1e-12, 0.0])
@@ -543,6 +572,42 @@ class TestNeighbourIndex:
         assert np.array_equal(within[hit], want_idx[hit])
         assert np.array_equal(within_dist[hit], want_dist[hit])
         assert np.all(within[~hit] == -1) and np.all(np.isinf(within_dist[~hit]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.sampled_from([2, 3]), radius=st.floats(0.5, 12.0),
+           n=st.integers(1, 400), h=st.floats(0.05, 1.0),
+           steps=st.lists(st.integers(1, 160), min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_grown_index_matches_dense(self, d, radius, n, h, steps, seed):
+        # sites appended a block at a time: the index keeps an older k-d tree
+        # and scans a tail, or rebuilds; its answers are the dense scan's
+        sites, rng = self._sites(d, radius, n, seed)
+        queries = np.vstack([geo.origin(d)[None, :], sites[::5],
+                             geo.sample_region(geo.BallRegion(radius + 1.0), d, rng, 40)])
+        index = geo._SiteIndex(sites[:1])
+        for k in np.minimum(1 + np.cumsum(steps), len(sites)):
+            block = geo._SiteIndex(sites[:k])
+            index = geo._SiteIndex._over(sites[:k], block._ball, block._polar, index)
+            assert index._tree_n <= k <= index._tree_n + geo._TAIL_MAX
+            want_idx, want_dist = oracle_nearest_site(sites[:k], queries)
+            idx, dist = index.nearest(queries)
+            assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+            within, within_dist, cosh = index.nearest_within(queries, h)
+            hit = want_dist <= h
+            assert np.array_equal(within, np.where(hit, want_idx, -1))
+            assert np.array_equal(within_dist, np.where(hit, want_dist, np.inf))
+            assert np.array_equal(np.arccosh(np.maximum(1.0, cosh)), within_dist)
+            # candidates are grouped by point, sites ascending, and hold
+            # every pair within h
+            qi, si = index.candidates(queries, h)
+            assert np.all((np.diff(qi) > 0) | ((np.diff(qi) == 0) & (np.diff(si) > 0)))
+            near = geo.distance(queries[:, None, :], sites[None, :k, :], validate=False) <= h
+            assert near[qi, si].sum() == near.sum()
+            i, j, dist = index.close_pairs(h)
+            fresh = geo._SiteIndex(sites[:k].copy())
+            fi, fj, fdist = fresh.close_pairs(h)
+            assert (np.array_equal(i, fi) and np.array_equal(j, fj)
+                    and np.array_equal(dist, fdist))
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.sampled_from([2, 3]), radius=st.floats(0.5, 20.0),

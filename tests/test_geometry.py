@@ -4,8 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypam import geometry as geo
 from hypam.config import stream
-from oracles import (oracle_cosh_distance, oracle_frame_step,
-                     oracle_greedy_keep, oracle_greedy_packing,
+from oracles import (oracle_cosh_distance, oracle_covering_probe,
+                     oracle_frame_step, oracle_greedy_keep, oracle_greedy_packing,
                      oracle_minkowski_dot, oracle_project, oracle_tangent_step)
 
 
@@ -209,6 +209,17 @@ class TestPacking:
         off = dist[~np.eye(len(p), dtype=bool)]
         assert np.min(off) > 2 * 0.25
         assert geo.covering_probe(p, 2, n_probes=10000, seed=1) == 1.0
+
+    @pytest.mark.parametrize("region, r, d, cap", [
+        (geo.AnnulusRegion(1.0, 3.0), 0.25, 2, 2048),
+        (geo.BallRegion(3.0), 0.2, 2, 60),
+        (geo.BallRegion(2.0), 0.3, 3, 40)])
+    def test_covering_probe_matches_dense(self, region, r, d, cap):
+        # a maximal packing and two capped ones, which leave probes uncovered
+        p = geo.greedy_packing(region, r, d, seed=5, max_centers=cap)
+        got = geo.covering_probe(p, d, n_probes=3000, seed=2)
+        assert got == oracle_covering_probe(p, d, n_probes=3000, seed=2)
+        assert p.maximal or got < 1.0
 
     def test_packing_deterministic(self):
         p1 = geo.greedy_packing(geo.BallRegion(2.0), 0.3, 2, seed=11)
