@@ -77,11 +77,18 @@ CALLS = [
      {"d": 3, "R_list": "2,4", "n_reps": 8, "site_cap": 256}, 1),
     ("exit-check", "exit-check",
      {"R_list": "5,7,9", "t": 2.0, "dt": 0.01, "d": 2, "n_paths": 20000}, 1),
+    # the radial SDE with drift 2 coth(r)
+    ("exit-check-d3", "exit-check",
+     {"R_list": "5,7,9", "t": 2.0, "dt": 0.01, "d": 3, "n_paths": 20000}, 1),
     # a two-point fit: its infinite interval is written as null
     ("exit-check-two-radii", "exit-check",
      {"R_list": "5,7", "t": 2.0, "dt": 0.01, "d": 2, "n_paths": 20000}, 1),
     ("bridge-ldp", "bridge-ldp",
      {"delta": 1.0, "s_list": "0.4,0.2,0.1", "n_paths": 200}, 1),
+    # the benchmark's bridge shape: 800 paths of 16-candidate fans, s down
+    # to 0.05
+    ("bridge-ldp-bench", "bridge-ldp",
+     {"delta": 1.0, "s_list": "0.4,0.2,0.1,0.05", "n_paths": 800}, 1),
     ("route-budget", "route-budget",
      {"K0": 40.0, "alpha": 0.05, "mu_factor": 1.05, "delta": 9.1537,
       "C_R0_hat": 4.8216, "eta": 2.0, "lam": 0.05, "t": 20.0, "n_reps": 8}, 7),

@@ -102,23 +102,30 @@ def simulate_bm(d, t, dt, seed):
 
 # --- radial SDE --------------------------------------------------------------
 
-def _radial_drift(r, d, dt):
+def _radial_drift(r, d, dt, out=None):
     """Drift (d-1)*coth(r), clamped to (d-1)*(1/r + 1) below r = 0.1.
 
     The 1/r piece is additionally floored at the step resolution
     sqrt(2*dt)/2 so a single Euler step cannot overshoot by more than one
-    diffusive increment; reflection at zero handles the rest.
+    diffusive increment; reflection at zero handles the rest.  Written into
+    ``out`` when given; the clamp is evaluated only where r < 0.1.
     """
-    drift = (d - 1.0) / np.tanh(np.maximum(r, 0.1))
-    near = r < 0.1
-    r_eff = np.maximum(r[near], 0.5 * math.sqrt(2.0 * dt))
-    drift[near] = (d - 1.0) * (1.0 / r_eff + 1.0)
+    drift = np.maximum(r, 0.1, out=out)
+    np.tanh(drift, out=drift)
+    np.divide(d - 1.0, drift, out=drift)
+    near = np.flatnonzero(r < 0.1)
+    if near.size:
+        r_eff = np.maximum(r[near], 0.5 * math.sqrt(2.0 * dt))
+        drift[near] = (d - 1.0) * (1.0 / r_eff + 1.0)
     return drift
 
 
 def simulate_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0,
                           record_max=False):
-    """Euler-Maruyama for the radial SDE; returns final radii (and max)."""
+    """Euler-Maruyama for the radial SDE; returns final radii (and max).
+
+    Each step r <- |r + drift * dt + sqrt(2 dt) * z| is taken in place, in
+    that operation order, on buffers allocated once."""
     if dt <= 0 or r0 < 0:
         raise ConstraintViolation("need dt > 0 and r0 >= 0")
     n_steps = int(round(t / dt))
@@ -126,9 +133,15 @@ def simulate_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0,
     r = np.full(n_paths, float(r0))
     running_max = np.full(n_paths, float(r0))
     scale = math.sqrt(2.0 * dt)
+    drift, z = np.empty(n_paths), np.empty(n_paths)
     for _ in range(n_steps):
-        r = r + _radial_drift(r, d, dt) * dt + scale * rng.standard_normal(n_paths)
-        r = np.abs(r)
+        _radial_drift(r, d, dt, out=drift)
+        drift *= dt
+        rng.standard_normal(out=z)
+        z *= scale
+        r += drift
+        r += z
+        np.abs(r, out=r)
         if record_max:
             np.maximum(running_max, r, out=running_max)
     if record_max:

@@ -202,13 +202,21 @@ def _simulate_log_weights(evaluator, d, t, dt, seed, n_paths, batch_id):
                                  for j in range(n_paths)])
 
 
+def _check_dimension(spec, d):
+    """A covariance spec tabulates C on H^spec.d; paths in H^d need d."""
+    if spec.d != d:
+        raise ConstraintViolation(
+            f"covariance spec is tabulated for d={spec.d}, paths run in d={d}")
+
+
 def _resolve_potential(potential, d, t, dt, seed, *ids):
     """Evaluator for a potential: numbers become constants, covariance specs
-    a lazily grown field drawn from ``stream(seed, *ids)``, once the time
-    grid resolves it: dt <= min(t / 100, R0^2 / 8) when t > 0."""
+    (of dimension d) a lazily grown field drawn from ``stream(seed, *ids)``,
+    once the time grid resolves it: dt <= min(t / 100, R0^2 / 8) when t > 0."""
     if isinstance(potential, (int, float)):
         return ConstantPotential(float(potential))
     if isinstance(potential, CovarianceSpec):
+        _check_dimension(potential, d)
         cap = min(0.01 * t, potential.R0 ** 2 / 8.0)
         if t > 0 and dt > cap + 1e-12:
             raise ConstraintViolation(
@@ -253,16 +261,27 @@ def annealed_moment_estimate(spec, d, t, dt, n_paths, seed):
 
     Averaging the Gaussian field first gives
     E exp(1/2 * double integral of C(d(W_s, W_r)) ds dr) over paths alone,
-    which needs no field sampling at all.
+    which needs no field sampling at all.  Each path's Gram matrix of C
+    over its grid points is filled from its i < j pairs, measured once from
+    polar parts computed once per point, mirrored, with C(0) on the
+    diagonal: the dense table's entries, as the distance is symmetric.  A
+    spec of another dimension than d raises :class:`ConstraintViolation`.
     """
+    _check_dimension(spec, d)
     times, pts = simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0)
     w = _trapezoid_weights(times)
+    polar = geo._polar(pts.transpose(1, 0, 2))
+    i, j = np.triu_indices(len(times), 1)
+    cmat = np.empty((len(times), len(times)))
+    np.fill_diagonal(cmat, spec.cov(0.0))
     log_weights = np.empty(n_paths)
-    for j in range(n_paths):
-        path = pts[:, j, :]
-        cmat = spec.cov(geo.distance(path[:, None, :], path[None, :, :],
-                                     validate=False))
-        log_weights[j] = 0.5 * float(w @ cmat @ w)
+    for p in range(n_paths):
+        path = tuple(part[p] for part in polar)
+        vals = spec.cov(np.arccosh(np.maximum(
+            1.0, geo._polar_cosh(geo._take(path, i), geo._take(path, j)))))
+        cmat[i, j] = vals
+        cmat[j, i] = vals
+        log_weights[p] = 0.5 * float(w @ cmat @ w)
     return FKEstimate(log_weights, np.ones(n_paths, dtype=bool), t, dt,
                       "annealed-moment", {"seed": seed})
 

@@ -3,6 +3,12 @@
 A point of H^d is a (d+1)-vector x with Minkowski self-product
 ``<x,x> = -x0^2 + x1^2 + ... + xd^2 = -1`` and ``x0 >= 1``.  All functions
 take arrays whose last axis has length d+1 and broadcast over leading axes.
+That axis is short (3 or 4 entries), so the hot kernels work on it one
+coordinate column at a time: reductions add columns in sequence
+(:func:`_row_dot`), and elementwise steps (:func:`frame_step`,
+:func:`_polar`, :func:`_polar_cosh`) fill or combine whole columns rather
+than broadcasting over that axis, each column in the arithmetic of the
+broadcast form, so results keep every bit.
 The Poincare ball serves as an independent cross-check of distances and as
 the coordinates of the one neighbour index (``_SiteIndex``): a k-d tree plus
 a short tail of later sites scanned by broadcast, queried with a Euclidean
@@ -34,7 +40,10 @@ def _row_dot(a, b=None):
     The last axis here holds 2-4 coordinates, where ``np.sum(..., axis=-1)``
     and ``np.linalg.norm`` pay per-row reduction overhead several times the
     arithmetic.  Short reductions add sequentially, in this same order, so
-    the result is bit-identical to theirs.
+    the result is bit-identical to theirs.  The same rule holds for
+    elementwise steps on that axis: a broadcast or slice over it pays per-row
+    overhead too, so the kernels here compute it column by column, in the
+    broadcast's operation order.
     """
     if b is None:
         b = a
@@ -106,16 +115,27 @@ def cosh_distance(x, y):
 
 def _polar(x):
     """Polar parts (r, sinh r, unit direction n) of points, as
-    :func:`cosh_distance` measures them; sinh r is the spatial norm."""
+    :func:`cosh_distance` measures them; sinh r is the spatial norm.  n is
+    filled one coordinate column at a time."""
     s = np.sqrt(_row_dot(x[..., 1:]))
-    return radius(x), s, x[..., 1:] / np.maximum(s, 1e-300)[..., None]
+    safe = np.maximum(s, 1e-300)
+    n = np.empty(x.shape[:-1] + (x.shape[-1] - 1,))
+    for k in range(n.shape[-1]):
+        np.divide(x[..., k + 1], safe, out=n[..., k])
+    return radius(x), s, n
 
 
 def _polar_cosh(a, b):
     """cosh of the distance between points given by their :func:`_polar`
-    parts; elementwise, so cached parts give the same bits."""
+    parts; elementwise, so cached parts give the same bits.  |n1 - n2|^2 is
+    summed one coordinate column at a time, as :func:`_row_dot` sums."""
     (r1, s1, n1), (r2, s2, n2) = a, b
-    cross = _row_dot(n1 - n2)
+    cross = np.subtract(n1[..., 0], n2[..., 0])
+    cross *= cross
+    for k in range(1, n1.shape[-1]):
+        diff = n1[..., k] - n2[..., k]
+        diff *= diff
+        cross += diff
     return np.cosh(r1 - r2) + 0.5 * s1 * s2 * cross
 
 
@@ -209,11 +229,29 @@ def frame_step(x, coeffs):
     """Geodesic step from x with orthonormal-frame coefficients ``coeffs``.
 
     Equivalent to ``exp_map(x, tangent_step(x, coeffs))`` but numerically
-    stable at every radius: the tangent norm is the coefficient norm.
+    stable at every radius: the tangent norm is the coefficient norm n.
+    Only the d spatial columns are formed, one at a time, in that route's
+    operation order: column k is cosh(n) x_k + sinh(n) ((c_k + (dot / (1 +
+    x0)) x_k) / n), dot = c . x_spatial; the time coordinate is then rebuilt
+    as in :func:`project`, so the tangent's time column is never computed.
     """
+    x = np.asarray(x, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    return exp_map(x, tangent_step(x, coeffs),
-                   norm=np.sqrt(_row_dot(coeffs)))
+    xs = x[..., 1:]
+    norm = np.sqrt(_row_dot(coeffs))
+    safe = np.maximum(norm, 1e-300)
+    ch, sh = np.cosh(norm), np.sinh(norm)
+    lift = _row_dot(coeffs, xs) / (1.0 + x[..., 0])
+    out = np.empty(lift.shape + (x.shape[-1],))
+    for k in range(coeffs.shape[-1]):
+        col = lift * xs[..., k]
+        col += coeffs[..., k]
+        col /= safe
+        col *= sh
+        col += ch * xs[..., k]
+        out[..., k + 1] = col
+    out[..., 0] = np.sqrt(1.0 + _row_dot(out[..., 1:]))
+    return out
 
 
 # --- volumes ----------------------------------------------------------------
@@ -316,7 +354,9 @@ def _gap2(a, b):
 
 
 def _take(polar, idx):
-    return tuple(part[idx] for part in polar)
+    """Rows idx of each polar part; ``np.take`` gathers the (..., d) direction
+    rows several times faster than fancy indexing."""
+    return tuple(np.take(part, idx, axis=0) for part in polar)
 
 
 class _SiteIndex:

@@ -53,11 +53,13 @@ def log_exact_h3(t, rho):
     rho = np.asarray(rho, dtype=float)
     if np.any(t <= 0) or np.any(rho < 0):
         raise ValueError("need t > 0 and rho >= 0")
-    # rho/sinh(rho) -> 1 as rho -> 0; log computed stably at both ends
+    # rho/sinh(rho) -> 1 as rho -> 0; log computed stably at both ends, the
+    # far form only where x >= 20 selects it
     x = np.where(rho > 1e-8, rho, 1e-8)
-    log_sinh = np.where(x < 20.0,
-                        np.log(np.sinh(np.minimum(x, 20.0))),
-                        x - np.log(2.0) + np.log1p(-np.exp(-2.0 * x)))
+    log_sinh = np.log(np.sinh(np.minimum(x, 20.0)), out=np.empty(x.shape))
+    far = x >= 20.0
+    if np.any(far):
+        log_sinh[far] = x[far] - np.log(2.0) + np.log1p(-np.exp(-2.0 * x[far]))
     log_ratio = np.where(rho > 1e-8, np.log(x) - log_sinh, -rho ** 2 / 6.0)
     return (-1.5 * np.log(4.0 * np.pi * t) + log_ratio - t - rho ** 2 / (4.0 * t))
 

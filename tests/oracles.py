@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 from hypam import geometry as geo
+from hypam.brownian import simulate_bm_batch
+from hypam.feynman_kac import _trapezoid_weights
 from hypam.config import COND_RADIUS_FACTOR, COND_SITE_CAP, stream
 
 
@@ -37,6 +39,11 @@ def oracle_project(x):
     x = np.array(x, dtype=float)
     x[..., 0] = np.sqrt(1.0 + np.sum(x[..., 1:] ** 2, axis=-1))
     return x
+
+
+def oracle_polar(x):
+    sx = np.linalg.norm(x[..., 1:], axis=-1)
+    return geo.radius(x), sx, x[..., 1:] / np.maximum(sx, 1e-300)[..., None]
 
 
 def oracle_cosh_distance(x, y):
@@ -218,6 +225,50 @@ def oracle_radial_drift(r, d, dt):
     near = (d - 1.0) * (1.0 / r_eff + 1.0)
     far = (d - 1.0) / np.tanh(np.maximum(r, 0.1))
     return np.where(r < 0.1, near, far)
+
+
+def oracle_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0,
+                        record_max=False):
+    """The radial Euler-Maruyama loop with fresh arrays at every step and
+    the two-branch drift, on ``brownian.simulate_radial_batch``'s stream."""
+    rng = stream(seed, "radial", stream_id)
+    r = np.full(n_paths, float(r0))
+    running_max = r.copy()
+    scale = math.sqrt(2.0 * dt)
+    for _ in range(int(round(t / dt))):
+        r = np.abs(r + oracle_radial_drift(r, d, dt) * dt
+                   + scale * rng.standard_normal(n_paths))
+        running_max = np.maximum(running_max, r)
+    return (r, running_max) if record_max else r
+
+
+def oracle_annealed_moment(spec, d, t, dt, n_paths, seed):
+    """Annealed log-weights 0.5 w.C.w from each path's dense table of C over
+    every pair of its grid points, on the paths of
+    ``feynman_kac.annealed_moment_estimate``."""
+    times, pts = simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0)
+    w = _trapezoid_weights(times)
+    out = np.empty(n_paths)
+    for j in range(n_paths):
+        path = pts[:, j, :]
+        cmat = spec.cov(np.arccosh(np.maximum(
+            1.0, oracle_cosh_distance(path[:, None, :], path[None, :, :]))))
+        out[j] = 0.5 * float(w @ cmat @ w)
+    return out
+
+
+def oracle_log_exact_h3(t, rho):
+    """The H^3 log-kernel with both forms of log sinh evaluated everywhere
+    and selected by ``np.where``, in ``heatkernel.log_exact_h3``'s
+    arithmetic."""
+    t = np.asarray(t, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    x = np.where(rho > 1e-8, rho, 1e-8)
+    log_sinh = np.where(x < 20.0,
+                        np.log(np.sinh(np.minimum(x, 20.0))),
+                        x - np.log(2.0) + np.log1p(-np.exp(-2.0 * x)))
+    log_ratio = np.where(rho > 1e-8, np.log(x) - log_sinh, -rho ** 2 / 6.0)
+    return (-1.5 * np.log(4.0 * np.pi * t) + log_ratio - t - rho ** 2 / (4.0 * t))
 
 
 def oracle_localized_accept(times, pts, eps, t, dt, K, delta_tube, center,

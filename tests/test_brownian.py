@@ -5,7 +5,7 @@ from scipy import integrate, optimize, stats as sps
 from hypam import brownian as bm, geometry as geo
 from hypam.config import ConstraintViolation, stream
 
-from oracles import oracle_radial_drift
+from oracles import oracle_radial_batch, oracle_radial_drift
 
 
 def test_zero_time_trajectory():
@@ -49,6 +49,18 @@ def test_radial_drift_matches_two_branch_oracle():
         for dt in (1e-3, 0.01, 0.04):
             np.testing.assert_array_equal(bm._radial_drift(r, d, dt),
                                           oracle_radial_drift(r, d, dt))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("record_max", [False, True])
+def test_radial_batch_matches_allocating_oracle(d, record_max):
+    # in-place steps keep every bit: from r0 = 0 with small dt the clamped
+    # drift near the origin is hit, from r0 = 2 mostly not
+    for r0, t, dt in ((0.0, 0.05, 1e-4), (2.0, 1.0, 0.01)):
+        args = (d, t, dt, r0, 4, 3000)
+        got = bm.simulate_radial_batch(*args, stream_id=1, record_max=record_max)
+        want = oracle_radial_batch(*args, stream_id=1, record_max=record_max)
+        assert np.array_equal(np.asarray(got), np.asarray(want))
 
 
 def test_radial_marginal_matches_full(params2):

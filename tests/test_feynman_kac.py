@@ -12,8 +12,8 @@ from hypam import brownian as bm, cli, field as fd, feynman_kac as fk, geometry 
 from hypam.config import BudgetExceeded, ConstraintViolation, stream
 from hypam.varopt import ModelParams, l_star_relaxed, route_constants
 
-from oracles import (brute_force_reduce, oracle_localized_accept,
-                     oracle_nearest_site)
+from oracles import (brute_force_reduce, oracle_annealed_moment,
+                     oracle_localized_accept, oracle_nearest_site)
 
 
 class TestReduceWord:
@@ -131,6 +131,36 @@ class TestPlainEstimator:
         ann = fk.annealed_moment_estimate(spec_quarter, 2, 1.0, 0.01, 1200, seed=9)
         rhs = math.log(ann.mean)
         assert lhs <= rhs + 3 * math.hypot(se, ann.se / ann.mean)
+
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_annealed_moment_matches_dense_oracle(self, d):
+        # the upper-triangle Gram keeps every bit of the dense table's
+        # 0.5 w.C.w, at t = 1 and on paths that barely leave o, whose pair
+        # distances round to 0 and tie the diagonal
+        spec = fd.make_spec(0.25, 1.0, d=d)
+        for t, dt in ((1.0, 0.01), (1e-16, 1e-18)):
+            est = fk.annealed_moment_estimate(spec, d, t, dt, 12, seed=3)
+            assert np.array_equal(est.log_weights,
+                                  oracle_annealed_moment(spec, d, t, dt, 12, 3))
+
+    def test_spec_of_another_dimension_is_rejected(self):
+        # C_2(0.5) and C_3(0.5) differ; a spec tabulated on H^2 must not
+        # silently weight paths in H^3
+        spec2, spec3 = fd.make_spec(0.25, 1.0, d=2), fd.make_spec(0.25, 1.0, d=3)
+        assert abs(spec2.cov(0.5) - spec3.cov(0.5)) > 1e-3
+        center = geo.point_at(3, 0.5, np.eye(3)[0])
+        calls = [lambda: fk.fk_estimate(spec2, 3, 1.0, 0.01, 4, seed=1),
+                 lambda: fk.fk_estimate(spec2, 3, 1.0, 0.01, 32, seed=1,
+                                        mode="annealed"),
+                 lambda: fk.annealed_moment_estimate(spec2, 3, 1.0, 0.01, 4, seed=1),
+                 lambda: fk.fk_localized_lower(spec2, 3, 1.0, 0.25, 4.0, 0.8, center,
+                                               seed=1, n_paths=4, r_peak=1.0,
+                                               dt=0.01),
+                 lambda: fk.annealed_moment_estimate(spec3, 2, 1.0, 0.01, 4, seed=1)]
+        for call in calls:
+            with pytest.raises(ConstraintViolation, match="tabulated for d="):
+                call()
 
 
 class TestLocalized:

@@ -6,7 +6,8 @@ from hypam import geometry as geo
 from hypam.config import stream
 from oracles import (oracle_cosh_distance, oracle_covering_probe,
                      oracle_frame_step, oracle_greedy_keep, oracle_greedy_packing,
-                     oracle_minkowski_dot, oracle_project, oracle_tangent_step)
+                     oracle_minkowski_dot, oracle_polar, oracle_project,
+                     oracle_tangent_step)
 
 
 def test_distance_identity():
@@ -115,8 +116,15 @@ def test_column_sums_match_axis_reductions(d, m, k, scale, seed):
     assert np.array_equal(geo.tangent_step(x, c), oracle_tangent_step(x, c))
     assert np.array_equal(geo.frame_step(x, c), oracle_frame_step(x, c))
     fan = c[:, None, :] * rng.random((1, k, 1))
-    assert np.array_equal(geo.frame_step(x[:, None, :], fan),
-                          oracle_frame_step(x[:, None, :], fan))
+    cands = geo.frame_step(x[:, None, :], fan)
+    assert np.array_equal(cands, oracle_frame_step(x[:, None, :], fan))
+    # the bridge sampler's shape: a fan of candidates against one endpoint
+    end = y[-1][None, None, :]
+    assert np.array_equal(geo.cosh_distance(cands, end),
+                          oracle_cosh_distance(cands, end))
+    for pts in (x, y[-1], cands):
+        for part, want in zip(geo._polar(pts), oracle_polar(pts)):
+            assert np.array_equal(part, want)
 
 
 def test_geodesic_convexity():

@@ -4,6 +4,8 @@ from scipy import integrate, stats as sps
 
 from hypam import brownian as bm, geometry as geo, heatkernel as hk
 
+from oracles import oracle_log_exact_h3
+
 
 def test_comparison_d3_reduction():
     # (1 + rho + t)^((d-3)/2) is identically 1 in three dimensions
@@ -54,6 +56,18 @@ def test_exact_h3_symmetry_in_rho_only():
     y = geo.origin(3)
     rho = geo.distance(x, y)
     assert abs(hk.exact_h3(0.7, rho) - hk.exact_h3(0.7, geo.distance(y, x))) == 0.0
+
+
+def test_log_exact_h3_matches_two_branch_oracle():
+    # the far form of log sinh, now evaluated only where rho >= 20 selects
+    # it, keeps every bit on both sides of each switch
+    rho = np.array([0.0, 1e-9, 1e-8, 19.99, 20.0, 25.0, 50.0])
+    for t in (0.01, 0.5, 3.0):
+        assert np.array_equal(hk.log_exact_h3(t, rho), oracle_log_exact_h3(t, rho))
+        for r in rho:
+            assert np.array_equal(hk.log_exact_h3(t, r), oracle_log_exact_h3(t, r))
+    tt = np.array([[0.5], [2.0]])
+    assert np.array_equal(hk.log_exact_h3(tt, rho), oracle_log_exact_h3(tt, rho))
 
 
 def test_heat_equation_residual_grid():
