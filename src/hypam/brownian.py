@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .config import ConstraintViolation, stream
 from . import geometry as geo
@@ -450,6 +449,7 @@ def _node_norm_constraint(n, d, k, sign, offset):
 
 
 def _minimize_energy(energy_of, energy_grad, z0, cons, lim):
+    from scipy import optimize
     return optimize.minimize(energy_of, z0, jac=energy_grad, method="SLSQP",
                              constraints=cons, bounds=[(-lim, lim)] * z0.size,
                              options={"maxiter": 300, "ftol": 1e-12})

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy import integrate
 from scipy.special import log_ndtr, logsumexp
 
 from .config import (BudgetExceeded, ConstraintViolation, LONG_ROUTE_N_CAP,
@@ -512,9 +511,9 @@ def j_error_integral(t, m, lam, delta, alpha, mu, K0, r_t_value,
         elif method == "quad":
             # int_0^s v^(-3/2) e^(-c/v) dv = e^(-c/s) int_0^inf e^(-cu) (u+1/s)^(-1/2) du
             # (substitute u = 1/v - 1/s); the right side never underflows.
-            val, _ = integrate.quad(
-                lambda u, cc=c: math.exp(-cc * u) / math.sqrt(u + 1.0 / s),
-                0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
+            from scipy.integrate import quad
+            val, _ = quad(lambda u, cc=c: math.exp(-cc * u) / math.sqrt(u + 1.0 / s),
+                          0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
             if val <= 0:
                 raise ArithmeticError("route error factor underflowed in quadrature")
             total += math.log(K0 / math.sqrt(math.pi) * val) - c / s

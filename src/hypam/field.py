@@ -34,11 +34,9 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_banded, solve_triangular
 from scipy.linalg.lapack import dpotrf
 from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
 from .config import (BudgetExceeded, COINCIDENT_DISTANCE, COND_RADIUS_FACTOR,
                      COND_SITE_CAP, ConstraintViolation, FactorizationError,
@@ -55,19 +53,44 @@ _BUMPS = {
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Variance, correlation length and tabulated covariance profile."""
+    """Variance, correlation length and tabulated covariance profile.
+
+    ``pieces`` is the clamped cubic spline through ``(rho_grid, values)``
+    as its ``(n_grid - 1, 4)`` table of cubic pieces (see
+    :func:`_clamped_pieces`): row k holds the coefficients of
+    ``(rho - rho_grid[k])^3, ^2, ^1, ^0`` on ``[rho_grid[k], rho_grid[k+1])``.
+    """
     sigma2: float
     R0: float
     bump_shape: str
     d: int
     rho_grid: np.ndarray
     values: np.ndarray
-    _spline: CubicSpline
+    pieces: np.ndarray
 
     def cov(self, rho):
-        """C(rho); exactly zero beyond R0, even around zero."""
+        """C(rho) = C(|rho|); exactly zero from R0 on and at NaN.
+
+        The spline is evaluated only where |rho| < R0.  The piece is found on
+        the uniform grid as ``floor(rho (n-1) / R0)`` corrected by one
+        comparison each way, which equals ``searchsorted(rho_grid, rho,
+        side="right") - 1``, and the cubic is summed in the order of scipy's
+        ``PPoly``, so every value is bit for bit that of scipy's clamped
+        ``CubicSpline`` through the table.  A scalar gives a float.
+        """
         rho = np.abs(np.asarray(rho, dtype=float))
-        out = np.where(rho < self.R0, self._spline(np.minimum(rho, self.R0)), 0.0)
+        out = np.zeros(rho.shape)
+        inside = rho < self.R0
+        r = rho[inside]
+        grid = self.rho_grid
+        k = np.minimum((r * ((len(grid) - 1) / self.R0)).astype(np.intp),
+                       len(grid) - 2)
+        k -= grid[k] > r
+        k += grid[k + 1] <= r
+        s = r - grid[k]
+        ss = s * s
+        c = self.pieces
+        out[inside] = c[k, 3] + c[k, 2] * s + c[k, 1] * ss + c[k, 0] * (ss * s)
         return out if out.ndim else float(out)
 
     def cov_matrix(self, sites):
@@ -98,7 +121,10 @@ def make_spec(sigma2, R0, bump_shape="poly3", d=2):
     ``C(rho) = int k(d(x,z)) k(d(y,z)) vol(dz)`` for d(x,y) = rho, evaluated
     by 96-point Gauss-Legendre quadrature in geodesic polar coordinates
     around x and tabulated on 801 rho-grid points with a clamped cubic spline
-    (zero slope at both ends).  Scaled so C(0) = sigma2.  The unscaled table
+    (zero slope at both ends), stored as its table of cubic pieces built by
+    :func:`_clamped_pieces`, whose arithmetic is that of scipy 1.17.1's
+    ``CubicSpline(..., bc_type=((1, 0.0), (1, 0.0)))``.  Scaled so C(0) =
+    sigma2.  The dimension d must be an integer >= 2.  The unscaled table
     is computed once per (R0, bump_shape, d).
     """
     if sigma2 <= 0 or R0 <= 0:
@@ -107,13 +133,41 @@ def make_spec(sigma2, R0, bump_shape="poly3", d=2):
         raise ConstraintViolation(
             f"invalid bump {bump_shape!r}: need one of {sorted(_BUMPS)} "
             "(twice differentiable, compactly supported)")
+    if not (float(d).is_integer() and d >= 2):
+        raise ConstraintViolation(f"dimension d must be an integer >= 2, got {d!r}")
+    d = int(d)
     rho_grid, table = _unscaled_profile(float(R0), bump_shape, d)
     vals = table.copy()
     vals *= sigma2 / vals[0]
     vals[-1] = 0.0
-    spline = CubicSpline(rho_grid, vals, bc_type=((1, 0.0), (1, 0.0)))
     return CovarianceSpec(float(sigma2), float(R0), bump_shape, d,
-                          rho_grid, vals, spline)
+                          rho_grid, vals, _clamped_pieces(rho_grid, vals))
+
+
+def _clamped_pieces(x, y):
+    """``(len(x) - 1, 4)`` table of the cubic spline through (x, y) with zero
+    slope at both ends, highest power first; equal to the transposed ``c``
+    of scipy 1.17.1's ``CubicSpline(x, y, bc_type=((1, 0.0), (1, 0.0)))``.
+
+    The knot slopes solve the same banded system with the same
+    ``solve_banded`` call, and the pieces follow ``CubicHermiteSpline``'s
+    formulas operation for operation.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, n))
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    ab[1, 0] = ab[1, -1] = 1.0
+    b = np.empty((n, 1))
+    b[1:-1, 0] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[0] = b[-1] = 0.0
+    m = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)[:, 0]
+    t = (m[:-1] + m[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]), axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -511,6 +565,7 @@ def gradient_growth_scan(spec, d, R_list, seed, n_sites=256):
 def _components(n, i, j):
     """Vertex groups of the graph on 0..n-1 (n >= 1) with edges (i, j): each
     group ascending, groups ordered by their lowest member."""
+    from scipy.sparse.csgraph import connected_components
     graph = coo_array((np.ones(i.size, dtype=bool), (i, j)), shape=(n, n))
     labels = connected_components(graph, directed=False)[1]
     order = np.argsort(labels, kind="stable")

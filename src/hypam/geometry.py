@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 from scipy.spatial import cKDTree
 
 from .config import (ConstraintViolation, HYPERBOLOID_ATOL,
@@ -275,8 +275,9 @@ def ball_volume(R, d):
         return 2.0 * np.pi * (np.cosh(R) - 1.0)
     if d == 3:
         return np.pi * (np.sinh(2.0 * R) - 2.0 * R)
-    val, _ = integrate.quad(lambda r: np.sinh(r) ** (d - 1), 0.0, R,
-                            epsabs=0.0, epsrel=1e-10, limit=200)
+    from scipy.integrate import quad
+    val, _ = quad(lambda r: np.sinh(r) ** (d - 1), 0.0, R,
+                  epsabs=0.0, epsrel=1e-10, limit=200)
     return sphere_area(d) * val
 
 
@@ -505,6 +506,16 @@ class RegionTooSmall(ConstraintViolation):
     """The region cannot hold a single packing ball."""
 
 
+def _cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y over the 1-D grid x, starting at 0:
+    ``scipy.integrate.cumulative_trapezoid(y, x, initial=0.0)``, bit for bit,
+    without importing ``scipy.integrate``."""
+    out = np.empty(len(y))
+    out[0] = 0.0
+    np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0, out=out[1:])
+    return out
+
+
 def _radial_sampler(lo, hi, d):
     """Inverse-CDF sampler for the radial density sinh^{d-1} on [lo, hi],
     tabulated on 2048 grid points."""
@@ -512,7 +523,7 @@ def _radial_sampler(lo, hi, d):
         return lambda rng, n: np.full(n, lo)
     grid = np.linspace(lo, hi, 2048)
     dens = np.sinh(grid) ** (d - 1)
-    cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
+    cdf = _cumulative_trapezoid(dens, grid)
     if cdf[-1] <= 0:  # degenerate near zero radius
         return lambda rng, n: rng.uniform(lo, hi, n)
     cdf /= cdf[-1]

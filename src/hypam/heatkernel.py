@@ -15,10 +15,9 @@ fast.  The d=3 closed form is the standard one with t replaced by 2t.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .config import BudgetExceeded, KernelUnavailable, MAX_CALIBRATION_PATHS
-from .geometry import distance, side_length, sphere_area
+from .geometry import _cumulative_trapezoid, distance, side_length, sphere_area
 
 
 def log_comparison_fn(t, rho, d):
@@ -80,7 +79,7 @@ def h3_radial_cdf(t):
     rho_max = 2.0 * t + 12.0 * np.sqrt(t) + 12.0
     grid = np.linspace(0.0, rho_max, 20001)
     dens = h3_radial_density(t, np.maximum(grid, 1e-12))
-    cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
+    cdf = _cumulative_trapezoid(dens, grid)
     cdf /= cdf[-1]
 
     def F(x):
@@ -227,5 +226,6 @@ def bridge_marginal_normalization(t_a, t_b, t_mid, D, n_r=400, n_theta=200):
     log_num = log_exact_h3(s1, rr) + log_exact_h3(s2, d2)
     log_den = log_exact_h3(s, D)
     integrand = np.exp(log_num - log_den) * np.sinh(rr) ** 2 * np.sin(tt)
-    inner = integrate.trapezoid(integrand, theta, axis=1)
-    return 2.0 * np.pi * integrate.trapezoid(inner, r)
+    from scipy.integrate import trapezoid
+    inner = trapezoid(integrand, theta, axis=1)
+    return 2.0 * np.pi * trapezoid(inner, r)

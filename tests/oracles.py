@@ -9,6 +9,7 @@ no code with them.
 import math
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from hypam import geometry as geo
 from hypam.brownian import simulate_bm_batch
@@ -73,6 +74,15 @@ def oracle_nearest_site(sites, points):
     idx = np.argmin(prod, axis=1)
     best = prod[np.arange(len(points)), idx]
     return idx, np.arccosh(np.maximum(1.0, best))
+
+
+def oracle_cov(spec, rho):
+    """C(rho) as scipy's clamped ``CubicSpline`` through the spec's grid and
+    values, evaluated everywhere and masked to |rho| < R0."""
+    spline = CubicSpline(spec.rho_grid, spec.values, bc_type=((1, 0.0), (1, 0.0)))
+    rho = np.abs(np.asarray(rho, dtype=float))
+    out = np.where(rho < spec.R0, spline(np.minimum(rho, spec.R0)), 0.0)
+    return out if out.ndim else float(out)
 
 
 def oracle_cov_matrix(spec, sites):

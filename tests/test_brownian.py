@@ -265,7 +265,7 @@ class TestEnergyExcess:
         assert abs(e - 1.0) < 1e-6
 
     def test_no_converged_trial_does_not_hold(self, monkeypatch):
-        monkeypatch.setattr(bm.optimize, "minimize", _fail_minimize)
+        monkeypatch.setattr(optimize, "minimize", _fail_minimize)
         rep = bm.energy_excess_check(1.0, 0.5, 0.02, 0.001, n_trials=2, seed=1)
         assert rep.n_converged == 0
         assert rep.min_energy is None

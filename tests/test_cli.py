@@ -180,7 +180,7 @@ class TestDispatch:
 
     def test_energy_bound_without_convergence_writes_null(self, tmp_path,
                                                           monkeypatch):
-        monkeypatch.setattr(brownian.optimize, "minimize",
+        monkeypatch.setattr(optimize, "minimize",
                             lambda fun, x0, **kw: optimize.OptimizeResult(
                                 x=x0, fun=0.0, success=False, message="forced"))
         out = tmp_path / "eb"
@@ -361,14 +361,18 @@ def test_readme_examples_pass_validation(tmp_path, monkeypatch, argv):
     assert len(calls) == 1
 
 
-def test_import_leaves_out_scipy_stats():
-    # scipy.stats alone costs about half a second at import; no hypam
-    # module may bring it back
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.interpolate",
+                                    "scipy.optimize", "scipy.integrate",
+                                    "scipy.sparse.csgraph"])
+def test_import_leaves_out_scipy_stats(module):
+    # scipy.stats alone costs about half a second at import, and
+    # interpolate, optimize, integrate and csgraph are loaded only where a
+    # run calls them; no hypam module may import them at module level
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypam.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys, hypam.cli; print('scipy.stats' in sys.modules)"],
+         f"import sys, hypam.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
 

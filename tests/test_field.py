@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from hypam import field as fd, geometry as geo
 from hypam.config import (BudgetExceeded, COND_RADIUS_FACTOR,
                           ConstraintViolation, stream)
-from oracles import (oracle_clusters, oracle_cov_matrix, oracle_extend_values,
+from oracles import (oracle_clusters, oracle_cov, oracle_cov_matrix,
+                     oracle_extend_values,
                      oracle_islands, oracle_nearest_site,
                      oracle_rich_ball_event)
 
@@ -45,6 +47,45 @@ class TestCovarianceSpec:
     def test_invalid_bump(self):
         with pytest.raises(ConstraintViolation):
             fd.make_spec(1.0, 1.0, "triangle")
+
+    @pytest.mark.parametrize("d", [0, 1, 2.5])
+    def test_rejects_dimension_it_cannot_tabulate(self, d):
+        # the sin^(d-2) weight and the (d-1)-sphere area need an integer d >= 2
+        with pytest.raises(ConstraintViolation, match="dimension"):
+            fd.make_spec(1.0, 1.0, d=d)
+
+    def test_integral_float_dimension_shares_the_int_entry(self):
+        fd._unscaled_profile.cache_clear()
+        as_float = fd.make_spec(1.0, 1.0, d=3.0)
+        as_int = fd.make_spec(1.0, 1.0, d=3)
+        assert type(as_float.d) is int and as_float.d == 3
+        assert fd._unscaled_profile.cache_info().currsize == 1
+        assert np.array_equal(as_float.pieces, as_int.pieces)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4]), R0=st.sampled_from([0.25, 1.0, 3.0]),
+           bump=st.sampled_from(sorted(fd._BUMPS)),
+           sigma2=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 31 - 1))
+    def test_cov_matches_cubic_spline_oracle(self, d, R0, bump, sigma2, seed):
+        # the piece table is scipy's clamped spline, and cov gives its values
+        # bit for bit: at the knots and their float neighbours (where the
+        # piece index is decided), on uniform draws, on both sides of R0, for
+        # negative, infinite and NaN rho, and for scalar and 2-D inputs
+        spec = fd.make_spec(sigma2, R0, bump, d=d)
+        spline = CubicSpline(spec.rho_grid, spec.values, bc_type=((1, 0.0), (1, 0.0)))
+        assert np.array_equal(spec.pieces, spline.c.T)
+        grid = spec.rho_grid
+        rng = np.random.default_rng(seed)
+        rho = np.concatenate([
+            grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf), -grid,
+            rng.uniform(-1.5 * R0, 1.5 * R0, 3000), rng.uniform(0.0, R0, 3000),
+            [R0, np.nextafter(R0, 0.0), 2.0 * R0, np.inf, -np.inf, np.nan, -0.0]])
+        assert np.array_equal(spec.cov(rho), oracle_cov(spec, rho))
+        block = rho[:3000].reshape(60, 50)
+        assert np.array_equal(spec.cov(block), oracle_cov(spec, block))
+        for x in (0.0, grid[1], -grid[400], rho[-20], R0, np.inf, np.nan):
+            got = spec.cov(x)
+            assert type(got) is float and got == oracle_cov(spec, x)
 
     def test_other_shapes_normalize(self):
         for shape in ("poly4", "cosine"):
@@ -678,11 +719,10 @@ class TestNeighbourIndex:
 def test_factorization_failure_on_invalid_profile():
     # an oscillating "covariance" is indefinite on enough sites, and the
     # jitter ladder must refuse to paper over it
-    from scipy.interpolate import CubicSpline
     grid = np.linspace(0.0, 10.0, 801)
     vals = np.cos(6.0 * grid)
     fake = fd.CovarianceSpec(1.0, 10.0, "poly3", 2, grid, vals,
-                             CubicSpline(grid, vals))
+                             fd._clamped_pieces(grid, vals))
     sites = geo.sample_region(geo.BallRegion(4.0), 2, stream(13, "bad"), 40)
     with pytest.raises(fd.FactorizationError):
         fd.sample_field(fake, sites, seed=0)

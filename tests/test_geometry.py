@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from hypam import geometry as geo
 from hypam.config import stream
@@ -165,6 +166,17 @@ def test_ball_volume_euclidean_limit():
         r = 1e-3
         ratio = geo.ball_volume(r, d) / geo.euclidean_ball_volume(r, d)
         assert abs(ratio - 1.0) < 1e-4
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.floats(0.0, 10.0), width=st.floats(1e-6, 30.0),
+       n=st.integers(1, 3000), d=st.integers(2, 5))
+def test_cumulative_trapezoid_matches_scipy(lo, width, n, d):
+    # the radial samplers' running integral is scipy's, bit for bit
+    grid = np.linspace(lo, lo + width, n)
+    dens = np.sinh(grid) ** (d - 1)
+    assert np.array_equal(geo._cumulative_trapezoid(dens, grid),
+                          cumulative_trapezoid(dens, grid, initial=0.0))
 
 
 @given(st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.floats(0.0, np.pi))
