@@ -57,7 +57,7 @@ class BridgeSpec:
         geo.check_points(self.start)
         geo.check_points(self.end)
         if self.s <= 0:
-            raise ValueError("bridge duration must be positive")
+            raise ConstraintViolation("bridge duration must be positive")
 
 
 # --- full simulator ----------------------------------------------------------

@@ -116,7 +116,8 @@ def run_radial_check(cfg):
     return (["time"] + [f"x{i}" for i in range(cfg.d + 1)],
             [[t] + list(p) for t, p in zip(traj.times, traj.points)],
             {"mean_radius": float(np.mean(radii)),
-             "ratio": float(np.mean(radii) / ((cfg.d - 1) * cfg.t)),
+             "ratio": (float(np.mean(radii) / ((cfg.d - 1) * cfg.t))
+                       if cfg.t > 0 else None),
              "n_paths": cfg.n_paths, "t": cfg.t, "dt": cfg.dt,
              "max_step_ratio": traj.max_step_ratio()})
 

@@ -140,6 +140,8 @@ class RunConfig:
         if self.spacing_factor <= 0:
             raise ConstraintViolation("spacing_factor must be positive")
         if need_cluster_scales:
+            if self.t <= 0:
+                raise ConstraintViolation(f"t must be positive (got t={self.t})")
             from . import field as _field
             _, eta_delta = _field.cluster_constants(
                 self.delta, self.d, self.K0, self.C_R0_hat)

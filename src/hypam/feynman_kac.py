@@ -60,9 +60,9 @@ class LazyFieldEvaluator:
     :func:`geometry._greedy_keep`, each skipped when within the snap
     distance of one accepted before it.  Their close pairs, like the snap
     lookups, come from the neighbour index and are exactly those a dense
-    scan would find.  Each extension replaces the realization with one that
-    appends the new sites to the same site store (no site's row is edited)
-    and draws from the stream numbered by the realization's extension count;
+    scan would find.  Each extension replaces the realization with one whose
+    neighbour index extends the old one's (no site's row is edited) and
+    draws from the stream numbered by the realization's extension count;
     ``extend_field`` enforces the site budget.  After an extension only a
     new site can be a point's nearer site, so the points are snapped again
     against the new sites alone: a new site takes a point when its cosh

@@ -16,17 +16,19 @@ extension, the thinning of new lazy sites, island and cluster adjacency, rich
 balls) goes through one neighbour index, ``geometry._SiteIndex``, which the
 greedy packing shares: a k-d tree over the sites' Poincare-ball coordinates
 plus a short tail of later sites scanned by broadcast, queried with a
-Euclidean radius that provably contains the hyperbolic ball and then
-filtered with the exact ``geo.cosh_distance``.  The ball model is conformal,
+Euclidean radius that provably contains the hyperbolic ball, whose candidate
+pairs ``_SiteIndex.pairs`` measures as ``geo.cosh_distance`` does and each
+caller filters with its exact test.  The ball model is conformal,
 so that radius is tight in every direction.  The candidates never drop a
 site the dense scan would find, so the answers are the dense scan's; a
 covariance matrix holds only the pairs within R0, written into a zeroed
 matrix, and equals the dense evaluation entry for entry.
 
-A lazily grown field keeps its sites in one append-only :class:`_SiteStore`
-with each site's Poincare image and polar parts computed once, so an
-extension costs what its new sites and their neighbourhood cost, not a copy
-and a new k-d tree over every site.
+A lazily grown field's realizations take their sites from the neighbour
+index, which each extension grows (``_SiteIndex.extended``) with each site's
+Poincare image and polar parts computed once, so an extension costs what its
+new sites and their neighbourhood cost, plus a copy of the values, not a copy
+of every site and a new k-d tree over them.
 """
 
 import functools
@@ -258,53 +260,15 @@ def _lattice_factor(spec, sites):
     return _cholesky_with_jitter(spec.cov_matrix(sites), spec.sigma2)
 
 
-class _SiteStore:
-    """Append-only rows shared by the realizations of one lazily grown
-    field: the sites, their values, and each site's Poincare image and polar
-    parts (``geometry._polar``), computed once when the row is appended.
-
-    A realization views a prefix of the rows, read-only; capacity doubles as
-    rows arrive.  Only the realization viewing every row appends to the
-    store, so rows a realization views are never written again.
-    """
-
-    def __init__(self, fieldr):
-        """A store holding a copy of a realization's rows."""
-        index = fieldr._neighbours()
-        rows = (fieldr.sites, fieldr.values, index._ball, *index._polar)
-        self.n = fieldr.n_sites
-        self._bufs = [np.empty((2 * self.n,) + col.shape[1:]) for col in rows]
-        for buf, col in zip(self._bufs, rows):
-            buf[:self.n] = col
-
-    def append(self, sites, values):
-        """Append sites and their values; returns the views of all rows:
-        sites, values, Poincare images, and the polar parts as a tuple."""
-        rows = (sites, values, geo.to_poincare(sites), *geo._polar(sites))
-        end = self.n + len(sites)
-        if end > len(self._bufs[0]):
-            grown = [np.empty((2 * end,) + buf.shape[1:]) for buf in self._bufs]
-            for new, buf in zip(grown, self._bufs):
-                new[:self.n] = buf[:self.n]
-            self._bufs = grown
-        views = []
-        for buf, col in zip(self._bufs, rows):
-            buf[self.n:end] = col
-            views.append(buf[:end])
-            views[-1].flags.writeable = False
-        self.n = end
-        return *views[:3], tuple(views[3:])
-
-
 @dataclass
 class FieldRealization:
     """Sampled field values on a site set, extendable by conditioning.
 
     A realization's sites and values never change: an extension returns a
     new realization.  One-shot draws and hand-built realizations hold plain
-    arrays; the realizations of a lazily grown field view prefixes of one
-    append-only :class:`_SiteStore`, and each one's neighbour index keeps
-    its parent's k-d tree until its tail of new sites is long.  ``h``
+    arrays and build their neighbour index on first use; an extension's
+    sites are those of its index, its parent's extended
+    (``geometry._SiteIndex.extended``), and its values are read-only.  ``h``
     records the lattice spacing of packed sites, read only as
     :func:`detect_islands`' default adjacency scale.
     """
@@ -316,8 +280,6 @@ class FieldRealization:
     meta: dict = dfield(default_factory=dict)
     _index: geo._SiteIndex | None = dfield(default=None, init=False, repr=False,
                                        compare=False)
-    _store: _SiteStore | None = dfield(default=None, init=False, repr=False,
-                                       compare=False)
 
     @property
     def n_sites(self):
@@ -327,15 +289,6 @@ class FieldRealization:
         if self._index is None:
             self._index = geo._SiteIndex(self.sites)
         return self._index
-
-    def nearest_site_within(self, points, rho):
-        """Nearest site per point of a (m, d+1) array, if within distance rho.
-
-        Returns indices and distances, -1 and inf where no site lies within
-        rho; where one does, the answer equals :meth:`nearest_site`'s, ties
-        going to the lowest site index.
-        """
-        return self._neighbours().nearest_within(np.asarray(points, dtype=float), rho)[:2]
 
     def nearest_site(self, points):
         """Indices and distances of the closest site per point of a (..., d+1)
@@ -382,16 +335,18 @@ def extend_field(fieldr, new_sites, seed):
     sites must lie more than ``COINCIDENT_DISTANCE`` from each other and
     from every existing site; the union holds at most ``MAX_FIELD_SITES``,
     one block at most ``MAX_ONESHOT_SITES``.  Existing sites come from the
-    realization's neighbour index, and only its candidate pairs are measured;
+    realization's neighbour index, which measures only its candidate pairs;
     the conditioning set and its order are those of a dense scan.
     With ``[[L11, 0], [L21, L22]]`` the :func:`_lattice_factor` of the
     covariance of those sites then the new ones, the new values
     are ``L21 L11^-1 x + L22 z`` (x their values, z standard normals), the
     kriging law: ``L21 L11^-1 = C_no C_oo^-1`` and ``L22 L22^T = C_nn - C_no
     C_oo^-1 C_on``, and ``L22 z`` with no conditioning site.  Returns a new
-    realization over the union, whose rows are appended to the original's
-    :class:`_SiteStore` (the original's rows are untouched), with the largest
-    jitter so far in ``meta["jitter"]``, extensions in ``meta["extensions"]``.
+    realization over the union: its neighbour index is the original's
+    extended by the new sites (``geometry._SiteIndex.extended``, which leaves
+    the original's rows untouched) and its sites are that index's, its values
+    a read-only concatenation; the largest jitter so far is in
+    ``meta["jitter"]``, extensions in ``meta["extensions"]``.
     """
     spec = fieldr.spec
     new_sites = np.atleast_2d(np.asarray(new_sites, dtype=float))
@@ -399,15 +354,13 @@ def extend_field(fieldr, new_sites, seed):
         raise BudgetExceeded(f"field site count above cap {MAX_FIELD_SITES}")
 
     cond_radius = COND_RADIUS_FACTOR * spec.R0
-    index = fieldr._neighbours()
-    qi, si = index.candidates(new_sites, cond_radius)
+    _, si, cosh = fieldr._neighbours().pairs(new_sites, cond_radius)
     # an existing site's distance to the new block is the least over its
     # candidate pairs wherever it is within cond_radius, as every such pair
     # is a candidate
     order = np.argsort(si, kind="stable")
-    qi, si = qi[order], si[order]
-    dist_on = np.arccosh(np.maximum(1.0, geo._polar_cosh(
-        geo._take(index._polar, si), geo._take(geo._polar(new_sites), qi))))
+    si = si[order]
+    dist_on = np.arccosh(np.maximum(1.0, cosh[order]))
     first = np.flatnonzero(np.diff(si, prepend=-1))
     cand = si[first]
     gap = np.minimum.reduceat(dist_on, first) if si.size else dist_on
@@ -426,18 +379,14 @@ def extend_field(fieldr, new_sites, seed):
     new_values = (L[k:, :k] @ solve_triangular(L[:k, :k], fieldr.values[near],
                                                lower=True)
                   + L[k:, k:] @ rng.standard_normal(len(new_sites)))
-    store = fieldr._store
-    if store is None or store.n != fieldr.n_sites:
-        # a one-shot realization, or one another extension has outgrown: its
-        # rows start a new store, so no newer realization's rows are written
-        store = _SiteStore(fieldr)
-    sites, values, ball, polar = store.append(new_sites, new_values)
+    index = fieldr._neighbours().extended(new_sites)
+    values = np.concatenate([fieldr.values, new_values])
+    values.flags.writeable = False
     out = FieldRealization(
-        spec, sites, values, fieldr.d, h=fieldr.h,
+        spec, index.sites, values, fieldr.d, h=fieldr.h,
         meta={**fieldr.meta, "extensions": fieldr.meta.get("extensions", 0) + 1,
               "jitter": max(fieldr.meta.get("jitter", 0.0), jit)})
-    out._store = store
-    out._index = geo._SiteIndex._over(sites, ball, polar, index)
+    out._index = index
     return out
 
 
@@ -710,8 +659,8 @@ def rich_ball_event(fieldr, threshold, ball_radius, min_points, separation):
     close = dist < separation
     # member k's partners above it are j[row[k]:row[k + 1]]
     j, row = j[close], np.searchsorted(i[close], np.arange(len(pts) + 1))
-    ci, pi = index.candidates(fieldr.sites, ball_radius)
-    inball = geo.distance(fieldr.sites[ci], pts[pi], validate=False) <= ball_radius
+    ci, pi, cosh = index.pairs(fieldr.sites, ball_radius)
+    inball = np.arccosh(np.maximum(1.0, cosh)) <= ball_radius
     ci, pi = ci[inball], pi[inball]
     bounds = np.searchsorted(ci, np.arange(len(fieldr.sites) + 1))
     need = int(math.ceil(min_points))

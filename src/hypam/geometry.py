@@ -12,10 +12,13 @@ broadcast form, so results keep every bit.
 The Poincare ball serves as an independent cross-check of distances and as
 the coordinates of the one neighbour index (``_SiteIndex``): a k-d tree plus
 a short tail of later sites scanned by broadcast, queried with a Euclidean
-radius that provably holds the hyperbolic ball, followed by the exact
-``cosh_distance`` test.  Packing and its covering probe, covariance assembly,
-nearest sites, conditioning sets, new lazy sites, islands, clusters and rich
-balls use it.
+radius that provably holds the hyperbolic ball; ``_SiteIndex.pairs``
+measures the candidate pairs as ``cosh_distance`` does, from polar parts the
+index stores once per site, and each caller applies its exact test.  The
+index owns its sites and grows them (``_SiteIndex.extended``), for the lazy
+field and the greedy packing alike.  Packing and its covering probe,
+covariance assembly, nearest sites, conditioning sets, new lazy sites,
+islands, clusters and rich balls use it.
 """
 
 import itertools
@@ -361,36 +364,60 @@ def _take(polar, idx):
 
 
 class _SiteIndex:
-    """Neighbour index over the Poincare-ball coordinates of a site array: a
-    k-d tree over its leading sites and a tail of at most ``_TAIL_MAX`` later
-    ones, scanned in one broadcast with the same Euclidean bound.
+    """Neighbour index over a growing site array: a k-d tree over the
+    Poincare-ball images of its leading sites and a tail of at most
+    ``_TAIL_MAX`` later ones, scanned in one broadcast with the same
+    Euclidean bound.
 
     Queries return candidates from a Euclidean radius that contains the
-    hyperbolic ball (:func:`_poincare_radius`); callers keep the candidates
-    that pass the exact hyperbolic test, so results match a dense scan.  Each
-    site's Poincare image and :func:`_polar` parts are computed once: an
-    index over sites appended to another index's (:meth:`_over`) takes them
-    as given and keeps the other's tree until its tail would pass
-    ``_TAIL_MAX``.
+    hyperbolic ball (:func:`_poincare_radius`); :meth:`pairs` measures them
+    from the sites' stored :func:`_polar` parts, and callers keep the pairs
+    that pass their exact hyperbolic test, so results match a dense scan.
+
+    Each site's Poincare image and polar parts are computed once.
+    :meth:`extended` returns an index over these sites followed by new ones,
+    whose rows sit in buffers an index shares with its extensions, read-only
+    and never written again; capacity doubles as rows arrive.  Only the index
+    viewing every row appends in place; an outgrown one copies its rows into
+    new buffers.  An extension keeps its parent's tree until its tail would
+    pass ``_TAIL_MAX``.
     """
 
     def __init__(self, sites):
         sites = np.asarray(sites, dtype=float)
-        self._set(sites, to_poincare(sites), _polar(sites), None, 0)
+        self._set((sites, to_poincare(sites), *_polar(sites)), len(sites), None, 0)
 
-    @classmethod
-    def _over(cls, sites, ball, polar, base):
-        """Index over sites given with their Poincare images and polar parts,
-        whose leading rows are the sites of the index ``base``."""
-        index = cls.__new__(cls)
-        index._set(sites, ball, polar, base._tree, base._tree_n)
-        return index
-
-    def _set(self, sites, ball, polar, tree, tree_n):
-        if len(sites) - tree_n > _TAIL_MAX:
-            tree, tree_n = cKDTree(ball), len(sites)
-        self.sites, self._ball, self._polar = sites, ball, polar
+    def _set(self, bufs, n, tree, tree_n):
+        """View the first n rows of bufs (sites, Poincare images, polar
+        parts), read-only, with the tree over the first tree_n sites, or a
+        new tree over all of them if the tail would pass ``_TAIL_MAX``."""
+        self._bufs = bufs
+        self.sites, self._ball, *polar = (buf[:n] for buf in bufs)
+        self._polar = tuple(polar)
+        for view in (self.sites, self._ball, *polar):
+            view.flags.writeable = False
+        if n - tree_n > _TAIL_MAX:
+            tree, tree_n = cKDTree(self._ball), n
         self._tree, self._tree_n = tree, tree_n
+
+    def extended(self, new_sites):
+        """Index over these sites followed by ``new_sites``; this index's
+        answers do not change."""
+        new_sites = np.asarray(new_sites, dtype=float)
+        rows = (new_sites, to_poincare(new_sites), *_polar(new_sites))
+        n = len(self.sites)
+        end = n + len(new_sites)
+        # from here on the new index views every row, and only it appends
+        bufs, self._bufs = self._bufs, None
+        if bufs is None or end > len(bufs[0]):
+            bufs = tuple(np.empty((2 * end,) + col.shape[1:]) for col in rows)
+            for buf, col in zip(bufs, (self.sites, self._ball, *self._polar)):
+                buf[:n] = col
+        for buf, col in zip(bufs, rows):
+            buf[n:end] = col
+        index = _SiteIndex.__new__(_SiteIndex)
+        index._set(bufs, end, self._tree, self._tree_n)
+        return index
 
     def candidates(self, points, rho):
         """Flat (point, site) index pairs that may lie within rho (a scalar
@@ -417,6 +444,12 @@ class _SiteIndex:
         order = np.argsort(qi, kind="stable")
         return qi[order], si[order]
 
+    def pairs(self, points, rho):
+        """:meth:`candidates` and each pair's cosh distance, measured from the
+        point's polar parts to the site's stored ones."""
+        qi, si = self.candidates(points, rho)
+        return qi, si, _polar_cosh(_take(_polar(points), qi), _take(self._polar, si))
+
     def nearest_within(self, points, rho):
         """Nearest site per point, its distance and the distance's cosh, or
         -1, inf and inf where no site lies within rho (a scalar or one radius
@@ -424,9 +457,8 @@ class _SiteIndex:
         rho = np.broadcast_to(np.asarray(rho, dtype=float), (len(points),))
         idx = np.full(len(points), -1, dtype=np.intp)
         cosh = np.full(len(points), np.inf)
-        qi, si = self.candidates(points, rho)
+        qi, si, prod = self.pairs(points, rho)
         if si.size:
-            prod = _polar_cosh(_take(_polar(points), qi), _take(self._polar, si))
             starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
             best = np.minimum.reduceat(prod, starts)
             at_best = prod == np.repeat(best, np.diff(np.r_[starts, qi.size]))
@@ -579,12 +611,13 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
 
     Candidates are drawn volume-uniformly from the r-shrunken region in
     batches of 512 and kept, in draw order, when more than 2r from every
-    accepted center.  Each batch is decided at once: one neighbour index over
-    the centers kept so far finds those within 2r of a candidate, another
-    over the batch finds its close candidate pairs, and :func:`_greedy_keep`
-    keeps, in draw order, what neither rules out.  Both tests compare the
-    same ``cosh_distance`` values with cosh(2r) as a one-by-one scan would,
-    so the centers are the scan's.  Sampling stops after 8 consecutive
+    accepted center.  Each batch is decided at once: the neighbour index over
+    the centers kept so far, extended by each batch's keepers, finds those
+    within 2r of a candidate, another over the batch finds its close
+    candidate pairs, and :func:`_greedy_keep` keeps, in draw order, what
+    neither rules out.  Both tests compare the pairs' cosh, the
+    ``cosh_distance`` values, with cosh(2r) as a one-by-one scan would, so
+    the centers are the scan's.  Sampling stops after 8 consecutive
     fruitless batches (declared maximal) or at ``max_centers`` (recorded as
     non-maximal).  Deterministic given ``seed``.
     """
@@ -597,24 +630,23 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
     rng = stream(seed, "packing")
     if isinstance(inner, BallRegion) and inner.radius == 0.0:
         return Packing(origin(d)[None, :], r, region, maximal=True)
-    buf = np.empty((max_centers, d + 1))
-    n = 0
+    index = _SiteIndex(np.empty((0, d + 1)))
     idle = 0
     cosh2r = np.cosh(2.0 * r)
-    while idle < patience and n < max_centers:
+    while idle < patience and len(index.sites) < max_centers:
         cands = sample_region(inner, d, rng, batch)
         free = np.ones(batch, dtype=bool)
-        if n:
-            qi, si = _SiteIndex(buf[:n]).candidates(cands, 2.0 * r)
-            free[qi[cosh_distance(cands[qi], buf[si]) <= cosh2r]] = False
+        qi, _, cosh = index.pairs(cands, 2.0 * r)
+        free[qi[cosh <= cosh2r]] = False
         cands = cands[free]
-        qi, si = _SiteIndex(cands).candidates(cands, 2.0 * r)
-        close = (qi < si) & (cosh_distance(cands[qi], cands[si]) <= cosh2r)
-        keep = _greedy_keep(qi[close], si[close], len(cands), max_centers - n)
-        buf[n:n + keep.size] = cands[keep]
-        n += keep.size
+        qi, si, cosh = _SiteIndex(cands).pairs(cands, 2.0 * r)
+        close = (qi < si) & (cosh <= cosh2r)
+        keep = _greedy_keep(qi[close], si[close], len(cands),
+                            max_centers - len(index.sites))
+        index = index.extended(cands[keep])
         idle = 0 if keep.size else idle + 1
-    return Packing(buf[:n].copy(), r, region, maximal=n < max_centers)
+    return Packing(index.sites.copy(), r, region,
+                   maximal=len(index.sites) < max_centers)
 
 
 def covering_probe(packing, d, n_probes=10000, seed=1):
@@ -628,7 +660,7 @@ def covering_probe(packing, d, n_probes=10000, seed=1):
     rng = stream(seed, "probe")
     probes = sample_region(inner, d, rng, n_probes)
     reach = np.cosh(2.0 * packing.radius) + 1e-12
-    qi, si = _SiteIndex(packing.centers).candidates(probes, np.arccosh(reach))
+    qi, _, cosh = _SiteIndex(packing.centers).pairs(probes, np.arccosh(reach))
     covered = np.zeros(n_probes, dtype=bool)
-    covered[qi[cosh_distance(probes[qi], packing.centers[si]) <= reach]] = True
+    covered[qi[cosh <= reach]] = True
     return float(np.mean(covered))

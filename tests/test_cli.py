@@ -203,6 +203,8 @@ class TestDispatch:
         ("clusters", ["spacing_factor=5"], 2, "packing ball"),
         # 20 paths leave no histogram bin with the 50 samples a ratio needs
         ("hk-calibrate", ["d=2", "n_paths=20"], 3, "ratio"),
+        ("bridge-ldp", ["s_list=0.4,-0.1"], 2, "duration"),
+        ("clusters", ["t=-1"], 2, "t"),
     ])
     def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
                                               sets, status, message):
@@ -288,6 +290,14 @@ class TestDispatch:
         assert "clusters" in summary
         lines = read(out / "data.csv").splitlines()
         assert lines[0] == "site_id,x0,x1,x2,value"
+
+    def test_radial_check_at_time_zero_writes_null_ratio(self, tmp_path):
+        # no time has passed, so the radius-per-time ratio is undefined
+        out = tmp_path / "r0"
+        assert run_cli(tmp_path, "radial-check", "--out", str(out),
+                       "--set", "t=0", "--set", "n_paths=20") == 0
+        summary = read_strict_json(out / "summary.json")
+        assert summary["ratio"] is None and summary["mean_radius"] == 0.0
 
     def test_env_override(self, tmp_path, monkeypatch):
         out = tmp_path / "env"

@@ -608,7 +608,7 @@ class TestNeighbourIndex:
         assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
         if h is None:
             return
-        within, within_dist = f.nearest_site_within(queries, h)
+        within, within_dist = f._neighbours().nearest_within(queries, h)[:2]
         hit = want_dist <= h
         assert np.array_equal(within[hit], want_idx[hit])
         assert np.array_equal(within_dist[hit], want_dist[hit])
@@ -627,8 +627,8 @@ class TestNeighbourIndex:
                              geo.sample_region(geo.BallRegion(radius + 1.0), d, rng, 40)])
         index = geo._SiteIndex(sites[:1])
         for k in np.minimum(1 + np.cumsum(steps), len(sites)):
-            block = geo._SiteIndex(sites[:k])
-            index = geo._SiteIndex._over(sites[:k], block._ball, block._polar, index)
+            older, index = index, index.extended(sites[len(index.sites):k])
+            assert np.array_equal(index.sites, sites[:k])
             assert index._tree_n <= k <= index._tree_n + geo._TAIL_MAX
             want_idx, want_dist = oracle_nearest_site(sites[:k], queries)
             idx, dist = index.nearest(queries)
@@ -640,15 +640,24 @@ class TestNeighbourIndex:
             assert np.array_equal(np.arccosh(np.maximum(1.0, cosh)), within_dist)
             # candidates are grouped by point, sites ascending, and hold
             # every pair within h
-            qi, si = index.candidates(queries, h)
+            qi, si, cosh = index.pairs(queries, h)
             assert np.all((np.diff(qi) > 0) | ((np.diff(qi) == 0) & (np.diff(si) > 0)))
             near = geo.distance(queries[:, None, :], sites[None, :k, :], validate=False) <= h
             assert near[qi, si].sum() == near.sum()
+            assert np.array_equal(cosh, geo.cosh_distance(queries[qi], sites[si]))
             i, j, dist = index.close_pairs(h)
             fresh = geo._SiteIndex(sites[:k].copy())
             fi, fj, fdist = fresh.close_pairs(h)
             assert (np.array_equal(i, fi) and np.array_equal(j, fj)
                     and np.array_equal(dist, fdist))
+        # a fork: extending the older index again leaves the newer one's
+        # sites and answers where they were
+        before = index.nearest_within(queries, h), index.pairs(queries, h)
+        older.extended(geo.sample_region(geo.BallRegion(radius), d, rng, 5))
+        assert np.array_equal(index.sites, sites[:k])
+        after = index.nearest_within(queries, h), index.pairs(queries, h)
+        for was, now in zip(before, after):
+            assert all(np.array_equal(a, b) for a, b in zip(was, now))
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.sampled_from([2, 3]), radius=st.floats(0.5, 20.0),
