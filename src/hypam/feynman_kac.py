@@ -295,11 +295,16 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
     of radius ``r_peak`` at time eps*t, and stays inside the doubled peak
     ball afterwards.  With the same seed this shares its paths and field
     with quenched :func:`fk_estimate`, so the restricted mean is a pathwise
-    lower bound; a field needs the same dt.  A scenario no path can meet
-    (K*t^(4/3) + r_peak below d(o, peak)) raises :class:`ConstraintViolation`.
+    lower bound; a field needs the same dt.  A grid without a step (t <= 0
+    or round(t / dt) < 1) or a scenario no path can meet (K*t^(4/3) + r_peak
+    below d(o, peak)) raises :class:`ConstraintViolation`.
     """
     if not 0 < eps < 1:
         raise ConstraintViolation("eps must lie in (0, 1)")
+    if not (t > 0 and dt > 0 and round(t / dt) >= 1):
+        raise ConstraintViolation(
+            "the time grid needs t > 0 and at least one step of dt "
+            f"(got t={t}, dt={dt})")
     peak_center = np.asarray(peak_center, dtype=float)
     ball_radius = K * t ** (4.0 / 3.0)
     peak_dist = float(geo.radius(peak_center))

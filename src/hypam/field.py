@@ -25,10 +25,10 @@ covariance matrix holds only the pairs within R0, written into a zeroed
 matrix, and equals the dense evaluation entry for entry.
 
 A lazily grown field's realizations take their sites from the neighbour
-index, which each extension grows (``_SiteIndex.extended``) with each site's
-Poincare image and polar parts computed once, so an extension costs what its
-new sites and their neighbourhood cost, plus a copy of the values, not a copy
-of every site and a new k-d tree over them.
+index.  Each extension copies its parent's sites and values, followed by the
+new ones (``_SiteIndex.extended``); only the new sites' Poincare images and
+polar parts are computed, and the parent's k-d tree is kept while the tail
+stays short, so no realization's rows ever change.
 """
 
 import functools
@@ -334,19 +334,21 @@ def extend_field(fieldr, new_sites, seed):
     ``COND_SITE_CAP`` (96) nearest.  By the rule of ``cov_matrix``, new
     sites must lie more than ``COINCIDENT_DISTANCE`` from each other and
     from every existing site; the union holds at most ``MAX_FIELD_SITES``,
-    one block at most ``MAX_ONESHOT_SITES``.  Existing sites come from the
-    realization's neighbour index, which measures only its candidate pairs;
-    the conditioning set and its order are those of a dense scan.
+    one block at most ``MAX_ONESHOT_SITES``.  Each existing site's distance
+    to the new block is the least over the neighbour index's candidate
+    pairs, and infinite for a site with none; as every pair within the
+    conditioning radius is a candidate, the conditioning set and its order
+    (ascending site index, or nearest first when capped) are a dense scan's.
     With ``[[L11, 0], [L21, L22]]`` the :func:`_lattice_factor` of the
     covariance of those sites then the new ones, the new values
     are ``L21 L11^-1 x + L22 z`` (x their values, z standard normals), the
     kriging law: ``L21 L11^-1 = C_no C_oo^-1`` and ``L22 L22^T = C_nn - C_no
     C_oo^-1 C_on``, and ``L22 z`` with no conditioning site.  Returns a new
     realization over the union: its neighbour index is the original's
-    extended by the new sites (``geometry._SiteIndex.extended``, which leaves
-    the original's rows untouched) and its sites are that index's, its values
-    a read-only concatenation; the largest jitter so far is in
-    ``meta["jitter"]``, extensions in ``meta["extensions"]``.
+    extended by the new sites (``geometry._SiteIndex.extended``, a copy of
+    the original's rows followed by the new ones) and its sites are that
+    index's, its values a read-only concatenation; the largest jitter so far
+    is in ``meta["jitter"]``, extensions in ``meta["extensions"]``.
     """
     spec = fieldr.spec
     new_sites = np.atleast_2d(np.asarray(new_sites, dtype=float))
@@ -355,23 +357,14 @@ def extend_field(fieldr, new_sites, seed):
 
     cond_radius = COND_RADIUS_FACTOR * spec.R0
     _, si, cosh = fieldr._neighbours().pairs(new_sites, cond_radius)
-    # an existing site's distance to the new block is the least over its
-    # candidate pairs wherever it is within cond_radius, as every such pair
-    # is a candidate
-    order = np.argsort(si, kind="stable")
-    si = si[order]
-    dist_on = np.arccosh(np.maximum(1.0, cosh[order]))
-    first = np.flatnonzero(np.diff(si, prepend=-1))
-    cand = si[first]
-    gap = np.minimum.reduceat(dist_on, first) if si.size else dist_on
-    if cand.size and np.min(gap) <= COINCIDENT_DISTANCE:
+    gap = np.full(fieldr.n_sites, np.inf)
+    np.minimum.at(gap, si, np.arccosh(np.maximum(1.0, cosh)))
+    if gap.min(initial=np.inf) <= COINCIDENT_DISTANCE:
         raise ConstraintViolation("new sites must be disjoint from existing sites")
 
-    keep = np.flatnonzero(gap <= cond_radius)
-    if keep.size > COND_SITE_CAP:
-        order = np.argsort(gap[keep])
-        keep = keep[order[:COND_SITE_CAP]]
-    near = cand[keep]
+    near = np.flatnonzero(gap <= cond_radius)
+    if near.size > COND_SITE_CAP:
+        near = near[np.argsort(gap[near])[:COND_SITE_CAP]]
 
     rng = stream(seed, "extend", fieldr.meta.get("extensions", 0))
     k = near.size

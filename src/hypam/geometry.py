@@ -14,9 +14,10 @@ the coordinates of the one neighbour index (``_SiteIndex``): a k-d tree plus
 a short tail of later sites scanned by broadcast, queried with a Euclidean
 radius that provably holds the hyperbolic ball; ``_SiteIndex.pairs``
 measures the candidate pairs as ``cosh_distance`` does, from polar parts the
-index stores once per site, and each caller applies its exact test.  The
-index owns its sites and grows them (``_SiteIndex.extended``), for the lazy
-field and the greedy packing alike.  Packing and its covering probe,
+index stores once per site, and each caller applies its exact test.  An
+index never changes; ``_SiteIndex.extended`` copies its rows into a new one
+followed by new sites, for the lazy field and the greedy packing alike.
+Packing and its covering probe,
 covariance assembly, nearest sites, conditioning sets, new lazy sites,
 islands, clusters and rich balls use it.
 """
@@ -323,19 +324,22 @@ def _poincare_radius(rho, r):
     ulp; as |u| < 1, each image sits within a few 2^-52 of the exact image of
     the point the exact filter sees, whose directions ``cosh_distance``
     resolves to the same absolute precision.  An absolute 1e-14 (about 45
-    ulp of 1) covers the query's and the site's shifts together.  The filter
-    accepts distances whose cosh rounds to at most cosh(rho), up to about
-    rho + 4 eps / rho, and near o the radius r = arccosh(x0) is known only
-    to sqrt(2 eps) ~ 2e-8; as |d log R / d rho| <= 1/rho + 1/2 and
-    |d log R / d r| <= 1, the relative 1e-6 covers both for rho >= 1e-4.
-    Smaller radii are queried at 1e-4, which holds rho + 4 eps / rho for
-    every rho above 1e-11.
+    ulp of 1) covers the query's and the site's shifts together.  Near o a
+    radius r = arccosh(x0) is known only to sqrt(2 eps) ~ 2.1e-8 per ulp of
+    error in x0, and a caller's rho, measured by ``cosh_distance`` from
+    cosh(r1 - r2), inherits that error from both ends: an absolute 1e-7 on
+    rho covers x0 off by up to 5 ulp at each end.  The filter accepts
+    distances whose cosh rounds to at most cosh(rho), up to about
+    rho + 4 eps / rho; as |d log R / d rho| <= 1/rho + 1/2 and
+    |d log R / d r| <= 1, the relative 1e-6 covers that and the error in
+    the query's own r for rho >= 1e-4.  Smaller radii are queried at 1e-4,
+    which holds rho + 4 eps / rho for every rho above 1e-11.
     Where r + rho exceeds ``_POINCARE_CUTOFF`` the radius is 2, the ball's
     diameter, so every site is a candidate; below it, every site within rho
     lies inside radius r + rho too, where the images are resolved.
     """
     r = np.asarray(r, dtype=float)
-    rho_q = np.maximum(rho, 1e-4)
+    rho_q = np.maximum(rho, 1e-4) + 1e-7
     tight = (np.sinh(rho_q / 2.0) / (np.cosh(r / 2.0) * np.cosh((r - rho_q) / 2.0))
              * (1.0 + 1e-6) + 1e-14)
     return np.where(r + rho > _POINCARE_CUTOFF, 2.0, tight)
@@ -364,59 +368,47 @@ def _take(polar, idx):
 
 
 class _SiteIndex:
-    """Neighbour index over a growing site array: a k-d tree over the
-    Poincare-ball images of its leading sites and a tail of at most
-    ``_TAIL_MAX`` later ones, scanned in one broadcast with the same
-    Euclidean bound.
+    """Neighbour index over a site array: a k-d tree over the Poincare-ball
+    images of its leading sites and a tail of at most ``_TAIL_MAX`` later
+    ones, scanned in one broadcast with the same Euclidean bound.
 
     Queries return candidates from a Euclidean radius that contains the
     hyperbolic ball (:func:`_poincare_radius`); :meth:`pairs` measures them
     from the sites' stored :func:`_polar` parts, and callers keep the pairs
     that pass their exact hyperbolic test, so results match a dense scan.
 
-    Each site's Poincare image and polar parts are computed once.
-    :meth:`extended` returns an index over these sites followed by new ones,
-    whose rows sit in buffers an index shares with its extensions, read-only
-    and never written again; capacity doubles as rows arrive.  Only the index
-    viewing every row appends in place; an outgrown one copies its rows into
-    new buffers.  An extension keeps its parent's tree until its tail would
-    pass ``_TAIL_MAX``.
+    Each site's Poincare image and polar parts are computed once.  An index
+    never changes: :meth:`extended` returns a new one whose rows are copies
+    of these followed by the new sites', read-only, and which keeps this
+    index's tree until its tail would pass ``_TAIL_MAX``.
     """
 
     def __init__(self, sites):
         sites = np.asarray(sites, dtype=float)
-        self._set((sites, to_poincare(sites), *_polar(sites)), len(sites), None, 0)
+        self._set((sites, to_poincare(sites), *_polar(sites)), None, 0)
 
-    def _set(self, bufs, n, tree, tree_n):
-        """View the first n rows of bufs (sites, Poincare images, polar
-        parts), read-only, with the tree over the first tree_n sites, or a
-        new tree over all of them if the tail would pass ``_TAIL_MAX``."""
-        self._bufs = bufs
-        self.sites, self._ball, *polar = (buf[:n] for buf in bufs)
+    def _set(self, rows, tree, tree_n):
+        """View rows (sites, Poincare images, polar parts) read-only, with
+        the tree over the first tree_n sites, or a new tree over all of them
+        if the tail would pass ``_TAIL_MAX``."""
+        self.sites, self._ball, *polar = (col.view() for col in rows)
         self._polar = tuple(polar)
         for view in (self.sites, self._ball, *polar):
             view.flags.writeable = False
+        n = len(self.sites)
         if n - tree_n > _TAIL_MAX:
             tree, tree_n = cKDTree(self._ball), n
         self._tree, self._tree_n = tree, tree_n
 
     def extended(self, new_sites):
-        """Index over these sites followed by ``new_sites``; this index's
-        answers do not change."""
+        """Index over copies of these sites followed by ``new_sites``, whose
+        Poincare images and polar parts alone are computed."""
         new_sites = np.asarray(new_sites, dtype=float)
         rows = (new_sites, to_poincare(new_sites), *_polar(new_sites))
-        n = len(self.sites)
-        end = n + len(new_sites)
-        # from here on the new index views every row, and only it appends
-        bufs, self._bufs = self._bufs, None
-        if bufs is None or end > len(bufs[0]):
-            bufs = tuple(np.empty((2 * end,) + col.shape[1:]) for col in rows)
-            for buf, col in zip(bufs, (self.sites, self._ball, *self._polar)):
-                buf[:n] = col
-        for buf, col in zip(bufs, rows):
-            buf[n:end] = col
         index = _SiteIndex.__new__(_SiteIndex)
-        index._set(bufs, end, self._tree, self._tree_n)
+        index._set(tuple(np.concatenate([old, new]) for old, new
+                         in zip((self.sites, self._ball, *self._polar), rows)),
+                   self._tree, self._tree_n)
         return index
 
     def candidates(self, points, rho):

@@ -344,22 +344,31 @@ def oracle_linear_fit(x, y):
             (float(res.slope - half), float(res.slope + half)))
 
 
-def oracle_extend_values(fieldr, new_sites, seed):
-    """New values and jitter of a conditional extension through the Schur
-    complement: the conditioning set by a dense scan of every site, the
-    kriging weights from a Cholesky factor of the conditioning block and two
-    solves, and ``mean + Lc z`` with Lc a factor of the symmetrised
-    conditional covariance; the same stream as ``field.extend_field``.  Both
-    factors come from numpy's Cholesky with no jitter (a block that needs one
-    raises ``LinAlgError``), so the jitter returned is the realization's."""
-    spec = fieldr.spec
-    cond_radius = COND_RADIUS_FACTOR * spec.R0
+def oracle_conditioning_set(fieldr, new_sites):
+    """Indices of the existing sites an extension conditions on, by a dense
+    scan of every site: those within ``COND_RADIUS_FACTOR * R0`` of the new
+    block, ascending, or the ``COND_SITE_CAP`` nearest, nearest first."""
+    cond_radius = COND_RADIUS_FACTOR * fieldr.spec.R0
     dist_on = geo.distance(fieldr.sites[:, None, :], new_sites[None, :, :],
                            validate=False)
     near = np.flatnonzero(np.min(dist_on, axis=1) <= cond_radius)
     if near.size > COND_SITE_CAP:
         order = np.argsort(np.min(dist_on[near], axis=1))
         near = near[order[:COND_SITE_CAP]]
+    return near
+
+
+def oracle_extend_values(fieldr, new_sites, seed):
+    """New values and jitter of a conditional extension through the Schur
+    complement: the conditioning set by a dense scan of every site
+    (:func:`oracle_conditioning_set`), the kriging weights from a Cholesky
+    factor of the conditioning block and two solves, and ``mean + Lc z`` with
+    Lc a factor of the symmetrised conditional covariance; the same stream as
+    ``field.extend_field``.  Both factors come from numpy's Cholesky with no
+    jitter (a block that needs one raises ``LinAlgError``), so the jitter
+    returned is the realization's."""
+    spec = fieldr.spec
+    near = oracle_conditioning_set(fieldr, new_sites)
 
     rng = stream(seed, "extend", fieldr.meta.get("extensions", 0))
     jitter = fieldr.meta.get("jitter", 0.0)

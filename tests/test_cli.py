@@ -205,6 +205,8 @@ class TestDispatch:
         ("hk-calibrate", ["d=2", "n_paths=20"], 3, "ratio"),
         ("bridge-ldp", ["s_list=0.4,-0.1"], 2, "duration"),
         ("clusters", ["t=-1"], 2, "t"),
+        ("fk-localized", ["t=-1"], 2, "t"),
+        ("fk-localized", ["t=1", "dt=2", "K=4"], 2, "dt"),
     ])
     def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
                                               sets, status, message):

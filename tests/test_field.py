@@ -5,14 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from hypam import field as fd, geometry as geo
-from hypam.config import (BudgetExceeded, COND_RADIUS_FACTOR,
+from hypam.config import (BudgetExceeded, COND_RADIUS_FACTOR, COND_SITE_CAP,
                           ConstraintViolation, stream)
-from oracles import (oracle_clusters, oracle_cov, oracle_cov_matrix,
-                     oracle_extend_values,
+from oracles import (oracle_clusters, oracle_conditioning_set, oracle_cov,
+                     oracle_cov_matrix, oracle_extend_values,
                      oracle_islands, oracle_nearest_site,
                      oracle_rich_ball_event)
 
@@ -272,7 +272,8 @@ class TestExtension:
 
     def test_extending_an_older_realization_copies_its_rows(self, spec_unit):
         # a is extended to b, then a again: b keeps its rows, and a's second
-        # child is the one a deep copy of a gives, whose store is its own
+        # child is the one a deep copy of a gives, as every extension copies
+        # its parent's rows
         rng = stream(8, "fork")
         base = fd.sample_field(spec_unit, geo.sample_region(geo.BallRegion(1.0), 2, rng, 5),
                                seed=1)
@@ -282,7 +283,7 @@ class TestExtension:
         b = fd.extend_field(a, geo.sample_region(geo.AnnulusRegion(2.5, 3.0), 2, rng, 4),
                             seed=3)
         b_rows = b.sites.copy(), b.values.copy()
-        # forty rows pass the store's capacity
+        # a second child, adding more rows than its parent holds
         new = geo.sample_region(geo.AnnulusRegion(3.5, 4.0), 2, rng, 40)
         c = fd.extend_field(a, new, seed=4)
         want = fd.extend_field(twin, new, seed=4)
@@ -290,7 +291,7 @@ class TestExtension:
         assert np.array_equal(c.sites, want.sites) and np.array_equal(c.values, want.values)
         assert c.meta == want.meta and c.n_sites == a.n_sites + 40
         assert np.array_equal(c.sites[:a.n_sites], a.sites)
-        # b, still the newest view of its store, appends in place; c is untouched
+        # extending b copies b's rows and leaves c, a's newer child, untouched
         c_rows = c.sites.copy(), c.values.copy()
         e = fd.extend_field(b, new, seed=5)
         assert np.array_equal(e.sites[:b.n_sites], b_rows[0])
@@ -357,6 +358,29 @@ class TestExtension:
         assert ext.meta["jitter"] == 0.0 and want_jitter == 0.0
         assert np.array_equal(ext.values[:len(old)], base.values)
         assert np.allclose(ext.values[len(old):], want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_capped_conditioning_set_matches_dense(self, spec_unit, monkeypatch,
+                                                   seed):
+        # over a hundred sites lie within the conditioning radius of three
+        # new sites near o, so the set is the COND_SITE_CAP nearest, in the
+        # dense scan's order, ahead of the new sites
+        old = geo.greedy_packing(geo.BallRegion(2.5), 0.125, 2, seed=seed,
+                                 max_centers=600).centers
+        base = fd.sample_field(spec_unit, old, seed=seed)
+        new = geo.sample_region(geo.BallRegion(0.5), 2, stream(seed, "cap"), 3)
+        handed = []
+        factor = fd._lattice_factor
+
+        def capture(spec, sites):
+            handed.append(sites)
+            return factor(spec, sites)
+
+        monkeypatch.setattr(fd, "_lattice_factor", capture)
+        fd.extend_field(base, new, seed=seed + 1)
+        near = oracle_conditioning_set(base, new)
+        assert len(handed) == 1 and near.size == COND_SITE_CAP
+        assert np.array_equal(handed[0], np.vstack([old[near], new]))
 
 
 class TestJitterLadder:
@@ -676,6 +700,8 @@ class TestNeighbourIndex:
     @given(d=st.sampled_from([2, 3]), r=st.floats(0.0, 36.0),
            log_step=st.floats(-5.0, 0.7), way=st.sampled_from(["in", "out", "any"]),
            seed=st.integers(0, 2 ** 31 - 1))
+    # near o, dist inherits the error of arccosh(x0) at both ends
+    @example(d=2, r=3.6179884479338343e-07, log_step=-3.875, way="in", seed=0)
     def test_candidate_radius_holds_ball(self, d, r, log_step, way, seed):
         # a pair at computed distance dist is a candidate at rho = dist, from
         # either end, at every radius, past the cutoff too; the inward radial
