@@ -2,10 +2,11 @@
 
 The generator is Delta (not Delta/2): tangent increments carry covariance
 2*dt per direction and the radial part solves dR = sqrt(2) dB + (d-1) coth(R) dt.
-The full simulator is a geodesic random walk (Gaussian tangent step followed
-by the exponential map); the radial simulator is Euler-Maruyama with a
-clamped drift near zero and reflection, and the two are required to agree in
-law at matched resolution.
+The full simulator is a geodesic random walk (Gaussian tangent steps taken
+by ``geometry.frame_step``); the radial simulator is Euler-Maruyama with a
+clamped drift near zero and reflection.  Both run on the one time grid of
+:func:`_time_grid`, and the two are required to agree in law at matched
+resolution.
 """
 
 import functools
@@ -43,9 +44,6 @@ class Trajectory:
         dts = np.diff(self.times)
         return float(np.max(self.step_lengths() / np.sqrt(2.0 * dts)))
 
-    def radial(self):
-        return geo.radius(self.points)
-
 
 @dataclass(frozen=True)
 class BridgeSpec:
@@ -62,6 +60,17 @@ class BridgeSpec:
 
 # --- full simulator ----------------------------------------------------------
 
+def _time_grid(t, dt):
+    """The path simulators' grid: n = round(t / dt) steps of dt from time 0,
+    ``linspace(0, n * dt, n + 1)``.  Raises :class:`ConstraintViolation`
+    unless dt > 0 and t >= 0 with t / dt finite, which NaN fails too."""
+    if not (dt > 0 and 0 <= t / dt < math.inf):
+        raise ConstraintViolation("the time grid needs dt > 0 and t >= 0 with "
+                                  f"finitely many steps (got t={t}, dt={dt})")
+    n = int(round(t / dt))
+    return np.linspace(0.0, n * dt, n + 1)
+
+
 def simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0, start=None,
                       record=True):
     """Vectorized geodesic random walk; returns (times, points array).
@@ -69,10 +78,8 @@ def simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0, start=None,
     ``points`` has shape (n_steps+1, n_paths, d+1) when ``record`` else only
     the final slice (n_paths, d+1) is returned to save memory.
     """
-    if dt <= 0 or t < 0:
-        raise ConstraintViolation("need dt > 0 and t >= 0")
-    n_steps = int(round(t / dt)) if t > 0 else 0
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    times = _time_grid(t, dt)
+    n_steps = len(times) - 1
     if start is None:
         x = np.tile(geo.origin(d), (n_paths, 1))
     elif np.ndim(start) == 1:
@@ -125,9 +132,9 @@ def simulate_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0,
 
     Each step r <- |r + drift * dt + sqrt(2 dt) * z| is taken in place, in
     that operation order, on buffers allocated once."""
-    if dt <= 0 or r0 < 0:
-        raise ConstraintViolation("need dt > 0 and r0 >= 0")
-    n_steps = int(round(t / dt))
+    n_steps = len(_time_grid(t, dt)) - 1
+    if r0 < 0:
+        raise ConstraintViolation(f"need r0 >= 0 (got r0={r0})")
     rng = stream(seed, "radial", stream_id)
     r = np.full(n_paths, float(r0))
     running_max = np.full(n_paths, float(r0))
@@ -255,8 +262,12 @@ def simulate_bridge_batch(spec, dt, seed, n_paths, n_candidates=16, stream_id=0)
     geodesic-walk step each) is reweighted by the transition kernel to the
     pinned endpoint over the remaining time and one is resampled per path.
     The final point is the endpoint itself.  Bias is controlled by dt and the
-    fan size and is audited by the time-reversal test in the suite.
+    fan size and is audited by the time-reversal test in the suite.  The
+    grid has n = max(2, round(s / dt)) steps and ends at s; dt must be
+    positive.
     """
+    if not dt > 0:
+        raise ConstraintViolation(f"the bridge grid needs dt > 0 (got dt={dt})")
     from .heatkernel import log_kernel
     d = spec.start.shape[-1] - 1
     n_steps = max(2, int(round(spec.s / dt)))

@@ -18,7 +18,7 @@ from scipy.special import log_ndtr, logsumexp
 from .config import (BudgetExceeded, ConstraintViolation, LONG_ROUTE_N_CAP,
                      LATTICE_SPACING_FACTOR, stream)
 from . import geometry as geo
-from .brownian import simulate_bm_batch, radial_drift_bound
+from .brownian import _time_grid, simulate_bm_batch, radial_drift_bound
 from .field import CovarianceSpec, extend_field, sample_field
 from .stats import _finite_or_none
 from .varopt import l_star_relaxed, route_constants, _golden_max
@@ -295,16 +295,15 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
     of radius ``r_peak`` at time eps*t, and stays inside the doubled peak
     ball afterwards.  With the same seed this shares its paths and field
     with quenched :func:`fk_estimate`, so the restricted mean is a pathwise
-    lower bound; a field needs the same dt.  A grid without a step (t <= 0
-    or round(t / dt) < 1) or a scenario no path can meet (K*t^(4/3) + r_peak
-    below d(o, peak)) raises :class:`ConstraintViolation`.
+    lower bound; a field needs the same dt.  A time grid without a step or
+    a scenario no path can meet (K*t^(4/3) + r_peak below d(o, peak))
+    raises :class:`ConstraintViolation`.
     """
     if not 0 < eps < 1:
         raise ConstraintViolation("eps must lie in (0, 1)")
-    if not (t > 0 and dt > 0 and round(t / dt) >= 1):
+    if len(_time_grid(t, dt)) < 2:
         raise ConstraintViolation(
-            "the time grid needs t > 0 and at least one step of dt "
-            f"(got t={t}, dt={dt})")
+            f"the time grid needs at least one step of dt (got t={t}, dt={dt})")
     peak_center = np.asarray(peak_center, dtype=float)
     ball_radius = K * t ** (4.0 / 3.0)
     peak_dist = float(geo.radius(peak_center))

@@ -195,49 +195,21 @@ def side_length(rho, r, theta):
     return np.arccosh(np.maximum(1.0, c))
 
 
-# --- tangent-space machinery (used by the Brownian simulators) -------------
-
-def tangent_step(x, coeffs):
-    """Map frame coefficients to an ambient tangent vector at ``x``.
-
-    The frame ``u_i = e_i + x_i (x + e_0) / (1 + x_0)`` (i = 1..d) is
-    Minkowski-orthonormal at every x, so a coefficient vector with iid
-    N(0, s^2) entries is an isotropic tangent Gaussian of scale s and its
-    Euclidean norm equals the tangent norm.
-    """
-    x = np.asarray(x, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float)
-    dot = _row_dot(coeffs, x[..., 1:])[..., None]
-    v = np.concatenate([dot, coeffs + dot / (1.0 + x[..., :1]) * x[..., 1:]],
-                       axis=-1)
-    return v
-
-
-def exp_map(x, v, norm=None):
-    """Exponential map at x applied to tangent vector v (ambient coords).
-
-    ``norm`` may supply the tangent norm when the caller knows it exactly
-    (for frame-coefficient steps it is the Euclidean coefficient norm);
-    recomputing it through the Minkowski form loses all precision at large
-    radius.
-    """
-    if norm is None:
-        norm = np.sqrt(np.maximum(minkowski_dot(v, v), 0.0))
-    norm = np.asarray(norm, dtype=float)
-    safe = np.maximum(norm, 1e-300)[..., None]
-    out = np.cosh(norm)[..., None] * x + np.sinh(norm)[..., None] * (v / safe)
-    return project(out)
-
+# --- the geodesic step (used by the Brownian simulators) --------------------
 
 def frame_step(x, coeffs):
     """Geodesic step from x with orthonormal-frame coefficients ``coeffs``.
 
-    Equivalent to ``exp_map(x, tangent_step(x, coeffs))`` but numerically
-    stable at every radius: the tangent norm is the coefficient norm n.
-    Only the d spatial columns are formed, one at a time, in that route's
-    operation order: column k is cosh(n) x_k + sinh(n) ((c_k + (dot / (1 +
-    x0)) x_k) / n), dot = c . x_spatial; the time coordinate is then rebuilt
-    as in :func:`project`, so the tangent's time column is never computed.
+    The frame ``u_i = e_i + x_i (x + e_0) / (1 + x_0)`` (i = 1..d) is
+    Minkowski-orthonormal at every x, so coefficients with iid N(0, s^2)
+    entries give an isotropic tangent Gaussian v = sum_i c_i u_i of scale s,
+    and the step length is the coefficient norm n: exact at every radius,
+    where the Minkowski form of v would lose all precision.  The step is
+    cosh(n) x + sinh(n) v / n.  Only its d spatial columns are formed, one
+    at a time: column k is cosh(n) x_k + sinh(n) ((c_k + (dot / (1 + x0))
+    x_k) / n), dot = c . x_spatial, in the operation order of the broadcast
+    form; the time coordinate is then rebuilt as in :func:`project`, so the
+    tangent's time column is never computed.
     """
     x = np.asarray(x, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)

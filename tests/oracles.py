@@ -62,6 +62,19 @@ def oracle_tangent_step(x, coeffs):
                           axis=-1)
 
 
+def oracle_exp_map(x, v, norm=None):
+    """Exponential map at x of the ambient tangent vector v.  ``norm`` may
+    give the tangent norm exactly (for frame coefficients, their Euclidean
+    norm); through the Minkowski form it loses all precision at large
+    radius."""
+    if norm is None:
+        norm = np.sqrt(np.maximum(geo.minkowski_dot(v, v), 0.0))
+    norm = np.asarray(norm, dtype=float)
+    safe = np.maximum(norm, 1e-300)[..., None]
+    out = np.cosh(norm)[..., None] * x + np.sinh(norm)[..., None] * (v / safe)
+    return geo.project(out)
+
+
 def oracle_frame_step(x, coeffs):
     norm = np.linalg.norm(coeffs, axis=-1)
     v = oracle_tangent_step(x, coeffs) / np.maximum(norm, 1e-300)[..., None]

@@ -17,8 +17,8 @@ from hypam import geometry as geo, heatkernel as hk, varopt
 from hypam.config import stream
 from hypam.varopt import ModelParams
 
-from oracles import (brute_force_reduce, oracle_clusters, oracle_islands,
-                     sample_hitting_times)
+from oracles import (brute_force_reduce, oracle_clusters, oracle_exp_map,
+                     oracle_islands, oracle_tangent_step, sample_hitting_times)
 
 
 def _report(num, text):
@@ -135,9 +135,9 @@ def test_c08_field_fidelity(spec_unit):
     # 20 pairs at assorted separations inside the support
     base = geo.sample_region(geo.BallRegion(2.0), 2, rng, 20)
     rho = rng.uniform(0.1, 0.95, size=20)
-    partner = np.array([geo.exp_map(b, geo.tangent_step(b, r * _unit(rng, 2)),
-                                    norm=r)
-                        for b, r in zip(base, rho)])
+    partner = np.array([
+        oracle_exp_map(b, oracle_tangent_step(b, r * _unit(rng, 2)), norm=r)
+        for b, r in zip(base, rho)])
     sites = np.vstack([base, partner])
     draws = np.empty((n, 40))
     for i in range(n):

@@ -32,6 +32,18 @@ def test_points_stay_on_hyperboloid():
     geo.check_points(traj.points)
 
 
+@pytest.mark.parametrize("t,dt", [(-1.0, 0.01), (np.nan, 0.01), (np.inf, 0.01),
+                                  (1e300, 1e-10), (1.0, 0.0), (1.0, -0.1),
+                                  (1.0, np.nan)])
+def test_path_simulators_reject_a_bad_grid(t, dt):
+    # a negative, NaN or unbounded t makes no grid: it must not run as zero
+    # steps or fail while counting them
+    with pytest.raises(ConstraintViolation, match="t >= 0"):
+        bm.simulate_bm_batch(2, t, dt, 0, 3)
+    with pytest.raises(ConstraintViolation, match="t >= 0"):
+        bm.simulate_radial_batch(2, t, dt, 0.0, 0, 3)
+
+
 def test_radial_drift_clamp():
     # far from zero the drift is (d-1) coth ~ (d-1); the clamp only acts nearby
     for d in (2, 3):
@@ -116,6 +128,14 @@ class TestBridge:
         spec = bm.BridgeSpec(x, y, 0.3)
         traj = bm.simulate_bridge(spec, 0.3 / 64, seed=9)
         assert geo.distance(traj.points[-1], y) < np.sqrt(2 * 0.3 / 64) * 5
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan])
+    def test_bad_dt_rejected(self, dt):
+        # the bridge keeps its own grid rule, which needs a positive dt too
+        spec = bm.BridgeSpec(geo.origin(3),
+                             geo.point_at(3, 0.8, np.array([1.0, 0, 0])), 0.2)
+        with pytest.raises(ConstraintViolation, match="dt"):
+            bm.simulate_bridge_batch(spec, dt, seed=4, n_paths=2)
 
     def test_determinism(self):
         x = geo.origin(3)

@@ -207,6 +207,10 @@ class TestDispatch:
         ("clusters", ["t=-1"], 2, "t"),
         ("fk-localized", ["t=-1"], 2, "t"),
         ("fk-localized", ["t=1", "dt=2", "K=4"], 2, "dt"),
+        ("exit-check", ["t=-1"], 2, "t"),
+        ("exit-check", ["t=nan"], 2, "t"),
+        ("radial-check", ["t=nan"], 2, "t"),
+        ("exit-check", ["t=inf"], 2, "t"),
     ])
     def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
                                               sets, status, message):

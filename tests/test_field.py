@@ -12,9 +12,9 @@ from hypam import field as fd, geometry as geo
 from hypam.config import (BudgetExceeded, COND_RADIUS_FACTOR, COND_SITE_CAP,
                           ConstraintViolation, stream)
 from oracles import (oracle_clusters, oracle_conditioning_set, oracle_cov,
-                     oracle_cov_matrix, oracle_extend_values,
+                     oracle_cov_matrix, oracle_exp_map, oracle_extend_values,
                      oracle_islands, oracle_nearest_site,
-                     oracle_rich_ball_event)
+                     oracle_rich_ball_event, oracle_tangent_step)
 
 
 class TestCovarianceSpec:
@@ -205,8 +205,8 @@ class TestSampling:
         x1 = geo.origin(2)
         y1 = geo.point_at(2, rho, np.array([1.0, 0.0]))
         x2 = geo.point_at(2, 1.7, np.array([0.0, 1.0]))
-        u = geo.tangent_step(x2, rho * np.array([0.6, -0.8]))
-        y2 = geo.exp_map(x2, u)
+        u = oracle_tangent_step(x2, rho * np.array([0.6, -0.8]))
+        y2 = oracle_exp_map(x2, u)
         sites = np.vstack([x1, y1, x2, y2])
         n = 10000
         draws = np.array([fd.sample_field(spec_unit, sites, seed=i).values

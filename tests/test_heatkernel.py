@@ -4,7 +4,7 @@ from scipy import integrate, stats as sps
 
 from hypam import brownian as bm, geometry as geo, heatkernel as hk
 
-from oracles import oracle_log_exact_h3
+from oracles import oracle_exp_map, oracle_log_exact_h3, oracle_tangent_step
 
 
 def test_comparison_d3_reduction():
@@ -124,7 +124,8 @@ class TestBridgeMarginal:
         offsets = np.linspace(-0.5, 0.5, 41)
         dens = []
         for w in offsets:
-            y = geo.exp_map(base, geo.tangent_step(base, np.array([0.0, w, 0.0])))
+            step = oracle_tangent_step(base, np.array([0.0, w, 0.0]))
+            y = oracle_exp_map(base, step)
             dens.append(hk.bridge_marginal(0.0, x, 0.2, q, 0.2 * tau, y))
         assert np.argmax(dens) == len(offsets) // 2
 
