@@ -394,8 +394,9 @@ def _offset_path_energy(K_star, d, n):
 
     - a segment [a, b] has cosh D = a0 b0 - a_s.b_s, so
       d(D^2)/da = 2 (D / sinh D) (b0, -b_s), with D / sinh D -> 1 as D -> 0;
-    - ``project`` sets a0 = sqrt(1 + |a_s|^2), which folds the time
-      component of a node's gradient into the spatial one as a_s / a0;
+    - each node satisfies the constraint a0 = sqrt(1 + |a_s|^2), which folds
+      the time component of a node's gradient into the spatial one as
+      a_s / a0;
     - ``frame_step`` from gamma = (g0, g_s) has spatial part
       cosh(r) g_s + f(r) T_s z with r = |z|, f(r) = sinh(r) / r and
       T_s = I + g_s g_s^T / (1 + g0), so

@@ -3,12 +3,14 @@
 The covariance profile is built as the autocorrelation of a C^2 radial bump
 supported in radius R0/2, which makes it positive semidefinite on every site
 set, exactly zero beyond distance R0, twice differentiable with C'(0) = 0,
-and then rescaled so C(0) = sigma2.  Sampling is exact multivariate Gaussian
-through one :func:`_lattice_factor` Cholesky factor: of the sites' covariance
-for a one-shot draw, of the joint covariance of nearby conditioning sites and
-new sites for the conditional (kriging) extension along trajectories.  LAPACK
-factors each covariance in its own memory, so a draw of n sites holds one
-n x n array.
+and then rescaled so C(0) = sigma2.  Sampling is exact multivariate Gaussian.
+A one-shot draw orders its sites by reverse Cuthill-McKee over their pairs
+within R0 and factors the covariance in LAPACK band storage
+(:func:`_band_root`), so it holds (kd + 1) x n numbers for a bandwidth kd,
+never an n x n array.  The conditional (kriging) extension along
+trajectories factors the joint covariance of nearby conditioning sites and
+new sites densely, in that order and in the covariance's own memory
+(:func:`_lattice_factor`).
 
 Every "which sites are near these points" question (covariance assembly and
 its distinct-sites check, nearest-site lookups, the conditioning set of an
@@ -37,8 +39,9 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy.linalg import solve_banded, solve_triangular
-from scipy.linalg.lapack import dpotrf
-from scipy.sparse import coo_array
+from scipy.linalg.blas import dtbmv
+from scipy.linalg.lapack import dpbtrf, dpotrf
+from scipy.sparse import coo_array, csr_array
 
 from .config import (BudgetExceeded, COINCIDENT_DISTANCE, COND_RADIUS_FACTOR,
                      COND_SITE_CAP, ConstraintViolation, FactorizationError,
@@ -107,14 +110,20 @@ class CovarianceSpec:
         """
         sites = np.asarray(sites, dtype=float)
         mat = np.zeros((len(sites), len(sites)))
-        i, j, dist = geo._SiteIndex(sites).close_pairs(max(self.R0, COINCIDENT_DISTANCE))
-        if np.any(dist <= COINCIDENT_DISTANCE):
-            raise ConstraintViolation("sites must be pairwise distinct")
-        vals = self.cov(dist)
+        i, j, vals = self._close_covs(sites)
         mat[i, j] = vals
         mat[j, i] = vals
         np.fill_diagonal(mat, self.cov(0.0))
         return mat
+
+    def _close_covs(self, sites):
+        """Index pairs i < j of sites within R0 and their covariances, from
+        one neighbour-index pass; a pair within ``COINCIDENT_DISTANCE``
+        raises :class:`ConstraintViolation`."""
+        i, j, dist = geo._SiteIndex(sites).close_pairs(max(self.R0, COINCIDENT_DISTANCE))
+        if np.any(dist <= COINCIDENT_DISTANCE):
+            raise ConstraintViolation("sites must be pairwise distinct")
+        return i, j, self.cov(dist)
 
 
 def make_spec(sigma2, R0, bump_shape="poly3", d=2):
@@ -250,14 +259,79 @@ def _zero_strict_upper(mat):
 
 
 def _lattice_factor(spec, sites):
-    """Cholesky factor and jitter of the covariance of every factorised site
-    set (a (n, d+1) array; one-shot draws and extension blocks alike): at most
+    """Dense Cholesky factor and jitter of the covariance of an extension
+    block (a (n, d+1) array of conditioning sites, then new ones): at most
     ``MAX_ONESHOT_SITES`` sites, coincident ones rejected by ``cov_matrix``.
-    The factor takes the covariance's memory when no jitter is needed, so a
-    draw of n sites holds one n x n array (128 MB at the 4096-site cap)."""
+    The factor keeps the sites' order, which kriging needs, and takes the
+    covariance's memory when no jitter is needed."""
     if len(sites) > MAX_ONESHOT_SITES:
         raise BudgetExceeded(f"site count {len(sites)} above cap {MAX_ONESHOT_SITES}")
     return _cholesky_with_jitter(spec.cov_matrix(sites), spec.sigma2)
+
+
+def _band_root(spec, sites):
+    """Band Cholesky root of a one-shot draw's covariance over a (n, d+1)
+    array of sites: ``(perm, root, jitter)`` with ``B B^T = C[perm][:, perm]
+    + jitter * sigma2 * I``, the lower triangular B held in LAPACK lower band
+    storage, ``root[k, j] = B[j + k, j]``, shape (kd + 1, n).
+
+    At most ``MAX_ONESHOT_SITES`` sites; the pairs within R0 and the
+    coincident-site check come from the neighbour-index pass ``cov_matrix``
+    makes (:meth:`CovarianceSpec._close_covs`).  The sites are ordered by
+    reverse Cuthill-McKee over those pairs, which keeps the bandwidth kd far
+    below n on a packing; the pairs' covariances are written straight into
+    band storage and LAPACK ``dpbtrf`` factors it through the jitter ladder,
+    each rung on a freshly written band, so no n x n array is formed.  With
+    no pair (kd = 0) the order is the identity and the root is sqrt(C(0)),
+    the dense factor's diagonal, with no factorisation.
+    """
+    n = len(sites)
+    if n > MAX_ONESHOT_SITES:
+        raise BudgetExceeded(f"site count {n} above cap {MAX_ONESHOT_SITES}")
+    i, j, vals = spec._close_covs(sites)
+    perm = np.arange(n)
+    if i.size:
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+        # both triangles, as symmetric_mode trusts the stored pattern, in
+        # canonical CSR form (each row's columns ascending)
+        rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
+        order = np.lexsort((cols, rows))
+        graph = csr_array((np.ones(rows.size, dtype=bool), cols[order],
+                           np.searchsorted(rows[order], np.arange(n + 1))),
+                          shape=(n, n))
+        perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.intp)
+        rank = np.empty(n, dtype=np.intp)
+        rank[perm] = np.arange(n)
+        i, j = rank[i], rank[j]
+    col, row = np.minimum(i, j), np.maximum(i, j)
+    kd = int(np.max(row - col, initial=0))
+    for jit in JITTER_LADDER:
+        band = np.zeros((n, kd + 1)).T      # Fortran order, as dpbtrf writes
+        band[0] = spec.cov(0.0) + jit * spec.sigma2
+        band[row - col, col] = vals
+        if kd:
+            root, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        else:
+            root, info = np.sqrt(np.abs(band)), int(not np.all(band > 0))
+        if info == 0:
+            return perm, root, jit
+    raise FactorizationError(
+        "covariance factorisation failed within jitter cap: leading minor "
+        f"of order {info} not positive definite")
+
+
+def _band_draw(perm, root, z):
+    """Values of a :func:`_band_root` draw from standard normals z of shape
+    (n,) or (reps, n): ``values[..., perm] = B z``, one BLAS ``dtbmv`` band
+    product per row of z.  A diagonal root (no pair) scales z by sqrt(C(0)),
+    the dense draw's arithmetic, with no BLAS call."""
+    values = np.empty_like(z)
+    if len(root) == 1:
+        values[..., perm] = root[0] * z
+        return values
+    for zr, out in zip(np.atleast_2d(z), np.atleast_2d(values)):
+        out[perm] = dtbmv(len(root) - 1, root, zr, lower=1)
+    return values
 
 
 @dataclass
@@ -302,14 +376,16 @@ class FieldRealization:
 def sample_field(spec, sites, seed):
     """Exact joint Gaussian draw with covariance C(d(x_i, x_j)).
 
-    The sites go through :func:`_lattice_factor`: at most
-    ``MAX_ONESHOT_SITES`` of them, none coincident, factorised densely.
+    The sites go through :func:`_band_root`: at most ``MAX_ONESHOT_SITES``
+    of them, none coincident, factorised in band storage in reverse
+    Cuthill-McKee order; the normals of the "field" stream land on the
+    sites in that order.
     """
     sites = np.asarray(sites, dtype=float)
     if sites.ndim != 2:
         raise ConstraintViolation("sites must be a (n, d+1) array")
-    L, jit = _lattice_factor(spec, sites)
-    values = L @ stream(seed, "field").standard_normal(len(sites))
+    perm, root, jit = _band_root(spec, sites)
+    values = _band_draw(perm, root, stream(seed, "field").standard_normal(len(sites)))
     return FieldRealization(spec, sites, values, sites.shape[1] - 1,
                             meta={"jitter": jit, "seed": seed})
 
@@ -403,8 +479,9 @@ def max_scan(spec, d, R_list, spacing, n_reps, seed, site_cap=2048):
     spacing and, when the packing is maximal, every location of the ball is
     within one spacing of a site.  Site counts are capped at ``site_cap``
     (recorded per row; the ball volume grows exponentially, so large radii
-    are necessarily subsampled at desk scale).  One :func:`_lattice_factor`
-    per radius, within ``MAX_ONESHOT_SITES``, serves all replicates.
+    are necessarily subsampled at desk scale).  One :func:`_band_root` per
+    radius, within ``MAX_ONESHOT_SITES``, serves all replicates, and is
+    released before the next radius is factored.
     Exceedance is counted above sqrt(2 sigma2 (d-1) (1 + eps) R), eps = 0.5.
     """
     if spacing > spec.R0 / 2.0:
@@ -416,10 +493,10 @@ def max_scan(spec, d, R_list, spacing, n_reps, seed, site_cap=2048):
                                      seed=stream(seed, "scan", k).integers(2 ** 31),
                                      max_centers=site_cap)
         sites = packing.centers
-        L, _ = _lattice_factor(spec, sites)
+        perm, root, _ = _band_root(spec, sites)
         z = stream(seed, "scan-draws", k).standard_normal((n_reps, len(sites)))
-        maxima = np.max(np.abs(z @ L.T), axis=1)
-        del L, z    # the next radius's covariance must not coexist with them
+        maxima = np.max(np.abs(_band_draw(perm, root, z)), axis=1)
+        del root, z    # the next radius's band must not coexist with them
         thr = math.sqrt(2.0 * spec.sigma2 * (d - 1) * (1.0 + eps) * R)
         rows.append(MaxScanRow(float(R), len(sites), packing.maximal,
                                float(np.mean(maxima)), float(np.max(maxima)),
@@ -459,9 +536,11 @@ def estimate_tail_constant(spec, d, n_reps=4000, seed=0):
     spacing = spec.R0 * LATTICE_SPACING_FACTOR
     packing = geo.greedy_packing(geo.BallRegion(spec.R0), spacing / 2.0, d,
                                  seed=seed)
-    L, _ = _lattice_factor(spec, packing.centers)
+    perm, root, _ = _band_root(spec, packing.centers)
     rng = stream(seed, "tail")
-    sups = np.max(rng.standard_normal((n_reps, len(packing.centers))) @ L.T, axis=1)
+    sups = np.max(_band_draw(perm, root,
+                             rng.standard_normal((n_reps, len(packing.centers)))),
+                  axis=1)
     lams = np.quantile(sups, np.linspace(0.5, 0.995, 24))
     xs, ys = [], []
     for lam in lams:
@@ -689,7 +768,7 @@ def cluster_property_trend(spec, d, t_grid, delta, K0, C_R0_hat, seed,
     packing = geo.greedy_packing(geo.BallRegion(region_radius), spacing / 2.0, d,
                                  seed=seed, max_centers=site_cap)
     sites = packing.centers
-    L, _ = _lattice_factor(spec, sites)
+    perm, root, _ = _band_root(spec, sites)
     freqs = []
     for k, t in enumerate(t_grid):
         rng = stream(seed, "cluster-trend", k)
@@ -697,7 +776,7 @@ def cluster_property_trend(spec, d, t_grid, delta, K0, C_R0_hat, seed,
         ball = math.sqrt(eta_delta) * t ** (4.0 / 3.0)
         hits = 0
         for _ in range(n_reps):
-            vals = L @ rng.standard_normal(len(sites))
+            vals = _band_draw(perm, root, rng.standard_normal(len(sites)))
             f = FieldRealization(spec, sites, vals, d, h=spacing)
             if rich_ball_event(f, thr, ball, L_delta, 9.0 * spec.R0):
                 hits += 1

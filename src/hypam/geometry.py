@@ -83,17 +83,6 @@ def check_points(x):
     return x
 
 
-def project(x):
-    """Restore the hyperboloid constraint by rebuilding the time coordinate.
-
-    Setting x0 = sqrt(1 + |spatial|^2) is cancellation-free at every radius,
-    unlike rescaling by the Minkowski norm.
-    """
-    x = np.array(x, dtype=float)
-    x[..., 0] = np.sqrt(1.0 + _row_dot(x[..., 1:]))
-    return x
-
-
 def origin(d):
     o = np.zeros(d + 1)
     o[0] = 1.0
@@ -208,7 +197,8 @@ def frame_step(x, coeffs):
     cosh(n) x + sinh(n) v / n.  Only its d spatial columns are formed, one
     at a time: column k is cosh(n) x_k + sinh(n) ((c_k + (dot / (1 + x0))
     x_k) / n), dot = c . x_spatial, in the operation order of the broadcast
-    form; the time coordinate is then rebuilt as in :func:`project`, so the
+    form; the time coordinate is then rebuilt from the constraint
+    x0 = sqrt(1 + |x_s|^2), cancellation-free at every radius, so the
     tangent's time column is never computed.
     """
     x = np.asarray(x, dtype=float)

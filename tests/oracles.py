@@ -72,7 +72,15 @@ def oracle_exp_map(x, v, norm=None):
     norm = np.asarray(norm, dtype=float)
     safe = np.maximum(norm, 1e-300)[..., None]
     out = np.cosh(norm)[..., None] * x + np.sinh(norm)[..., None] * (v / safe)
-    return geo.project(out)
+    return _project(out)
+
+
+def _project(x):
+    """Restore the hyperboloid constraint by rebuilding the time coordinate,
+    x0 = sqrt(1 + |x_s|^2), the spatial sum added column by column."""
+    x = np.array(x, dtype=float)
+    x[..., 0] = np.sqrt(1.0 + geo._row_dot(x[..., 1:]))
+    return x
 
 
 def oracle_frame_step(x, coeffs):

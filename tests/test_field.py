@@ -439,6 +439,81 @@ class TestJitterLadder:
         assert np.allclose(L @ L.T, saved[::2, ::2], rtol=0, atol=1e-14)
 
 
+class TestBandRoot:
+    @staticmethod
+    def dense_band(root):
+        n = root.shape[1]
+        B = np.zeros((n, n))
+        for k in range(len(root)):
+            B[np.arange(k, n), np.arange(n - k)] = root[k, :n - k]
+        return B
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), radius=st.floats(0.3, 12.0),
+           n=st.integers(1, 300), R0=st.sampled_from([0.5, 1.0, 2.0]),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_dense_covariance_oracle(self, d, radius, n, R0, seed):
+        # P^T (B B^T) P rebuilds the covariance of the sites in their own
+        # order; Cholesky's backward error is at most (kd + 2) 2^-53 sigma2
+        spec = fd.make_spec(1.3, R0, "poly3", d=d)
+        sites = geo.greedy_packing(geo.BallRegion(radius), 0.125, d, seed=seed,
+                                   max_centers=n).centers
+        perm, root, jit = fd._band_root(spec, sites)
+        B = self.dense_band(root)
+        full = np.empty((len(sites), len(sites)))
+        full[np.ix_(perm, perm)] = B @ B.T
+        assert jit == 0.0
+        assert np.allclose(full, oracle_cov_matrix(spec, sites), rtol=0,
+                           atol=1e-12 * spec.sigma2)
+        assert np.array_equal(np.sort(perm), np.arange(len(sites)))
+        z = stream(seed, "band-apply").standard_normal((3, len(sites)))
+        assert np.allclose(fd._band_draw(perm, root, z)[:, perm], z @ B.T,
+                           rtol=0, atol=1e-12)
+        assert np.allclose(fd._band_draw(perm, root, z[0])[perm], B @ z[0],
+                           rtol=0, atol=1e-12)
+
+    def test_no_pair_keeps_dense_arithmetic(self, spec_unit, monkeypatch):
+        # one site, and 20 sites on a circle of radius 3, pairwise farther
+        # apart than R0: the draw is the dense factor's sqrt(C(0)) z, bit for
+        # bit, with no ordering and no band factorisation
+        from scipy.sparse import csgraph
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw with no pair needs no band factor")
+
+        ring = geo.point_at(2, np.full(20, 3.0),
+                            np.c_[np.cos(np.arange(20) * 0.3),
+                                  np.sin(np.arange(20) * 0.3)])
+        gaps = geo.distance(ring[:, None, :], ring[None, :, :], validate=False)
+        assert np.min(gaps[np.triu_indices(20, 1)]) > spec_unit.R0
+        dense = {len(s): fd._lattice_factor(spec_unit, s)[0]
+                 for s in (geo.origin(2)[None, :], ring)}
+        monkeypatch.setattr(fd, "dpbtrf", refuse)
+        monkeypatch.setattr(fd, "dtbmv", refuse)
+        monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", refuse)
+        for sites in (geo.origin(2)[None, :], ring):
+            for seed in range(10):
+                got = fd.sample_field(spec_unit, sites, seed=seed)
+                z = stream(seed, "field").standard_normal(len(sites))
+                assert got.meta["jitter"] == 0.0
+                assert np.array_equal(got.values, dense[len(sites)] @ z)
+
+    def test_draw_holds_no_dense_matrix(self, spec_unit):
+        # the clusters subcommand's 2048-site packing of Q_6; a dense
+        # covariance alone would take n^2 doubles (33.5 MB)
+        sites = geo.greedy_packing(geo.BallRegion(6.0), 0.125, 2, seed=2,
+                                   max_centers=2048).centers
+        n = len(sites)
+        tracemalloc.start()
+        try:
+            f = fd.sample_field(spec_unit, sites, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 2048 and f.meta["jitter"] == 0.0
+        assert peak < n * n * 8 / 4
+
+
 class TestTilted:
     def test_mean_at_origin(self, spec_unit):
         sites = np.vstack([geo.origin(2)[None, :],
@@ -488,14 +563,14 @@ class TestMaxScan:
 
     def test_one_factor_at_a_time(self, spec_unit, monkeypatch):
         # both radii hit the cap; from the second radius's factorisation on,
-        # the first radius's n x n factor must already be released
-        factor = fd._lattice_factor
+        # the first radius's band root and normals must already be released
+        factor = fd._band_root
 
         def reset_then_factor(spec, sites):
             tracemalloc.reset_peak()
             return factor(spec, sites)
 
-        monkeypatch.setattr(fd, "_lattice_factor", reset_then_factor)
+        monkeypatch.setattr(fd, "_band_root", reset_then_factor)
         tracemalloc.start()
         try:
             rows = fd.max_scan(spec_unit, 2, [5.0, 10.0], spacing=0.25,
