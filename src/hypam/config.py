@@ -122,12 +122,19 @@ class RunConfig:
     def _floats(self, key):
         text = str(getattr(self, key))
         try:
-            return [float(x) for x in text.split(",") if x.strip()]
+            values = [float(x) for x in text.split(",") if x.strip()]
         except ValueError:
             raise ConstraintViolation(
                 f"{key} must be comma-separated numbers, got {text!r}") from None
+        if not np.all(np.isfinite(values)):
+            raise ConstraintViolation(f"{key} entries must be finite, got {text!r}")
+        return values
 
     def validate(self, need_cluster_scales=False):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.type is float and not np.isfinite(val):
+                raise ConstraintViolation(f"{f.name} must be finite (got {val})")
         if self.d < 2:
             raise ConstraintViolation("dimension d must be >= 2")
         if self.sigma2 <= 0 or self.R0 <= 0:

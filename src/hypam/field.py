@@ -9,8 +9,10 @@ within R0 and factors the covariance in LAPACK band storage
 (:func:`_band_root`), so it holds (kd + 1) x n numbers for a bandwidth kd,
 never an n x n array.  The conditional (kriging) extension along
 trajectories factors the joint covariance of nearby conditioning sites and
-new sites densely, in that order and in the covariance's own memory
-(:func:`_lattice_factor`).
+new sites densely, in that order (:func:`_lattice_factor`): kriging reads
+the blocks of a factor whose conditioning sites come first, and a
+bandwidth-reducing order cannot keep them first.  The two kernels share one
+jitter ladder (:func:`_jitter_ladder`), each rung on fresh memory.
 
 Every "which sites are near these points" question (covariance assembly and
 its distinct-sites check, nearest-site lookups, the conditioning set of an
@@ -216,57 +218,39 @@ def _unscaled_profile(R0, bump_shape, d):
     return rho_grid, vals
 
 
-def _cholesky_with_jitter(mat, sigma2):
-    """Lower Cholesky factor of the symmetric ``mat`` plus the first ladder
-    jitter that works.
-
-    LAPACK ``dpotrf`` factors ``mat.T`` in place as the upper factor L^T.
-    For a C-contiguous ``mat``, ``mat.T`` is its column-major view, so a
-    jitter-0 factor overwrites ``mat`` and is C-ordered; no second n x n
-    array is held.  The wrapper copies any other layout, so the factor is
-    always the array LAPACK returns, and such a ``mat`` is left unchanged.
-    A failed jitter-0 attempt writes only ``mat``'s lower triangle, which is
-    restored from the untouched strict upper triangle and a saved diagonal;
-    each positive jitter is tried on a copy, leaving ``mat`` unchanged.
-    """
-    diag = np.diag(mat).copy()
-    for j in JITTER_LADDER:
-        shifted = mat
-        if j > 0:
-            shifted = mat.copy()
-            shifted[np.diag_indices_from(shifted)] += j * sigma2
-        upper, info = dpotrf(shifted.T, lower=0, overwrite_a=1, clean=0)
+def _jitter_ladder(spec, factor):
+    """``(root, jitter)`` at the first rung of ``JITTER_LADDER`` whose
+    ``factor(jitter * sigma2)`` returns LAPACK ``info == 0``.  ``factor(shift)``
+    factors the covariance plus ``shift * I`` on fresh memory and returns
+    ``(root, info)``; :class:`FactorizationError` if no rung works."""
+    for jit in JITTER_LADDER:
+        root, info = factor(jit * spec.sigma2)
         if info == 0:
-            _zero_strict_upper(upper.T)
-            return upper.T, j
-        if j == 0 and np.shares_memory(upper, mat):
-            np.copyto(mat, mat.T, where=np.tri(len(mat), k=-1, dtype=bool))
-            np.fill_diagonal(mat, diag)
+            return root, jit
     raise FactorizationError(
         "covariance factorisation failed within jitter cap: leading minor "
         f"of order {info} not positive definite")
 
 
-def _zero_strict_upper(mat):
-    """Zero the strict upper triangle of a square array in place, one band of
-    256 rows at a time, so no mask is larger than 256 x 256."""
-    b = 256
-    upper = ~np.tri(min(b, len(mat)), dtype=bool)
-    for i in range(0, len(mat), b):
-        mat[i:i + b, i + b:] = 0.0
-        band = mat[i:i + b, i:i + b]
-        np.copyto(band, 0.0, where=upper[:len(band), :len(band)])
-
-
 def _lattice_factor(spec, sites):
-    """Dense Cholesky factor and jitter of the covariance of an extension
-    block (a (n, d+1) array of conditioning sites, then new ones): at most
-    ``MAX_ONESHOT_SITES`` sites, coincident ones rejected by ``cov_matrix``.
-    The factor keeps the sites' order, which kriging needs, and takes the
-    covariance's memory when no jitter is needed."""
+    """Dense lower Cholesky factor and jitter of the covariance of an
+    extension block (a (n, d+1) array of conditioning sites, then new ones):
+    at most ``MAX_ONESHOT_SITES`` sites, coincident ones rejected by
+    ``cov_matrix``.  The factor keeps the sites' order, which kriging needs.
+    Each rung of :func:`_jitter_ladder` shifts the diagonal of a copy of the
+    covariance and LAPACK ``dpotrf`` factors its column-major view in place
+    as L^T, zeroing the other triangle, so L is C-ordered and lower."""
     if len(sites) > MAX_ONESHOT_SITES:
         raise BudgetExceeded(f"site count {len(sites)} above cap {MAX_ONESHOT_SITES}")
-    return _cholesky_with_jitter(spec.cov_matrix(sites), spec.sigma2)
+    cov = spec.cov_matrix(sites)
+
+    def factor(shift):
+        mat = cov.copy()
+        mat[np.diag_indices_from(mat)] += shift
+        upper, info = dpotrf(mat.T, lower=0, overwrite_a=1, clean=1)
+        return upper.T, info
+
+    return _jitter_ladder(spec, factor)
 
 
 def _band_root(spec, sites):
@@ -279,11 +263,12 @@ def _band_root(spec, sites):
     coincident-site check come from the neighbour-index pass ``cov_matrix``
     makes (:meth:`CovarianceSpec._close_covs`).  The sites are ordered by
     reverse Cuthill-McKee over those pairs, which keeps the bandwidth kd far
-    below n on a packing; the pairs' covariances are written straight into
-    band storage and LAPACK ``dpbtrf`` factors it through the jitter ladder,
-    each rung on a freshly written band, so no n x n array is formed.  With
-    no pair (kd = 0) the order is the identity and the root is sqrt(C(0)),
-    the dense factor's diagonal, with no factorisation.
+    below n on a packing.  Each rung of :func:`_jitter_ladder` writes the
+    pairs' covariances into a fresh band and LAPACK ``dpbtrf`` factors it,
+    so no n x n array is formed.  The dense kernel of :func:`_lattice_factor`
+    stays apart because this order cannot keep an extension's conditioning
+    sites first.  With no pair (kd = 0) the order is the identity and the
+    root is sqrt(C(0)), the dense factor's diagonal, with no factorisation.
     """
     n = len(sites)
     if n > MAX_ONESHOT_SITES:
@@ -305,19 +290,17 @@ def _band_root(spec, sites):
         i, j = rank[i], rank[j]
     col, row = np.minimum(i, j), np.maximum(i, j)
     kd = int(np.max(row - col, initial=0))
-    for jit in JITTER_LADDER:
+
+    def factor(shift):
         band = np.zeros((n, kd + 1)).T      # Fortran order, as dpbtrf writes
-        band[0] = spec.cov(0.0) + jit * spec.sigma2
+        band[0] = spec.cov(0.0) + shift
         band[row - col, col] = vals
         if kd:
-            root, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        else:
-            root, info = np.sqrt(np.abs(band)), int(not np.all(band > 0))
-        if info == 0:
-            return perm, root, jit
-    raise FactorizationError(
-        "covariance factorisation failed within jitter cap: leading minor "
-        f"of order {info} not positive definite")
+            return dpbtrf(band, lower=1, overwrite_ab=1)
+        return np.sqrt(np.abs(band)), int(not np.all(band > 0))
+
+    root, jit = _jitter_ladder(spec, factor)
+    return perm, root, jit
 
 
 def _band_draw(perm, root, z):

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -211,6 +213,18 @@ class TestDispatch:
         ("exit-check", ["t=nan"], 2, "t"),
         ("radial-check", ["t=nan"], 2, "t"),
         ("exit-check", ["t=inf"], 2, "t"),
+        # non-finite floats and list entries, each refused by name
+        ("optimize", ["sigma2=nan"], 2, "sigma2 must be finite"),
+        ("optimize", ["sigma2=inf"], 2, "sigma2 must be finite"),
+        ("field-max-scan", ["spacing_factor=nan"], 2, "spacing_factor must be finite"),
+        ("field-max-scan", ["R_list=5,nan"], 2, "R_list entries must be finite"),
+        ("fk", ["sigma2=nan"], 2, "sigma2 must be finite"),
+        ("fk", ["R0=nan"], 2, "R0 must be finite"),
+        ("long-route-tail", ["t=nan"], 2, "t must be finite"),
+        ("energy-bound", ["K=nan"], 2, "K must be finite"),
+        ("energy-bound", ["K=-inf"], 2, "K must be finite"),
+        ("exit-check", ["R_list=nan"], 2, "R_list entries must be finite"),
+        ("bridge-ldp", ["s_list=0.4,inf"], 2, "s_list entries must be finite"),
     ])
     def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
                                               sets, status, message):
@@ -391,6 +405,27 @@ def test_import_leaves_out_scipy_stats(module):
          f"import sys, hypam.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_same_seed_digest_script_runs_every_call():
+    # the byte-identity check of the whole lab rests on this script: it must
+    # exit 0 and print one "<name> <sha256>" line per CALLS entry, in order
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = os.path.join(root, "scripts", "same_seed_digest.py")
+    with open(script) as fh:
+        calls = next(node.value for node in ast.parse(fh.read()).body
+                     if isinstance(node, ast.Assign)
+                     and node.targets[0].id == "CALLS")
+    names = [call[0] for call in ast.literal_eval(calls)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypam.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HYPAM_")}
+    res = subprocess.run([sys.executable, script], env=dict(env, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stdout + res.stderr
+    lines = [line.split(" ") for line in res.stdout.splitlines()]
+    assert [line[0] for line in lines] == names
+    assert all(len(line) == 2 and re.fullmatch(r"[0-9a-f]{64}", line[1])
+               for line in lines)
 
 
 class TestOverrides:

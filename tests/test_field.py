@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 
 from hypam import field as fd, geometry as geo
 from hypam.config import (BudgetExceeded, COND_RADIUS_FACTOR, COND_SITE_CAP,
-                          ConstraintViolation, stream)
+                          ConstraintViolation, JITTER_LADDER, stream)
 from oracles import (oracle_clusters, oracle_conditioning_set, oracle_cov,
                      oracle_cov_matrix, oracle_exp_map, oracle_extend_values,
                      oracle_islands, oracle_nearest_site,
@@ -301,8 +301,9 @@ class TestExtension:
 
     def test_largest_jitter_kept(self, spec_unit, monkeypatch):
         jitters = iter([1e-8, 1e-10, 1e-12, 0.0])
-        monkeypatch.setattr(fd, "_cholesky_with_jitter",
-                            lambda mat, sigma2: (np.linalg.cholesky(mat), next(jitters)))
+        monkeypatch.setattr(fd, "_lattice_factor",
+                            lambda spec, sites: (np.linalg.cholesky(spec.cov_matrix(sites)),
+                                                 next(jitters)))
         ex = np.array([1.0, 0.0])
         base = fd.FieldRealization(spec_unit, geo.origin(2)[None, :], np.zeros(1), 2)
         one = fd.extend_field(base, geo.point_at(2, 0.3, ex)[None, :], seed=0)
@@ -384,59 +385,35 @@ class TestExtension:
 
 
 class TestJitterLadder:
-    def test_jitter_zero_holds_no_copy(self, spec_unit):
-        # a 1024-site packing factorises at jitter 0; copying the matrix
-        # first would double the peak to about 2 n^2 doubles
-        sites = geo.greedy_packing(geo.BallRegion(10.0), 0.125, 2, seed=5,
-                                   max_centers=1024).centers
-        n = len(sites)
-        cov = spec_unit.cov_matrix(sites)
-        saved = cov.copy()
-        tracemalloc.start()
-        try:
-            L, jit = fd._cholesky_with_jitter(cov, spec_unit.sigma2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert n == 1024 and jit == 0.0
-        assert peak < 1.25 * n * n * 8
-        # tracemalloc misses LAPACK's own buffers; sharing memory does not
-        assert np.shares_memory(L, cov) and L.flags.c_contiguous
+    @staticmethod
+    def rank_one(sigma2=4.0, R0=1.0):
+        # C = sigma2 on every pair within R0: any site set within R0 of
+        # itself has a rank-one covariance, singular at jitter 0, and with
+        # sigma2 = 4 Cholesky's pivots 4 - 2 * 2 are exactly zero
+        grid = np.linspace(0.0, R0, 801)
+        vals = np.full(801, sigma2)
+        spec = fd.CovarianceSpec(sigma2, R0, "poly3", 2, grid, vals,
+                                 fd._clamped_pieces(grid, vals))
+        sites = geo.sample_region(geo.BallRegion(0.2), 2, stream(8, "rank-one"), 5)
+        return spec, sites, np.full((5, 5), sigma2)
+
+    def test_band_root_takes_first_positive_rung(self):
+        spec, sites, cov = self.rank_one()
+        perm, root, jit = fd._band_root(spec, sites)
+        B = TestBandRoot.dense_band(root)
+        assert len(root) == 5 and jit == JITTER_LADDER[1]
+        # the shift is jitter * sigma2 = 4e-12, and Cholesky's backward error
+        # here is below (n + 1) 2^-53 sigma2 = 2.7e-15
+        assert np.allclose(B @ B.T, cov + jit * spec.sigma2 * np.eye(5),
+                           rtol=0, atol=1e-14)
+
+    def test_lattice_factor_takes_first_positive_rung(self):
+        spec, sites, cov = self.rank_one()
+        L, jit = fd._lattice_factor(spec, sites)
+        assert jit == JITTER_LADDER[1]
         assert not np.any(np.triu(L, 1))
-        # Cholesky's backward error bound: |L L^T - A| <= gamma_(n+1) |L| |L^T|
-        # entrywise, and |L| |L^T| <= sigma2 = 1 by Cauchy-Schwarz, so
-        # (n + 1) * 2^-53 = 1.14e-13 at n = 1024
-        assert np.allclose(L @ L.T, saved, rtol=0, atol=1.14e-13)
-
-    def test_positive_jitter_leaves_input(self):
-        # rank one: the jitter-0 attempt fails, the first positive one works
-        mat = np.ones((3, 3))
-        L, jit = fd._cholesky_with_jitter(mat, 1.0)
-        assert jit > 0.0
-        assert np.array_equal(mat, np.ones((3, 3)))
-        assert np.allclose(L @ L.T, mat + jit * np.eye(3), rtol=0, atol=1e-15)
-
-    def test_failed_factor_restores_input(self):
-        # indefinite at every rung: each jitter-0 write to the lower triangle
-        # and diagonal is undone from the strict upper triangle
-        mat = np.array([[4.0, 2.0, 1.0], [2.0, 0.5, 0.3], [1.0, 0.3, 1.0]])
-        saved = mat.copy()
-        with pytest.raises(fd.FactorizationError):
-            fd._cholesky_with_jitter(mat, 1.0)
-        assert np.array_equal(mat, saved)
-
-    def test_noncontiguous_input_left_unchanged(self, spec_unit):
-        # LAPACK copies a strided view, so the factor lives in new memory
-        sites = geo.greedy_packing(geo.BallRegion(1.5), 0.125, 2, seed=3,
-                                   max_centers=40).centers
-        whole = spec_unit.cov_matrix(sites)
-        saved = whole.copy()
-        view = whole[::2, ::2]
-        L, jit = fd._cholesky_with_jitter(view, spec_unit.sigma2)
-        assert jit == 0.0 and not np.shares_memory(L, whole)
-        assert np.array_equal(whole, saved)
-        assert not np.any(np.triu(L, 1))
-        assert np.allclose(L @ L.T, saved[::2, ::2], rtol=0, atol=1e-14)
+        assert np.allclose(L @ L.T, cov + jit * spec.sigma2 * np.eye(5),
+                           rtol=0, atol=1e-14)
 
 
 class TestBandRoot:
@@ -836,6 +813,19 @@ def test_factorization_failure_on_invalid_profile():
     sites = geo.sample_region(geo.BallRegion(4.0), 2, stream(13, "bad"), 40)
     with pytest.raises(fd.FactorizationError):
         fd.sample_field(fake, sites, seed=0)
+
+
+def test_extension_failure_on_invalid_profile():
+    # the same profile and 40 sites as an extension block: 20 conditioning
+    # sites, then 20 new ones, through the dense kernel's ladder
+    grid = np.linspace(0.0, 10.0, 801)
+    vals = np.cos(6.0 * grid)
+    fake = fd.CovarianceSpec(1.0, 10.0, "poly3", 2, grid, vals,
+                             fd._clamped_pieces(grid, vals))
+    sites = geo.sample_region(geo.BallRegion(4.0), 2, stream(13, "bad"), 40)
+    base = fd.FieldRealization(fake, sites[:20], np.zeros(20), 2)
+    with pytest.raises(fd.FactorizationError):
+        fd.extend_field(base, sites[20:], seed=0)
 
 
 def test_cluster_constants_worked_example():
