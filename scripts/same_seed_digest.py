@@ -101,6 +101,7 @@ CALLS = [
     ("energy-bound-d3", "energy-bound",
      {"K": 1.0, "delta": 0.5, "eta": 0.02, "zeta": 0.001, "d": 3}, 115),
     ("hk-calibrate", "hk-calibrate", {"d": 3, "n_paths": 1000}, 1),
+    ("hk-calibrate-d2", "hk-calibrate", {"d": 2}, 1),
     ("long-route-tail", "long-route-tail",
      {"eta": 2.0, "t": 4.0, "K0": 2.0, "N_hops": 6}, 1),
 ]

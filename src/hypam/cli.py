@@ -161,7 +161,7 @@ def run_energy_bound(cfg):
 
 
 def run_hk_calibrate(cfg):
-    cal = heatkernel.calibrate(cfg.d, seed=cfg.seed, n_paths=cfg.n_paths)
+    cal = heatkernel.calibrate(cfg.d)
     return (["d", "C1", "C2"], [[cal.d, cal.C1, cal.C2]],
             {"d": cal.d, "C1": cal.C1, "C2": cal.C2,
              "grid_spec": cal.grid_spec})

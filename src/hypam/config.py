@@ -27,7 +27,6 @@ COINCIDENT_DISTANCE = float(np.arccosh(1 + 1e-14))  # closer field sites coincid
 MAX_PACKING_CENTERS = 4096      # packing truncates here (recorded on the result)
 MAX_FIELD_SITES = 20000         # conditional-simulation site budget
 MAX_ONESHOT_SITES = 4096        # one-shot Cholesky site budget
-MAX_CALIBRATION_PATHS = 200000  # Monte Carlo heat-kernel calibration paths
 LONG_ROUTE_N_CAP = 8            # convolution recursion depth cap
 
 
@@ -43,8 +42,8 @@ class FactorizationError(RuntimeError):
     """Covariance factorisation failed within the allowed jitter cap."""
 
 
-class KernelUnavailable(ValueError):
-    """No usable heat kernel for the requested dimension."""
+class KernelUnavailable(ConstraintViolation):
+    """No exact heat kernel for the requested dimension."""
 
 
 def stream(seed, *ids):
@@ -114,7 +113,11 @@ class RunConfig:
     out: str = "out"
 
     def r_values(self):
-        return self._floats("R_list")
+        values = self._floats("R_list")
+        if any(r <= 0 for r in values):
+            raise ConstraintViolation(
+                f"R_list entries must be positive, got {self.R_list!r}")
+        return values
 
     def s_values(self):
         return self._floats("s_list")
@@ -141,7 +144,9 @@ class RunConfig:
             raise ConstraintViolation("sigma2 and R0 must be positive")
         if self.dt <= 0:
             raise ConstraintViolation("dt must be positive")
-        for key in ("n_paths", "n_reps", "site_cap"):
+        if self.delta <= 0:
+            raise ConstraintViolation(f"delta must be positive (got delta={self.delta})")
+        for key in ("n_paths", "n_reps", "site_cap", "N_hops"):
             if getattr(self, key) < 1:
                 raise ConstraintViolation(f"{key} must be at least 1")
         if self.spacing_factor <= 0:

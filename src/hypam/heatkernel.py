@@ -1,23 +1,25 @@
 """Heat kernels on H^d for the generator Delta (no 1/2 factor).
 
-Two objects live here: the dimension-general two-sided comparison profile
+Three objects live here: the dimension-general two-sided comparison profile
 ``t^(-d/2) * exp(-(d-1)^2 t/4 - rho^2/(4t) - (d-1) rho/2) * (1+rho+t)^((d-3)/2)
-* (1+rho)`` which brackets the true kernel up to constants, and the exact
+* (1+rho)`` which brackets the true kernel up to constants, the exact
 closed form in three dimensions ``(4 pi t)^(-3/2) * (rho/sinh rho) *
 exp(-t - rho^2/(4t))`` used as a quantitative oracle and as the transition
-weight of the bridge sampler.
+weight of the bridge sampler, and McKean's exact kernel in two dimensions
+(one quadrature per point), which with the d = 3 form calibrates the profile.
 
 Convention note: the classical literature often writes kernels for the
 generator Delta/2; every formula here uses Delta, i.e. time runs twice as
 fast.  The d=3 closed form is the standard one with t replaced by 2t.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BudgetExceeded, KernelUnavailable, MAX_CALIBRATION_PATHS
-from .geometry import _cumulative_trapezoid, distance, side_length, sphere_area
+from .config import KernelUnavailable
+from .geometry import _cumulative_trapezoid, distance, side_length
 
 
 def log_comparison_fn(t, rho, d):
@@ -88,6 +90,68 @@ def h3_radial_cdf(t):
     return F
 
 
+def _log_sinh(x):
+    """log sinh(x) of one float x > 0, in the far form from x = 20 on."""
+    if x < 20.0:
+        return math.log(math.sinh(x))
+    return x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
+
+
+def log_exact_h2(t, rho):
+    """Log of McKean's exact H^2 heat kernel (J. Diff. Geom. 4, 1970),
+
+        sqrt(2) (4 pi t)^(-3/2) e^(-t/4)
+            * integral over s >= rho of s e^(-s^2/(4t)) (cosh s - cosh rho)^(-1/2) ds,
+
+    one ``scipy.integrate.quad`` per broadcast (t, rho) pair.  The variable
+    s = rho + u^2 and ``cosh s - cosh rho = 2 sinh(rho + u^2/2) sinh(u^2/2)``
+    make the integrand finite, also at rho = 0.  It is the exp of a sum of
+    logs, scaled by ``e^(rho^2/(4t) + rho/2)`` so that it stays
+    representable; the scale comes back outside the integral.  For rho < 1
+    the integrand turns over at u ~ sqrt(rho), which adaptive bisection from
+    [0, inf) can step over, so the u-range is cut at sqrt(rho) * 16^k below 1.
+    """
+    from scipy.integrate import quad
+    t, rho = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                 np.asarray(rho, dtype=float))
+    if np.any(t <= 0) or np.any(rho < 0):
+        raise ValueError("need t > 0 and rho >= 0")
+    out = np.empty(t.shape)
+    for i, (ti, ri) in enumerate(zip(t.flat, rho.flat)):
+        ti, ri = float(ti), float(ri)
+
+        def integrand(u):
+            # quad's Gauss-Kronrod nodes lie inside each interval, so u > 0
+            v = 0.5 * u * u
+            return math.exp(math.log(2.0 * (ri + 2.0 * v)) - v * (ri + v) / ti
+                            + 0.5 * (ri + math.log(v) - _log_sinh(v) - _log_sinh(ri + v)))
+
+        edges = [0.0]
+        cut = math.sqrt(ri)
+        while 0.0 < cut < 1.0:
+            edges.append(cut)
+            cut *= 16.0
+        edges.append(math.inf)
+        total = sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for a, b in zip(edges[:-1], edges[1:]))
+        out.flat[i] = (0.5 * math.log(2.0) - 1.5 * math.log(4.0 * math.pi * ti)
+                       - 0.25 * ti - ri * ri / (4.0 * ti) - 0.5 * ri
+                       + math.log(total))
+    return out[()]
+
+
+_EXACT_LOG_KERNELS = {2: log_exact_h2, 3: log_exact_h3}
+
+
+def _exact_log_kernel(d):
+    """The exact log heat kernel ``(t, rho) -> log p`` of H^d, for d = 2 or 3."""
+    try:
+        return _EXACT_LOG_KERNELS[d]
+    except KeyError:
+        raise KernelUnavailable(
+            f"no exact heat kernel for d={d}; only d=2 and d=3 have one") from None
+
+
 def log_kernel(t, rho, d):
     """Log transition weight: exact for d = 3, comparison profile otherwise.
 
@@ -116,16 +180,15 @@ class CalibrationFailed(RuntimeError):
     pass
 
 
-def calibrate(d, t_grid=None, rho_grid=None, n_paths=MAX_CALIBRATION_PATHS,
-              dt=2e-3, seed=0):
+def calibrate(d, t_grid=None, rho_grid=None):
     """Fit the sandwich constants of the comparison profile.
 
-    d = 3 uses the exact kernel on the full (t, rho) grid.  Other dimensions
-    estimate the kernel from simulated radial marginals (histogram density
-    divided by the sphere-area surface factor), which restricts the grid to
-    bins with at least 50 samples, from at most ``MAX_CALIBRATION_PATHS``
-    paths per time.  Fails when the fitted spread C2/C1 exceeds 100.
+    The exact kernel of H^d (d = 2 or 3, :func:`_exact_log_kernel`) is
+    divided by the profile on the full (t, rho) grid; other dimensions raise
+    :class:`KernelUnavailable`.  Fails when the fitted spread C2/C1 exceeds
+    100.
     """
+    log_exact = _exact_log_kernel(d)
     ratio_cap = 100.0
     if t_grid is None:
         t_grid = np.geomspace(0.1, 10.0, 25)
@@ -134,33 +197,10 @@ def calibrate(d, t_grid=None, rho_grid=None, n_paths=MAX_CALIBRATION_PATHS,
     t_grid = np.asarray(t_grid, dtype=float)
     rho_grid = np.asarray(rho_grid, dtype=float)
     grid_spec = {"t": [float(t_grid[0]), float(t_grid[-1]), int(t_grid.size)],
-                 "rho": [float(rho_grid[0]), float(rho_grid[-1]), int(rho_grid.size)]}
-
-    if d == 3:
-        tt, rr = np.meshgrid(t_grid, rho_grid, indexing="ij")
-        ratios = np.exp(log_exact_h3(tt, rr) - log_comparison_fn(tt, rr, d)).ravel()
-        grid_spec["reference"] = "exact"
-    else:
-        if n_paths > MAX_CALIBRATION_PATHS:
-            raise BudgetExceeded(f"paths {n_paths} above cap {MAX_CALIBRATION_PATHS}")
-        from .brownian import simulate_radial_batch
-        area = sphere_area(d)
-        collected = []
-        for it, t in enumerate(t_grid):
-            r = simulate_radial_batch(d, float(t), dt, 0.0, seed=seed, n_paths=n_paths,
-                                      stream_id=it)
-            edges = rho_grid
-            counts, _ = np.histogram(r, bins=edges)
-            widths = np.diff(edges)
-            mids = 0.5 * (edges[1:] + edges[:-1])
-            ok = counts >= 50
-            dens = counts[ok] / (n_paths * widths[ok])
-            p_hat = dens / (area * np.sinh(mids[ok]) ** (d - 1))
-            q = comparison_fn(float(t), mids[ok], d)
-            collected.append(p_hat / q)
-        ratios = np.concatenate(collected)
-        grid_spec.update(reference="mc", n_paths=int(n_paths), dt=float(dt))
-
+                 "rho": [float(rho_grid[0]), float(rho_grid[-1]), int(rho_grid.size)],
+                 "reference": "exact"}
+    tt, rr = np.meshgrid(t_grid, rho_grid, indexing="ij")
+    ratios = np.exp(log_exact(tt, rr) - log_comparison_fn(tt, rr, d)).ravel()
     if ratios.size == 0 or not np.all(np.isfinite(ratios)) or np.any(ratios <= 0):
         raise CalibrationFailed("reference/comparison ratio unbounded or empty on grid")
     C1, C2 = float(np.min(ratios)), float(np.max(ratios))
@@ -170,10 +210,11 @@ def calibrate(d, t_grid=None, rho_grid=None, n_paths=MAX_CALIBRATION_PATHS,
     return KernelCalibration(d, C1, C2, grid_spec)
 
 
-def heat_equation_residual(t, rho):
-    """Radial heat-operator residual of exact_h3 by 5-point finite differences.
+def heat_equation_residual(t, rho, d=3):
+    """Radial heat-operator residual of the exact H^d kernel (d = 2 or 3) by
+    5-point finite differences.
 
-    Returns |dp/dt - (d^2p/drho^2 + 2 coth(rho) dp/drho)| at (t, rho), with
+    Returns |dp/dt - (d^2p/drho^2 + (d-1) coth(rho) dp/drho)| at (t, rho), with
     steps 3e-4 * max(t, 1) and 3e-4 * max(rho, 1); the exact kernel satisfies
     the equation so this measures numerical error only.
     """
@@ -182,31 +223,32 @@ def heat_equation_residual(t, rho):
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
     w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
     off = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    pt = exact_h3(t + off * h_t, rho)
-    pr = exact_h3(t, rho + off * h_rho)
+    log_p = _exact_log_kernel(d)
+    pt = np.exp(log_p(t + off * h_t, rho))
+    pr = np.exp(log_p(t, rho + off * h_rho))
     dp_dt = np.dot(w1, pt) / h_t
     dp_drho = np.dot(w1, pr) / h_rho
     d2p_drho2 = np.dot(w2, pr) / h_rho ** 2
-    return abs(dp_dt - (d2p_drho2 + 2.0 / np.tanh(rho) * dp_drho))
+    return abs(dp_dt - (d2p_drho2 + (d - 1) / np.tanh(rho) * dp_drho))
 
 
 def bridge_marginal(t_a, x, t_b, q, t_mid, y, d=3):
     """Midpoint density of the Brownian bridge: p(s1,x,y) p(s2,y,q) / p(s,x,q).
 
-    Times must satisfy t_a < t_mid < t_b; only d = 3 has a quantitative
-    kernel, other dimensions raise :class:`KernelUnavailable`.
+    Times must satisfy t_a < t_mid < t_b; the kernel is the exact one of
+    :func:`_exact_log_kernel`, so d other than 2 or 3 raises
+    :class:`KernelUnavailable`.
     """
     if not (t_a < t_mid < t_b):
         raise ValueError("need t_a < t_mid < t_b")
-    if d != 3:
-        raise KernelUnavailable("bridge marginal needs the exact d=3 kernel")
+    log_p = _exact_log_kernel(d)
     s1 = t_mid - t_a
     s2 = t_b - t_mid
     s = t_b - t_a
     r1 = distance(x, y, validate=False)
     r2 = distance(y, q, validate=False)
     r = distance(x, q, validate=False)
-    return float(np.exp(log_exact_h3(s1, r1) + log_exact_h3(s2, r2) - log_exact_h3(s, r)))
+    return float(np.exp(log_p(s1, r1) + log_p(s2, r2) - log_p(s, r)))
 
 
 def bridge_marginal_normalization(t_a, t_b, t_mid, D, n_r=400, n_theta=200):

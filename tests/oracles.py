@@ -12,7 +12,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from hypam import geometry as geo
-from hypam.brownian import simulate_bm_batch
+from hypam.brownian import simulate_bm_batch, simulate_radial_batch
 from hypam.feynman_kac import _trapezoid_weights
 from hypam.config import COND_RADIUS_FACTOR, COND_SITE_CAP, stream
 
@@ -300,6 +300,54 @@ def oracle_log_exact_h3(t, rho):
                         x - np.log(2.0) + np.log1p(-np.exp(-2.0 * x)))
     log_ratio = np.where(rho > 1e-8, np.log(x) - log_sinh, -rho ** 2 / 6.0)
     return (-1.5 * np.log(4.0 * np.pi * t) + log_ratio - t - rho ** 2 / (4.0 * t))
+
+
+def oracle_log_exact_h2(t, rho):
+    """McKean's H^2 log-kernel from its direct form in s over [rho, inf),
+    ``sqrt(2) (4 pi t)^(-3/2) e^(-t/4) * integral of s e^(-s^2/(4t))
+    (cosh s - cosh rho)^(-1/2) ds``, with no change of variable and no log
+    domain.  On [rho, rho + 1] the (s - rho)^(-1/2) endpoint singularity is
+    QUADPACK's algebraic weight; at rho = 0 the integrand is regular there
+    (cosh s - 1 = 2 sinh^2(s/2)).  Past rho + 1 + sqrt(3200 t) the factor
+    e^((rho^2 - s^2)/(4t)), kept apart from the log, is below e^-800; cosh
+    must stay finite up to there (rho + 1 + sqrt(3200 t) < 710)."""
+    from scipy.integrate import quad
+    t, rho = float(t), float(rho)
+
+    def gauss(s):
+        return s * math.exp((rho * rho - s * s) / (4.0 * t))
+
+    if rho > 0.0:
+        def near(s):
+            h = 0.5 * (s - rho)
+            sinhc = math.sinh(h) / h if h > 0.0 else 1.0
+            return gauss(s) / math.sqrt(math.sinh(0.5 * (s + rho)) * sinhc)
+        head = quad(near, rho, rho + 1.0, weight="alg", wvar=(-0.5, 0.0),
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    else:
+        head = quad(lambda s: gauss(s) / (math.sqrt(2.0) * math.sinh(0.5 * s)),
+                    0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    tail = quad(lambda s: gauss(s) / math.sqrt(math.cosh(s) - math.cosh(rho)),
+                rho + 1.0, rho + 1.0 + math.sqrt(3200.0 * t),
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return (0.5 * math.log(2.0) - 1.5 * math.log(4.0 * math.pi * t) - 0.25 * t
+            - rho * rho / (4.0 * t) + math.log(head + tail))
+
+
+def oracle_radial_histogram(d, t, edges, n_paths, dt, seed, stream_id=0):
+    """Monte Carlo heat kernel of H^d at time t from the radial SDE: bin
+    midpoints, the histogram density of the distance to the start divided
+    by the surface factor ``sphere_area(d) sinh(mid)^(d-1)``, and its
+    binomial standard error, on the bins with at least 50 samples."""
+    r = simulate_radial_batch(d, t, dt, 0.0, seed=seed, n_paths=n_paths,
+                              stream_id=stream_id)
+    counts, _ = np.histogram(r, bins=edges)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    scale = n_paths * np.diff(edges) * geo.sphere_area(d) * np.sinh(mids) ** (d - 1)
+    ok = counts >= 50
+    p_hat = counts[ok] / scale[ok]
+    se = np.sqrt(counts[ok] * (1.0 - counts[ok] / n_paths)) / scale[ok]
+    return mids[ok], p_hat, se
 
 
 def oracle_localized_accept(times, pts, eps, t, dt, K, delta_tube, center,

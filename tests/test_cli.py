@@ -11,7 +11,7 @@ import pytest
 from scipy import optimize
 
 import hypam
-from hypam import brownian, cli
+from hypam import cli
 from hypam.config import RunConfig, format_config, parse_config
 
 
@@ -203,8 +203,8 @@ class TestDispatch:
         ("clusters", ["spacing_factor=0"], 2, "spacing_factor"),
         # a spacing of 5 R0 needs packing balls wider than the 2.0 region
         ("clusters", ["spacing_factor=5"], 2, "packing ball"),
-        # 20 paths leave no histogram bin with the 50 samples a ratio needs
-        ("hk-calibrate", ["d=2", "n_paths=20"], 3, "ratio"),
+        # only d = 2 and d = 3 have an exact kernel to calibrate against
+        ("hk-calibrate", ["d=4"], 2, "d=4"),
         ("bridge-ldp", ["s_list=0.4,-0.1"], 2, "duration"),
         ("clusters", ["t=-1"], 2, "t"),
         ("fk-localized", ["t=-1"], 2, "t"),
@@ -225,6 +225,11 @@ class TestDispatch:
         ("energy-bound", ["K=-inf"], 2, "K must be finite"),
         ("exit-check", ["R_list=nan"], 2, "R_list entries must be finite"),
         ("bridge-ldp", ["s_list=0.4,inf"], 2, "s_list entries must be finite"),
+        # radii, the deviation radius and the hop count must be positive
+        ("exit-check", ["R_list=-1", "n_paths=10"], 2, "R_list"),
+        ("bridge-ldp", ["delta=-1"], 2, "delta"),
+        ("energy-bound", ["delta=-1"], 2, "delta"),
+        ("long-route-tail", ["N_hops=0"], 2, "N_hops"),
     ])
     def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
                                               sets, status, message):
@@ -234,20 +239,6 @@ class TestDispatch:
             argv += ["--set", s]
         assert run_cli(tmp_path, *argv) == status
         assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_hk_calibrate_paths_over_budget_exit_3(self, tmp_path, capsys,
-                                                  monkeypatch):
-        # the typed path count is used or refused, never cut; the refusal
-        # comes before any path is simulated
-        def simulate(*args, **kwargs):
-            raise AssertionError("simulated paths above the budget")
-
-        monkeypatch.setattr(brownian, "simulate_radial_batch", simulate)
-        out = tmp_path / "hk"
-        assert run_cli(tmp_path, "hk-calibrate", "--out", str(out),
-                       "--set", "d=2", "--set", "n_paths=200001") == 3
-        assert "200001" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_error_exit_2(self, tmp_path):

@@ -4,7 +4,8 @@ from scipy import integrate, stats as sps
 
 from hypam import brownian as bm, geometry as geo, heatkernel as hk
 
-from oracles import oracle_exp_map, oracle_log_exact_h3, oracle_tangent_step
+from oracles import (oracle_exp_map, oracle_log_exact_h2, oracle_log_exact_h3,
+                     oracle_radial_histogram, oracle_tangent_step)
 
 
 def test_comparison_d3_reduction():
@@ -88,11 +89,81 @@ def test_calibrate_degenerate_grid():
     assert cal.C1 == cal.C2
 
 
-def test_calibrate_d2_mc():
-    cal = hk.calibrate(2, t_grid=[0.5, 1.0], rho_grid=np.linspace(0.0, 6.0, 25),
-                       n_paths=100000, dt=2e-3, seed=5)
-    assert cal.C2 / cal.C1 <= 100.0
-    assert cal.grid_spec["reference"] == "mc"
+def test_calibrate_exact_d2_matches_direct_form():
+    # the full default grid, every ratio from McKean's kernel against the
+    # direct-form oracle: the same extremes to 1e-9, deterministically
+    t_grid = np.geomspace(0.1, 10.0, 25)
+    rho_grid = np.linspace(0.0, 20.0, 81)
+    cal = hk.calibrate(2)
+    assert cal.grid_spec == {"t": [0.1, 10.0, 25], "rho": [0.0, 20.0, 81],
+                             "reference": "exact"}
+    tt, rr = np.meshgrid(t_grid, rho_grid, indexing="ij")
+    oracle = np.vectorize(oracle_log_exact_h2)(tt, rr)
+    ratios = np.exp(oracle - hk.log_comparison_fn(tt, rr, 2))
+    assert abs(cal.C1 / ratios.min() - 1.0) < 1e-9
+    assert abs(cal.C2 / ratios.max() - 1.0) < 1e-9
+    assert hk.calibrate(2) == cal
+
+
+def test_calibrate_d2_within_histogram_error():
+    # the radial SDE's histogram is the independent estimate of the kernel:
+    # the exact ratios to the profile sit within 4 binomial standard errors
+    # of it in every bin with at least 50 samples (the profile cancels)
+    edges = np.linspace(0.0, 6.0, 25)
+    for it, t in enumerate([0.5, 1.0]):
+        mids, p_hat, se = oracle_radial_histogram(2, t, edges, n_paths=100000,
+                                                  dt=2e-3, seed=5, stream_id=it)
+        assert mids.size >= 15
+        q = hk.comparison_fn(t, mids, 2)
+        exact = np.exp(hk.log_exact_h2(t, mids))
+        assert np.all(np.abs(exact / q - p_hat / q) <= 4.0 * se / q)
+
+
+def test_exact_h2_normalization():
+    for t in (0.1, 1.0, 5.0):
+        hi = 2 * t + 14 * np.sqrt(t) + 14
+        val, _ = integrate.quad(
+            lambda r: np.exp(hk.log_exact_h2(t, r)) * 2 * np.pi * np.sinh(r),
+            0, hi, epsabs=0.0, epsrel=1e-12, limit=300)
+        assert abs(val - 1.0) < 1e-10
+
+
+def test_log_exact_h2_matches_direct_form():
+    for t, rho in [(0.3, 0.5), (1.0, 2.5), (4.0, 11.0)]:
+        assert abs(hk.log_exact_h2(t, rho) - oracle_log_exact_h2(t, rho)) < 1e-10
+
+
+def test_log_exact_h2_broadcasts():
+    tt = np.array([[0.5], [2.0]])
+    rho = np.array([0.0, 1e-9, 0.7, 30.0])
+    out = hk.log_exact_h2(tt, rho)
+    assert out.shape == (2, 4) and np.all(np.isfinite(out))
+    assert out[1, 2] == hk.log_exact_h2(2.0, 0.7)
+    # smooth and even in rho: no jump between rho = 0 and rho = 1e-9
+    assert np.allclose(out[:, 0], out[:, 1], rtol=0.0, atol=1e-12)
+
+
+def test_heat_equation_residual_grid_h2():
+    for t in (0.5, 1.0, 2.0, 5.0):
+        for rho in (0.5, 1.0, 3.0, 8.0):
+            p = np.exp(hk.log_exact_h2(t, rho))
+            assert hk.heat_equation_residual(t, rho, 2) <= 1e-6 * p
+
+
+def test_recursion_from_gaussian_gives_h3():
+    # p_3 = -e^(-t) / (2 pi sinh rho) d/drho p_1 with the 1-D Gaussian
+    # p_1 = (4 pi t)^(-1/2) e^(-rho^2/(4t)), its derivative by central
+    # differences
+    def p1(t, rho):
+        return (4 * np.pi * t) ** -0.5 * np.exp(-rho ** 2 / (4 * t))
+
+    h = 1e-4
+    for t in (0.2, 1.0, 4.0):
+        for rho in (0.3, 1.0, 3.0, 7.0):
+            dp1 = (p1(t, rho - 2 * h) - 8 * p1(t, rho - h)
+                   + 8 * p1(t, rho + h) - p1(t, rho + 2 * h)) / (12 * h)
+            p3 = -np.exp(-t) / (2 * np.pi * np.sinh(rho)) * dp1
+            assert abs(np.log(p3) - hk.log_exact_h3(t, rho)) < 1e-8
 
 
 def test_semigroup_radial_law():
@@ -106,9 +177,15 @@ def test_semigroup_radial_law():
 
 class TestBridgeMarginal:
     def test_requires_d3(self):
-        x = geo.origin(2)
+        x = geo.origin(4)
         with pytest.raises(hk.KernelUnavailable):
-            hk.bridge_marginal(0.0, x, 1.0, x, 0.5, x, d=2)
+            hk.bridge_marginal(0.0, x, 1.0, x, 0.5, x, d=4)
+        # d = 2 has McKean's kernel
+        x = geo.origin(2)
+        q = geo.point_at(2, 1.0, np.array([1.0, 0.0]))
+        y = geo.point_at(2, 0.4, np.array([0.0, 1.0]))
+        val = hk.bridge_marginal(0.0, x, 1.0, q, 0.5, y, d=2)
+        assert np.isfinite(val) and val > 0
 
     def test_normalizes(self):
         val = hk.bridge_marginal_normalization(0.0, 0.2, 0.1, D=1.0,
