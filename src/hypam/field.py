@@ -133,12 +133,15 @@ def make_spec(sigma2, R0, bump_shape="poly3", d=2):
 
     ``C(rho) = int k(d(x,z)) k(d(y,z)) vol(dz)`` for d(x,y) = rho, evaluated
     by 96-point Gauss-Legendre quadrature in geodesic polar coordinates
-    around x and tabulated on 801 rho-grid points with a clamped cubic spline
-    (zero slope at both ends), stored as its table of cubic pieces built by
-    :func:`_clamped_pieces`, whose arithmetic is that of scipy 1.17.1's
-    ``CubicSpline(..., bc_type=((1, 0.0), (1, 0.0)))``.  Scaled so C(0) =
-    sigma2.  The dimension d must be an integer >= 2.  The unscaled table
-    is computed once per (R0, bump_shape, d).
+    around x and tabulated on 201 uniform rho knots with a clamped cubic
+    spline (zero slope at both ends), stored as its table of cubic pieces
+    built by :func:`_clamped_pieces`, whose arithmetic is that of scipy
+    1.17.1's ``CubicSpline(..., bc_type=((1, 0.0), (1, 0.0)))``.  Scaled so
+    C(0) = sigma2.  The table's error is the quadrature's: against a
+    384-node rule it is about 1e-8 sigma2 at d = 2 and up to 4e-8 sigma2 at
+    d = 4 for the default poly3 bump, and the spline between the knots adds
+    at most about 3e-9 sigma2.  The dimension d must be an integer >= 2.
+    The unscaled table is computed once per (R0, bump_shape, d).
     """
     if sigma2 <= 0 or R0 <= 0:
         raise ConstraintViolation("sigma2 and R0 must be positive")
@@ -188,7 +191,7 @@ def _unscaled_profile(R0, bump_shape, d):
     """Read-only rho grid and autocorrelation table of :func:`make_spec`,
     before the scaling to C(0) = sigma2."""
     bump = _BUMPS[bump_shape]
-    n_grid, n_quad = 801, 96
+    n_grid, n_quad = 201, 96
     s = R0 / 2.0
     r_nodes, r_w = np.polynomial.legendre.leggauss(n_quad)
     r = 0.5 * s * (r_nodes + 1.0)

@@ -185,8 +185,8 @@ def calibrate(d, t_grid=None, rho_grid=None):
 
     The exact kernel of H^d (d = 2 or 3, :func:`_exact_log_kernel`) is
     divided by the profile on the full (t, rho) grid; other dimensions raise
-    :class:`KernelUnavailable`.  Fails when the fitted spread C2/C1 exceeds
-    100.
+    :class:`KernelUnavailable`.  Fails (:class:`CalibrationFailed`) on an
+    empty grid and when the fitted spread C2/C1 exceeds 100.
     """
     log_exact = _exact_log_kernel(d)
     ratio_cap = 100.0
@@ -196,13 +196,15 @@ def calibrate(d, t_grid=None, rho_grid=None):
         rho_grid = np.linspace(0.0, 20.0, 81)
     t_grid = np.asarray(t_grid, dtype=float)
     rho_grid = np.asarray(rho_grid, dtype=float)
+    if t_grid.size == 0 or rho_grid.size == 0:
+        raise CalibrationFailed("empty t or rho grid")
     grid_spec = {"t": [float(t_grid[0]), float(t_grid[-1]), int(t_grid.size)],
                  "rho": [float(rho_grid[0]), float(rho_grid[-1]), int(rho_grid.size)],
                  "reference": "exact"}
     tt, rr = np.meshgrid(t_grid, rho_grid, indexing="ij")
     ratios = np.exp(log_exact(tt, rr) - log_comparison_fn(tt, rr, d)).ravel()
-    if ratios.size == 0 or not np.all(np.isfinite(ratios)) or np.any(ratios <= 0):
-        raise CalibrationFailed("reference/comparison ratio unbounded or empty on grid")
+    if not np.all(np.isfinite(ratios)) or np.any(ratios <= 0):
+        raise CalibrationFailed("reference/comparison ratio unbounded on grid")
     C1, C2 = float(np.min(ratios)), float(np.max(ratios))
     if C2 / C1 > ratio_cap:
         raise CalibrationFailed(

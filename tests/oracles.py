@@ -112,6 +112,38 @@ def oracle_cov_matrix(spec, sites):
         1.0, geo.cosh_distance(sites[:, None, :], sites[None, :, :]))))
 
 
+_ORACLE_BUMPS = {
+    "poly3": lambda u: (1.0 - u * u) ** 3,
+    "poly4": lambda u: (1.0 - u * u) ** 4,
+    "cosine": lambda u: np.cos(0.5 * math.pi * u) ** 3,
+}
+
+
+def oracle_profile(R0, bump, d, rho, n_quad=384):
+    """Normalised H^d autocorrelation of the radial bump of radius R0/2 at
+    each rho: the integral over z of k(d(x, z)) k(d(y, z)) with d(x, y) =
+    rho, by an n_quad x n_quad Gauss-Legendre rule in geodesic polar
+    coordinates (r, theta) around x, divided by its own value at rho = 0.
+    One rho at a time, with d(y, z) from the hyperbolic law of cosines and
+    the bump extended by zero past its radius."""
+    k = _ORACLE_BUMPS[bump]
+    s = 0.5 * R0
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    r = 0.5 * s * (x + 1.0)
+    th = 0.5 * math.pi * (x + 1.0)
+    w_r = 0.5 * s * w * k(r / s) * np.sinh(r) ** (d - 1)
+    w_th = 0.5 * math.pi * w * np.sin(th) ** (d - 2)
+
+    def integral(p):
+        cosh_yz = (math.cosh(p) * np.cosh(r)[:, None]
+                   - math.sinh(p) * np.sinh(r)[:, None] * np.cos(th)[None, :])
+        u = np.arccosh(np.maximum(cosh_yz, 1.0)) / s
+        return float(w_r @ np.where(u < 1.0, k(np.minimum(u, 1.0)), 0.0) @ w_th)
+
+    norm = integral(0.0)
+    return np.array([integral(float(p)) for p in np.ravel(rho)]) / norm
+
+
 def oracle_greedy_packing(region, r, d, seed, max_centers):
     """Greedy packing that measures each candidate, in draw order, against
     every kept center; the same candidate stream as ``geo.greedy_packing``.

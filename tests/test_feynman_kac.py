@@ -89,16 +89,17 @@ class TestPlainEstimator:
             fk.fk_estimate(0.7, 2, 1.0, 0.01, 0, seed=1)
 
     def test_quenched_pinned(self, spec_quarter):
-        # recorded from the dense-scan implementation with extensions drawn
-        # from one LAPACK dpotrf factor of the joint covariance: every
-        # looked-up value of the lazy field feeds these weights
+        # recorded with the covariance profile tabulated on 201 knots and
+        # extensions drawn from one LAPACK dpotrf factor of the joint
+        # covariance: every looked-up value of the lazy field feeds these
+        # weights
         est = fk.fk_estimate(spec_quarter, 2, 1.0, 0.01, 12, seed=7)
         assert est.meta["n_field_sites"] == 141
         assert est.log_weights.tolist() == [
-            -0.2332526558830562, -0.06652216807468639, 0.15955074783014345,
-            -0.019355615018895884, 0.0004565816478096091, -0.07282889125542098,
-            0.03381507926685222, -0.03401495637098436, -0.004261377178976552,
-            -0.0045840791164414516, -0.10632457991322995, -0.2609031643590091]
+            -0.23325265615992508, -0.06652216818561422, 0.15955074797930052,
+            -0.019355615053958167, 0.0004565817030795939, -0.07282889136575578,
+            0.03381507902991241, -0.03401495661067838, -0.004261377284743954,
+            -0.004584079341727294, -0.10632457974397275, -0.2609031644584648]
 
     def test_time_zero(self):
         est = fk.fk_estimate(0.7, 2, 0.0, 0.01, 16, seed=1)

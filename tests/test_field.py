@@ -13,7 +13,7 @@ from hypam.config import (BudgetExceeded, COND_RADIUS_FACTOR, COND_SITE_CAP,
                           ConstraintViolation, JITTER_LADDER, stream)
 from oracles import (oracle_clusters, oracle_conditioning_set, oracle_cov,
                      oracle_cov_matrix, oracle_exp_map, oracle_extend_values,
-                     oracle_islands, oracle_nearest_site,
+                     oracle_islands, oracle_nearest_site, oracle_profile,
                      oracle_rich_ball_event, oracle_tangent_step)
 
 
@@ -83,9 +83,22 @@ class TestCovarianceSpec:
         assert np.array_equal(spec.cov(rho), oracle_cov(spec, rho))
         block = rho[:3000].reshape(60, 50)
         assert np.array_equal(spec.cov(block), oracle_cov(spec, block))
-        for x in (0.0, grid[1], -grid[400], rho[-20], R0, np.inf, np.nan):
+        for x in (0.0, grid[1], -grid[len(grid) // 2], rho[-20], R0, np.inf, np.nan):
             got = spec.cov(x)
             assert type(got) is float and got == oracle_cov(spec, x)
+
+    def test_table_matches_fine_quadrature(self):
+        # the table's error is that of its 96-node quadrature, up to about
+        # 3e-8 sigma2 here (poly3, d = 4); the reference is a 384-node rule,
+        # itself within 1e-10 of a 768-node one, read between the knots
+        sigma2 = 2.5
+        worst = 0.0
+        for d, R0, bump in itertools.product((2, 3, 4), (0.25, 1.0), sorted(fd._BUMPS)):
+            spec = fd.make_spec(sigma2, R0, bump, d=d)
+            rho = R0 * (np.arange(21) + 0.5) / 21
+            err = np.max(np.abs(spec.cov(rho) - sigma2 * oracle_profile(R0, bump, d, rho)))
+            worst = max(worst, err / sigma2)
+        assert worst <= 5e-8
 
     def test_other_shapes_normalize(self):
         for shape in ("poly4", "cosine"):

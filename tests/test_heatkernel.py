@@ -89,6 +89,12 @@ def test_calibrate_degenerate_grid():
     assert cal.C1 == cal.C2
 
 
+@pytest.mark.parametrize("grids", [{"t_grid": []}, {"rho_grid": []}])
+def test_calibrate_empty_grid_fails_typed(grids):
+    with pytest.raises(hk.CalibrationFailed, match="empty"):
+        hk.calibrate(3, **grids)
+
+
 def test_calibrate_exact_d2_matches_direct_form():
     # the full default grid, every ratio from McKean's kernel against the
     # direct-form oracle: the same extremes to 1e-9, deterministically
