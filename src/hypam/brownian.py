@@ -11,7 +11,7 @@ resolution.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class Trajectory:
     times: np.ndarray
     points: np.ndarray
     d: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0) and len(self.times) > 1:
@@ -98,14 +97,6 @@ def simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0, start=None,
     return times, out if record else x
 
 
-def simulate_bm(d, t, dt, seed):
-    """Single Brownian trajectory from the base point."""
-    times, pts = simulate_bm_batch(d, t, dt, seed, n_paths=1)
-    traj = Trajectory(times, pts[:, 0, :], d, meta={"dt": dt, "seed": seed})
-    traj.meta["max_step_ratio"] = traj.max_step_ratio()
-    return traj
-
-
 # --- radial SDE --------------------------------------------------------------
 
 def _radial_drift(r, d, dt, out=None):
@@ -172,20 +163,6 @@ def radial_drift_bound(d):
     blend = (d - 1.0) * fp / np.tanh(x) + fpp
     tail = (d - 1.0) / np.tanh(b)         # x >= 1: f' = 1, f'' = 0, coth decreasing
     return float(max(np.max(blend), tail))
-
-
-def smoothing_blend(x):
-    """The concrete f used for the drift bound (exposed for tests).
-
-    Constant 1/2 below 1/4, identity above 1; in between the integral of the
-    blend slope f' = 2u - u^2 (u the normalized coordinate), so f is C^1,
-    nondecreasing, with f' <= 1 everywhere.
-    """
-    x = np.asarray(x, dtype=float)
-    a, b = 0.25, 1.0
-    u = np.clip((x - a) / (b - a), 0.0, 1.0)
-    blend_val = 0.5 + (b - a) * (u ** 2 - u ** 3 / 3.0)
-    return np.where(x <= a, 0.5, np.where(x >= b, x, blend_val))
 
 
 # --- exit times --------------------------------------------------------------
@@ -294,12 +271,6 @@ def simulate_bridge_batch(spec, dt, seed, n_paths, n_candidates=16, stream_id=0)
         out[i] = x
     out[n_steps] = spec.end
     return times, out
-
-
-def simulate_bridge(spec, dt, seed):
-    times, pts = simulate_bridge_batch(spec, dt, seed, 1)
-    d = spec.start.shape[-1] - 1
-    return Trajectory(times, pts[:, 0, :], d, meta={"dt": dt, "seed": seed})
 
 
 def bridge_tube_exceedance(spec, delta_half, dt, seed, n_paths, stream_id=0):
@@ -483,8 +454,11 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
 
     The quantitative parameter relations are validated and reported; with
     ``enforce_constraints`` a violation raises instead, which makes the bound
-    term positive and the comparison sharp.
+    term positive and the comparison sharp.  A distance K_star <= 0 raises
+    :class:`ConstraintViolation`: there is no geodesic to deviate from.
     """
+    if not K_star > 0:
+        raise ConstraintViolation(f"K must be positive (got K={K_star})")
     constraints_ok = check_eta_zeta(K_star, delta, eta, zeta)
     if enforce_constraints and not constraints_ok:
         raise ConstraintViolation(
@@ -518,18 +492,3 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
     holds = best is not None and best >= bound - 1e-2
     return EnergyExcessReport(best, bound, holds, base, slack, dev,
                               constraints_ok, n, n_converged)
-
-
-def geodesic_baseline_energy(K_star, d=2, slack=0.0):
-    """Unconstrained minimum with optional endpoint slack (sanity oracle).
-
-    Raises :class:`ConstraintViolation` when SLSQP does not converge.
-    """
-    n = _N_SEGMENTS
-    x, y, energy_of, energy_grad = _offset_path_energy(K_star, d, n)
-    res = _minimize_energy(energy_of, energy_grad, np.zeros(n * d),
-                           [_node_norm_constraint(n, d, n - 1, -1.0, slack)],
-                           float(geo.distance(x, y)) + 2.0)
-    if not res.success:
-        raise ConstraintViolation(f"geodesic baseline SLSQP failed: {res.message}")
-    return float(res.fun)

@@ -129,6 +129,8 @@ class RunConfig:
         except ValueError:
             raise ConstraintViolation(
                 f"{key} must be comma-separated numbers, got {text!r}") from None
+        if not values:
+            raise ConstraintViolation(f"{key} must list at least one number, got {text!r}")
         if not np.all(np.isfinite(values)):
             raise ConstraintViolation(f"{key} entries must be finite, got {text!r}")
         return values

@@ -295,12 +295,16 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
     of radius ``r_peak`` at time eps*t, and stays inside the doubled peak
     ball afterwards.  With the same seed this shares its paths and field
     with quenched :func:`fk_estimate`, so the restricted mean is a pathwise
-    lower bound; a field needs the same dt.  A time grid without a step or
-    a scenario no path can meet (K*t^(4/3) + r_peak below d(o, peak))
-    raises :class:`ConstraintViolation`.
+    lower bound; a field needs the same dt.  A radius ``r_peak`` or
+    ``delta_tube`` that is not positive, a time grid without a step or a
+    scenario no path can meet (K*t^(4/3) + r_peak below d(o, peak)) raises
+    :class:`ConstraintViolation`.
     """
     if not 0 < eps < 1:
         raise ConstraintViolation("eps must lie in (0, 1)")
+    for key, val in (("r_peak", r_peak), ("delta_tube", delta_tube)):
+        if not val > 0:
+            raise ConstraintViolation(f"{key} must be positive (got {key}={val})")
     if len(_time_grid(t, dt)) < 2:
         raise ConstraintViolation(
             f"the time grid needs at least one step of dt (got t={t}, dt={dt})")

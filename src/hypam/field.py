@@ -16,8 +16,8 @@ jitter ladder (:func:`_jitter_ladder`), each rung on fresh memory.
 
 Every "which sites are near these points" question (covariance assembly and
 its distinct-sites check, nearest-site lookups, the conditioning set of an
-extension, the thinning of new lazy sites, island and cluster adjacency, rich
-balls) goes through one neighbour index, ``geometry._SiteIndex``, which the
+extension, the thinning of new lazy sites, island and cluster adjacency)
+goes through one neighbour index, ``geometry._SiteIndex``, which the
 greedy packing shares: a k-d tree over the sites' Poincare-ball coordinates
 plus a short tail of later sites scanned by broadcast, queried with a
 Euclidean radius that provably contains the hyperbolic ball, whose candidate
@@ -47,8 +47,7 @@ from scipy.sparse import coo_array, csr_array
 
 from .config import (BudgetExceeded, COINCIDENT_DISTANCE, COND_RADIUS_FACTOR,
                      COND_SITE_CAP, ConstraintViolation, FactorizationError,
-                     JITTER_LADDER, LATTICE_SPACING_FACTOR, MAX_FIELD_SITES,
-                     MAX_ONESHOT_SITES, stream)
+                     JITTER_LADDER, MAX_FIELD_SITES, MAX_ONESHOT_SITES, stream)
 from . import geometry as geo
 
 _BUMPS = {
@@ -510,63 +509,6 @@ def borell_bound_check(maxima, sigma2):
     return rows, ok
 
 
-def estimate_tail_constant(spec, d, n_reps=4000, seed=0):
-    """Empirical decay constant of P(sup over Q_{R0} of xi > lam).
-
-    Draws the field on a (spacing/2)-packing of the correlation ball, with
-    the lattice spacing R0 * LATTICE_SPACING_FACTOR, records the supremum per
-    replicate, and fits log P(sup > lam) against lam^2 at levels where the
-    empirical tail is resolved.  Returns (C_hat, fit).
-    """
-    from .stats import linear_fit
-    spacing = spec.R0 * LATTICE_SPACING_FACTOR
-    packing = geo.greedy_packing(geo.BallRegion(spec.R0), spacing / 2.0, d,
-                                 seed=seed)
-    perm, root, _ = _band_root(spec, packing.centers)
-    rng = stream(seed, "tail")
-    sups = np.max(_band_draw(perm, root,
-                             rng.standard_normal((n_reps, len(packing.centers)))),
-                  axis=1)
-    lams = np.quantile(sups, np.linspace(0.5, 0.995, 24))
-    xs, ys = [], []
-    for lam in lams:
-        if lam <= 0:
-            continue
-        p = float(np.mean(sups > lam))
-        if 0 < p < 1:
-            xs.append(lam ** 2)
-            ys.append(math.log(p))
-    fit = linear_fit(xs, ys)
-    return max(1e-12, -fit.slope), fit
-
-
-def gradient_growth_scan(spec, d, R_list, seed, n_sites=256):
-    """Finite-difference gradient maxima over growing balls.
-
-    For each R, evaluates the field jointly at ``n_sites`` ball points and at
-    d companions per point offset by R0/20, forms |grad| estimates, and
-    returns (R, max |grad|) pairs together with the log-log slope fit.
-    """
-    from .stats import linear_fit
-    fd_h = spec.R0 / 20.0
-    rows = []
-    for k, R in enumerate(R_list):
-        rng = stream(seed, "grad", k)
-        base = geo.sample_region(geo.BallRegion(float(R)), d, rng, n_sites)
-        all_pts = [base]
-        for i in range(d):
-            coeffs = np.zeros((n_sites, d))
-            coeffs[:, i] = fd_h
-            all_pts.append(geo.frame_step(base, coeffs))
-        pts = np.concatenate(all_pts, axis=0)
-        f = sample_field(spec, pts, seed=rng.integers(2 ** 31))
-        v = f.values.reshape(d + 1, n_sites)
-        grad2 = np.sum(((v[1:] - v[0]) / fd_h) ** 2, axis=0)
-        rows.append((float(R), float(np.sqrt(np.max(grad2)))))
-    fit = linear_fit(np.log([r for r, _ in rows]), np.log([g for _, g in rows]))
-    return rows, fit
-
-
 # --- islands and clusters -------------------------------------------------------
 
 def _components(n, i, j):
@@ -697,74 +639,3 @@ def cluster_constants(delta, d, K0, C_R0_hat):
     eta_delta = 0.99 * min(1.0 / (4.0 * L_delta ** 2),
                            C_R0_hat ** 2 * delta ** 4 / (36.0 * (d - 1) ** 2))
     return L_delta, eta_delta
-
-
-def rich_ball_event(fieldr, threshold, ball_radius, min_points, separation):
-    """Does some site-centered ball hold >= min_points super-threshold sites
-    pairwise >= separation apart?
-
-    One neighbour index over the super-threshold sites finds each ball's
-    members and their pairs closer than ``separation``, grouped once by
-    their lower member; per center, :func:`geometry._greedy_keep` thins the
-    members in index order, reading only the members' groups.
-    """
-    super_idx = np.flatnonzero(fieldr.values > threshold)
-    if super_idx.size < min_points:
-        return False
-    pts = fieldr.sites[super_idx]
-    index = geo._SiteIndex(pts)
-    i, j, dist = index.close_pairs(separation)
-    close = dist < separation
-    # member k's partners above it are j[row[k]:row[k + 1]]
-    j, row = j[close], np.searchsorted(i[close], np.arange(len(pts) + 1))
-    ci, pi, cosh = index.pairs(fieldr.sites, ball_radius)
-    inball = np.arccosh(np.maximum(1.0, cosh)) <= ball_radius
-    ci, pi = ci[inball], pi[inball]
-    bounds = np.searchsorted(ci, np.arange(len(fieldr.sites) + 1))
-    need = int(math.ceil(min_points))
-    rank = np.full(len(pts), -1)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        inside = pi[lo:hi]
-        if inside.size < need:
-            continue
-        # the members' pairs, in lexicographic order of member rank
-        lens = row[inside + 1] - row[inside]
-        at = np.repeat(row[inside] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-        rank[inside] = np.arange(inside.size)
-        mj = rank[j[at]]
-        rank[inside] = -1
-        both = mj >= 0
-        mi = np.repeat(np.arange(inside.size), lens)[both]
-        if geo._greedy_keep(mi, mj[both], inside.size, need).size == need:
-            return True
-    return False
-
-
-def cluster_property_trend(spec, d, t_grid, delta, K0, C_R0_hat, seed,
-                           n_reps=24, region_radius=6.0, site_cap=1200):
-    """Frequency of the rich-ball event on a fixed desk-scale window.
-
-    For each t the field is drawn on a capped lattice of Q_region and the
-    event of :func:`rich_ball_event` is evaluated with threshold
-    delta * t^(2/3), ball radius sqrt(eta_delta) * t^(4/3) and separation
-    9 * R0.  Reported frequencies are desk-scale trend data, not limits.
-    """
-    L_delta, eta_delta = cluster_constants(delta, d, K0, C_R0_hat)
-    spacing = spec.R0 * LATTICE_SPACING_FACTOR
-    packing = geo.greedy_packing(geo.BallRegion(region_radius), spacing / 2.0, d,
-                                 seed=seed, max_centers=site_cap)
-    sites = packing.centers
-    perm, root, _ = _band_root(spec, sites)
-    freqs = []
-    for k, t in enumerate(t_grid):
-        rng = stream(seed, "cluster-trend", k)
-        thr = delta * t ** (2.0 / 3.0)
-        ball = math.sqrt(eta_delta) * t ** (4.0 / 3.0)
-        hits = 0
-        for _ in range(n_reps):
-            vals = _band_draw(perm, root, rng.standard_normal(len(sites)))
-            f = FieldRealization(spec, sites, vals, d, h=spacing)
-            if rich_ball_event(f, thr, ball, L_delta, 9.0 * spec.R0):
-                hits += 1
-        freqs.append(hits / n_reps)
-    return list(zip([float(t) for t in t_grid], freqs))

@@ -9,17 +9,16 @@ coordinate column at a time: reductions add columns in sequence
 :func:`_polar`, :func:`_polar_cosh`) fill or combine whole columns rather
 than broadcasting over that axis, each column in the arithmetic of the
 broadcast form, so results keep every bit.
-The Poincare ball serves as an independent cross-check of distances and as
-the coordinates of the one neighbour index (``_SiteIndex``): a k-d tree plus
-a short tail of later sites scanned by broadcast, queried with a Euclidean
-radius that provably holds the hyperbolic ball; ``_SiteIndex.pairs``
+The Poincare ball gives the coordinates of the one neighbour index
+(``_SiteIndex``): a k-d tree plus a short tail of later sites scanned by
+broadcast, queried with a Euclidean radius that provably holds the
+hyperbolic ball; ``_SiteIndex.pairs``
 measures the candidate pairs as ``cosh_distance`` does, from polar parts the
 index stores once per site, and each caller applies its exact test.  An
 index never changes; ``_SiteIndex.extended`` copies its rows into a new one
 followed by new sites, for the lazy field and the greedy packing alike.
-Packing and its covering probe,
-covariance assembly, nearest sites, conditioning sets, new lazy sites,
-islands, clusters and rich balls use it.
+Packing, covariance assembly, nearest sites, conditioning sets, new lazy
+sites, islands and clusters use it.
 """
 
 import itertools
@@ -170,20 +169,6 @@ def point_at(d, radius, direction):
     return out
 
 
-def random_direction(d, rng):
-    v = rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
-def side_length(rho, r, theta):
-    """Hyperbolic law of cosines: the side opposite angle ``theta``.
-
-    Triangle with side lengths ``rho`` and ``r`` meeting at angle ``theta``.
-    """
-    c = np.cosh(rho) * np.cosh(r) - np.sinh(rho) * np.sinh(r) * np.cos(theta)
-    return np.arccosh(np.maximum(1.0, c))
-
-
 # --- the geodesic step (used by the Brownian simulators) --------------------
 
 def frame_step(x, coeffs):
@@ -227,44 +212,12 @@ def sphere_area(d):
     return 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
 
 
-def ball_volume(R, d):
-    """Volume of a geodesic ball: area(S^{d-1}) * int_0^R sinh^{d-1}.
-
-    Closed forms are used for d = 2, 3; other dimensions go through adaptive
-    quadrature at relative tolerance 1e-10.
-    """
-    if R < 0:
-        raise ValueError("radius must be nonnegative")
-    if R == 0:
-        return 0.0
-    if d == 2:
-        return 2.0 * np.pi * (np.cosh(R) - 1.0)
-    if d == 3:
-        return np.pi * (np.sinh(2.0 * R) - 2.0 * R)
-    from scipy.integrate import quad
-    val, _ = quad(lambda r: np.sinh(r) ** (d - 1), 0.0, R,
-                  epsabs=0.0, epsrel=1e-10, limit=200)
-    return sphere_area(d) * val
-
-
-def euclidean_ball_volume(R, d):
-    return np.pi ** (d / 2.0) / special.gamma(d / 2.0 + 1.0) * R ** d
-
-
 # --- Poincare ball and the neighbour index ----------------------------------
 
 def to_poincare(x):
     """Map hyperboloid coordinates to the Poincare unit ball."""
     x = np.asarray(x, dtype=float)
     return x[..., 1:] / (1.0 + x[..., :1])
-
-
-def poincare_distance(u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    du2 = np.sum((u - v) ** 2, axis=-1)
-    arg = 1.0 + 2.0 * du2 / ((1.0 - np.sum(u * u, axis=-1)) * (1.0 - np.sum(v * v, axis=-1)))
-    return np.arccosh(np.maximum(1.0, arg))
 
 
 # Beyond this r + rho the Euclidean rho-ball bound in the Poincare ball nears
@@ -601,20 +554,3 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
         idle = 0 if keep.size else idle + 1
     return Packing(index.sites.copy(), r, region,
                    maximal=len(index.sites) < max_centers)
-
-
-def covering_probe(packing, d, n_probes=10000, seed=1):
-    """Fraction of random shrunken-region probes within 2r of some center:
-    cosh d <= cosh(2r) + 1e-12, tested on the neighbour index's candidates
-    within the distance arccosh of that bound, so no probe x centre table is
-    held."""
-    inner = _shrunk(packing.region, packing.radius)
-    if inner is None or len(packing) == 0:
-        return 1.0
-    rng = stream(seed, "probe")
-    probes = sample_region(inner, d, rng, n_probes)
-    reach = np.cosh(2.0 * packing.radius) + 1e-12
-    qi, _, cosh = _SiteIndex(packing.centers).pairs(probes, np.arccosh(reach))
-    covered = np.zeros(n_probes, dtype=bool)
-    covered[qi[cosh <= reach]] = True
-    return float(np.mean(covered))

@@ -1,12 +1,14 @@
 """Heat kernels on H^d for the generator Delta (no 1/2 factor).
 
-Three objects live here: the dimension-general two-sided comparison profile
-``t^(-d/2) * exp(-(d-1)^2 t/4 - rho^2/(4t) - (d-1) rho/2) * (1+rho+t)^((d-3)/2)
-* (1+rho)`` which brackets the true kernel up to constants, the exact
-closed form in three dimensions ``(4 pi t)^(-3/2) * (rho/sinh rho) *
-exp(-t - rho^2/(4t))`` used as a quantitative oracle and as the transition
-weight of the bridge sampler, and McKean's exact kernel in two dimensions
-(one quadrature per point), which with the d = 3 form calibrates the profile.
+Three kernels live here, each as a log: the dimension-general two-sided
+comparison profile ``t^(-d/2) * exp(-(d-1)^2 t/4 - rho^2/(4t) - (d-1) rho/2)
+* (1+rho+t)^((d-3)/2) * (1+rho)`` (:func:`log_comparison_fn`), which
+brackets the true kernel up to constants; the exact closed form in three
+dimensions ``(4 pi t)^(-3/2) * (rho/sinh rho) * exp(-t - rho^2/(4t))``, the
+transition weight of the bridge sampler and the source of the H^3 radial
+law; and McKean's exact kernel in two dimensions (one quadrature per
+point).  The two exact kernels calibrate the profile and are checked
+against the heat equation.
 
 Convention note: the classical literature often writes kernels for the
 generator Delta/2; every formula here uses Delta, i.e. time runs twice as
@@ -19,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import KernelUnavailable
-from .geometry import _cumulative_trapezoid, distance, side_length
+from .geometry import _cumulative_trapezoid
 
 
 def log_comparison_fn(t, rho, d):
+    """Log of the two-sided comparison profile for the heat kernel on H^d."""
     t = np.asarray(t, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if np.any(t <= 0) or np.any(rho < 0):
@@ -33,20 +36,6 @@ def log_comparison_fn(t, rho, d):
             - (d - 1.0) * rho / 2.0
             + ((d - 3.0) / 2.0) * np.log1p(rho + t)
             + np.log1p(rho))
-
-
-def comparison_fn(t, rho, d):
-    """Two-sided comparison profile for the heat kernel on H^d."""
-    return np.exp(log_comparison_fn(t, rho, d))
-
-
-def log_comparison_drho(t, rho, d):
-    """Exact rho-derivative of log comparison_fn (hand differentiation)."""
-    t = np.asarray(t, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    return (-rho / (2.0 * t) - (d - 1.0) / 2.0
-            + (d - 3.0) / (2.0 * (1.0 + rho + t))
-            + 1.0 / (1.0 + rho))
 
 
 def log_exact_h3(t, rho):
@@ -232,44 +221,3 @@ def heat_equation_residual(t, rho, d=3):
     dp_drho = np.dot(w1, pr) / h_rho
     d2p_drho2 = np.dot(w2, pr) / h_rho ** 2
     return abs(dp_dt - (d2p_drho2 + (d - 1) / np.tanh(rho) * dp_drho))
-
-
-def bridge_marginal(t_a, x, t_b, q, t_mid, y, d=3):
-    """Midpoint density of the Brownian bridge: p(s1,x,y) p(s2,y,q) / p(s,x,q).
-
-    Times must satisfy t_a < t_mid < t_b; the kernel is the exact one of
-    :func:`_exact_log_kernel`, so d other than 2 or 3 raises
-    :class:`KernelUnavailable`.
-    """
-    if not (t_a < t_mid < t_b):
-        raise ValueError("need t_a < t_mid < t_b")
-    log_p = _exact_log_kernel(d)
-    s1 = t_mid - t_a
-    s2 = t_b - t_mid
-    s = t_b - t_a
-    r1 = distance(x, y, validate=False)
-    r2 = distance(y, q, validate=False)
-    r = distance(x, q, validate=False)
-    return float(np.exp(log_p(s1, r1) + log_p(s2, r2) - log_p(s, r)))
-
-
-def bridge_marginal_normalization(t_a, t_b, t_mid, D, n_r=400, n_theta=200):
-    """Integral of the d=3 bridge marginal over H^3 (should be 1).
-
-    Endpoints at distance D apart; integration in polar coordinates around
-    the start point using the hyperbolic law of cosines for d(y, q).
-    """
-    s1 = t_mid - t_a
-    s2 = t_b - t_mid
-    s = t_b - t_a
-    r_max = D + 14.0 * np.sqrt(max(s1, s2)) + 4.0 * s
-    r = np.linspace(1e-9, r_max, n_r)
-    theta = np.linspace(0.0, np.pi, n_theta)
-    rr, tt = np.meshgrid(r, theta, indexing="ij")
-    d2 = side_length(rr, D, tt)
-    log_num = log_exact_h3(s1, rr) + log_exact_h3(s2, d2)
-    log_den = log_exact_h3(s, D)
-    integrand = np.exp(log_num - log_den) * np.sinh(rr) ** 2 * np.sin(tt)
-    from scipy.integrate import trapezoid
-    inner = trapezoid(integrand, theta, axis=1)
-    return 2.0 * np.pi * trapezoid(inner, r)

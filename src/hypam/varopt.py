@@ -4,8 +4,8 @@ The central object is the profile ``f(eps, K) = (1-eps)*sqrt(2*sigma2*(d-1)*K)
 - K^2/(4*eps)`` whose maximum gives the growth constant on the t^(5/3) scale.
 The module provides the closed-form optimum, an independent grid plus
 golden-section optimizer used to cross-validate it, the relaxed two-parameter
-variant, Legendre-transform helpers, and fuzz harnesses for the elementary
-inequalities used by the route bounds.
+variant, the route-combinatorics constants, and fuzz harnesses for the
+elementary inequalities used by the route bounds.
 """
 
 import math
@@ -46,15 +46,6 @@ class VariationalSolution:
     L_star: float
     grid_gap: float         # |closed form - independent search|, in value
     gradient_norm: float    # numerical gradient at the reported optimum
-
-
-def f_eval(eps, K, params):
-    """Profile value (1-eps)*sqrt(2*a*K) - K^2/(4*eps), a = sigma2*(d-1)."""
-    eps = np.asarray(eps, dtype=float)
-    K = np.asarray(K, dtype=float)
-    if np.any(eps <= 0) or np.any(eps >= 1) or np.any(K <= 0):
-        raise ConstraintViolation("need eps in (0,1) and K > 0")
-    return (1.0 - eps) * np.sqrt(2.0 * params.a * K) - K ** 2 / (4.0 * eps)
 
 
 def _golden_max(fun, lo, hi):
@@ -167,48 +158,6 @@ def euclid_growth(t, params):
     if t <= math.e:
         raise ConstraintViolation("t must exceed e for the flat-space scale")
     return math.sqrt(2.0 * params.d * params.sigma2) * t * math.sqrt(math.log(t))
-
-
-def legendre_triple(h, sigma2):
-    """Cumulant dual of a centered Gaussian: (H(rho), L(h), rho(h)).
-
-    H(rho) = sigma2 * rho^2 / 2 and its Legendre transform
-    L(h) = sup_rho (rho*h - H(rho)) = h^2 / (2*sigma2), with maximiser
-    rho(h) = h / sigma2.  The closed form is verified against a numeric sup.
-    """
-    if h <= 0:
-        raise ConstraintViolation("h must be positive")
-    L = h * h / (2.0 * sigma2)
-    rho = h / sigma2
-    H_at_rho = 0.5 * sigma2 * rho * rho
-    grid = np.linspace(0.0, 4.0 * rho + 1.0, 40001)
-    sup = np.max(grid * h - 0.5 * sigma2 * grid * grid)
-    if abs(sup - L) > 1e-6 * max(1.0, L):
-        raise ArithmeticError(f"Legendre closed form off numeric sup by {abs(sup - L):.3e}")
-    return H_at_rho, L, rho
-
-
-def peak_height(R, params):
-    """Height scale sqrt(2 * sigma2 * (d-1) * R) of the field maximum at radius R."""
-    if R <= 0:
-        raise ConstraintViolation("R must be positive")
-    return math.sqrt(2.0 * params.a * R)
-
-
-def delta_scale(t, params, beta=1.0 / 3.0):
-    """Shrinking peak-ball radius (h_tilde)^(-beta), h_tilde = h_{K(t)} - sqrt(h_{K(t)}).
-
-    ``K(t) = K_star * t^(4/3)`` with K_star from the profile optimum; beta is
-    pinned to (1/4, 1/2).  Decays like t^(-2*beta/3) up to the sqrt correction.
-    """
-    if not 0.25 < beta < 0.5:
-        raise ConstraintViolation("beta must lie in (1/4, 1/2)")
-    sol = optimize_f(params, cross_validate=False)
-    h = peak_height(sol.K_star * t ** (4.0 / 3.0), params)
-    h_tilde = h - math.sqrt(h)
-    if h_tilde <= 0:
-        raise ConstraintViolation("t too small: peak height below its own sqrt correction")
-    return h_tilde ** (-beta)
 
 
 # --- elementary inequalities -------------------------------------------------
@@ -360,44 +309,3 @@ def route_constants(eta, lam, delta, K0, params, C_R0_hat,
                 "route-error budget infeasible: (1-alpha)/16*(delta/mu)^4 = "
                 f"{lhs:.3e} must exceed lam*K0/2*bracket = {rhs:.3e}")
     return RouteConstants(N_eta, N_hat, L_delta, eta_delta), error_fn
-
-
-def find_feasible_lambda(eta, delta, K0, params, C_R0_hat, alpha, mu):
-    """Largest workable lam below eta for the route-error budget, by bisection.
-
-    The budget constraint is monotone in lam, so bisection on the indicator
-    brackets the threshold to a relative width of 1e-15 (at most 200
-    halvings); returns a lam strictly inside the feasible range, or None when
-    even arbitrarily small lam fails.
-    """
-    def feasible(lam):
-        try:
-            route_constants(eta, lam, delta, K0, params, C_R0_hat,
-                            check_constraint=True, alpha=alpha, mu=mu)
-            return True
-        except ConstraintViolation:
-            return False
-
-    lo = 0.0                      # infeasible sentinel boundary (lam must be > 0)
-    hi = eta * (1.0 - 1e-12)
-    if feasible(hi):
-        return hi
-    probe = hi
-    for _ in range(60):           # find any feasible point to anchor bisection
-        probe /= 16.0
-        if probe < 1e-300:
-            return None
-        if feasible(probe):
-            lo = probe
-            break
-    else:
-        return None
-    for _ in range(200):
-        if hi - lo <= 1e-15 * max(hi, 1.0):
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * (1.0 - 1e-9)

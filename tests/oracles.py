@@ -3,7 +3,11 @@
 These deliberately re-derive results through the most literal route
 available (explicit scans, BFS, transitive closure, step-by-step simulation)
 so the production implementations are checked against something that shares
-no code with them.
+no code with them.  The last section holds the checks that the unit tests
+compare the library against (a bridge's midpoint density and its
+normalisation, the law-of-cosines side, the unconstrained path-energy
+minimum, the drift bound's smoothing blend and the Poincare-ball distance);
+no program of the package runs them.
 """
 
 import math
@@ -11,10 +15,11 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from hypam import geometry as geo
+from hypam import brownian as bm, geometry as geo, heatkernel as hk
 from hypam.brownian import simulate_bm_batch, simulate_radial_batch
 from hypam.feynman_kac import _trapezoid_weights
-from hypam.config import COND_RADIUS_FACTOR, COND_SITE_CAP, stream
+from hypam.config import (COND_RADIUS_FACTOR, COND_SITE_CAP,
+                          ConstraintViolation, stream)
 
 
 def brute_force_reduce(word):
@@ -171,8 +176,8 @@ def oracle_greedy_packing(region, r, d, seed, max_centers):
 
 
 def oracle_covering_probe(packing, d, n_probes=10000, seed=1):
-    """Covering fraction from the full probes x centres cosh table; the same
-    probe stream as ``geo.covering_probe``."""
+    """Fraction of random shrunken-region probes within 2r of some center,
+    from the full probes x centres cosh table."""
     inner = geo._shrunk(packing.region, packing.radius)
     if inner is None or len(packing) == 0:
         return 1.0
@@ -406,31 +411,6 @@ def oracle_localized_accept(times, pts, eps, t, dt, K, delta_tube, center,
     return np.array(out)
 
 
-def oracle_rich_ball_event(fieldr, threshold, ball_radius, min_points, separation):
-    """Rich-ball event by a literal scan: per center, the super-threshold
-    sites in the ball are chosen one by one in index order, each when at
-    least ``separation`` from every site chosen before it."""
-    super_idx = np.flatnonzero(fieldr.values > threshold)
-    if super_idx.size < min_points:
-        return False
-    pts = fieldr.sites[super_idx]
-    dist_pp = geo.distance(pts[:, None, :], pts[None, :, :], validate=False)
-    dist_cp = geo.distance(fieldr.sites[:, None, :], pts[None, :, :],
-                           validate=False)
-    need = int(math.ceil(min_points))
-    for c in range(len(fieldr.sites)):
-        inside = np.flatnonzero(dist_cp[c] <= ball_radius)
-        if inside.size < need:
-            continue
-        chosen = []
-        for i in inside:
-            if all(dist_pp[i, j] >= separation for j in chosen):
-                chosen.append(i)
-                if len(chosen) >= need:
-                    return True
-    return False
-
-
 def oracle_linear_fit(x, y):
     """Slope, intercept, r2 and 95% slope interval from
     ``scipy.stats.linregress`` and ``t.ppf``; infinite interval for two
@@ -488,3 +468,94 @@ def oracle_extend_values(fieldr, new_sites, seed):
         cond = 0.5 * (cond + cond.T)
     Lc = np.linalg.cholesky(cond)
     return mean + Lc @ rng.standard_normal(len(new_sites)), jitter
+
+
+# --- checks the unit tests compare the library against -----------------------
+
+def side_length(rho, r, theta):
+    """Hyperbolic law of cosines: the side opposite angle ``theta``.
+
+    Triangle with side lengths ``rho`` and ``r`` meeting at angle ``theta``.
+    """
+    c = np.cosh(rho) * np.cosh(r) - np.sinh(rho) * np.sinh(r) * np.cos(theta)
+    return np.arccosh(np.maximum(1.0, c))
+
+
+def poincare_distance(u, v):
+    """Hyperbolic distance of two points given in Poincare-ball coordinates."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    du2 = np.sum((u - v) ** 2, axis=-1)
+    arg = 1.0 + 2.0 * du2 / ((1.0 - np.sum(u * u, axis=-1)) * (1.0 - np.sum(v * v, axis=-1)))
+    return np.arccosh(np.maximum(1.0, arg))
+
+
+def bridge_marginal(t_a, x, t_b, q, t_mid, y, d=3):
+    """Midpoint density of the Brownian bridge: p(s1,x,y) p(s2,y,q) / p(s,x,q).
+
+    Times must satisfy t_a < t_mid < t_b; the kernel is the exact one of
+    ``heatkernel._exact_log_kernel``, so d other than 2 or 3 raises
+    ``KernelUnavailable``.
+    """
+    if not (t_a < t_mid < t_b):
+        raise ValueError("need t_a < t_mid < t_b")
+    log_p = hk._exact_log_kernel(d)
+    s1 = t_mid - t_a
+    s2 = t_b - t_mid
+    s = t_b - t_a
+    r1 = geo.distance(x, y, validate=False)
+    r2 = geo.distance(y, q, validate=False)
+    r = geo.distance(x, q, validate=False)
+    return float(np.exp(log_p(s1, r1) + log_p(s2, r2) - log_p(s, r)))
+
+
+def bridge_marginal_normalization(t_a, t_b, t_mid, D, n_r=400, n_theta=200):
+    """Integral of the d=3 bridge marginal over H^3 (should be 1).
+
+    Endpoints at distance D apart; integration in polar coordinates around
+    the start point using the hyperbolic law of cosines for d(y, q).
+    """
+    from scipy.integrate import trapezoid
+    s1 = t_mid - t_a
+    s2 = t_b - t_mid
+    s = t_b - t_a
+    r_max = D + 14.0 * np.sqrt(max(s1, s2)) + 4.0 * s
+    r = np.linspace(1e-9, r_max, n_r)
+    theta = np.linspace(0.0, np.pi, n_theta)
+    rr, tt = np.meshgrid(r, theta, indexing="ij")
+    d2 = side_length(rr, D, tt)
+    log_num = hk.log_exact_h3(s1, rr) + hk.log_exact_h3(s2, d2)
+    log_den = hk.log_exact_h3(s, D)
+    integrand = np.exp(log_num - log_den) * np.sinh(rr) ** 2 * np.sin(tt)
+    inner = trapezoid(integrand, theta, axis=1)
+    return 2.0 * np.pi * trapezoid(inner, r)
+
+
+def geodesic_baseline_energy(K_star, d=2, slack=0.0):
+    """Unconstrained minimum of ``energy_excess_check``'s discrete energy
+    with optional endpoint slack.
+
+    Raises ``ConstraintViolation`` when SLSQP does not converge.
+    """
+    n = bm._N_SEGMENTS
+    x, y, energy_of, energy_grad = bm._offset_path_energy(K_star, d, n)
+    res = bm._minimize_energy(energy_of, energy_grad, np.zeros(n * d),
+                              [bm._node_norm_constraint(n, d, n - 1, -1.0, slack)],
+                              float(geo.distance(x, y)) + 2.0)
+    if not res.success:
+        raise ConstraintViolation(f"geodesic baseline SLSQP failed: {res.message}")
+    return float(res.fun)
+
+
+def smoothing_blend(x):
+    """The concrete f behind ``brownian.radial_drift_bound``.
+
+    Constant 1/2 below 1/4, identity above 1; in between the integral of the
+    blend slope f' = 2u - u^2 (u the normalized coordinate), so f is C^1,
+    nondecreasing, with f' <= 1 everywhere.
+    """
+    x = np.asarray(x, dtype=float)
+    a, b = 0.25, 1.0
+    u = np.clip((x - a) / (b - a), 0.0, 1.0)
+    blend_val = 0.5 + (b - a) * (u ** 2 - u ** 3 / 3.0)
+    return np.where(x <= a, 0.5, np.where(x >= b, x, blend_val))

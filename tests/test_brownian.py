@@ -5,30 +5,37 @@ from scipy import integrate, optimize, stats as sps
 from hypam import brownian as bm, geometry as geo
 from hypam.config import ConstraintViolation, stream
 
-from oracles import oracle_radial_batch, oracle_radial_drift
+from oracles import (geodesic_baseline_energy, oracle_radial_batch,
+                     oracle_radial_drift, smoothing_blend)
+
+
+def _trajectory(d, t, dt, seed):
+    """One path of the geodesic random walk from the base point."""
+    times, pts = bm.simulate_bm_batch(d, t, dt, seed, n_paths=1)
+    return bm.Trajectory(times, pts[:, 0, :], d)
 
 
 def test_zero_time_trajectory():
-    traj = bm.simulate_bm(2, 0.0, 0.01, seed=0)
+    traj = _trajectory(2, 0.0, 0.01, seed=0)
     assert len(traj.times) == 1
     assert np.allclose(traj.points[0], geo.origin(2))
 
 
 def test_determinism_bit_identical():
-    a = bm.simulate_bm(3, 0.5, 0.01, seed=42)
-    b = bm.simulate_bm(3, 0.5, 0.01, seed=42)
+    a = _trajectory(3, 0.5, 0.01, seed=42)
+    b = _trajectory(3, 0.5, 0.01, seed=42)
     assert np.array_equal(a.points, b.points)
-    c = bm.simulate_bm(3, 0.5, 0.01, seed=43)
+    c = _trajectory(3, 0.5, 0.01, seed=43)
     assert not np.array_equal(a.points, c.points)
 
 
 def test_step_sanity_bound():
-    traj = bm.simulate_bm(2, 2.0, 0.01, seed=1)
+    traj = _trajectory(2, 2.0, 0.01, seed=1)
     assert traj.max_step_ratio() < bm.STEP_SANITY_FACTOR
 
 
 def test_points_stay_on_hyperboloid():
-    traj = bm.simulate_bm(3, 1.0, 0.01, seed=2)
+    traj = _trajectory(3, 1.0, 0.01, seed=2)
     geo.check_points(traj.points)
 
 
@@ -126,8 +133,8 @@ class TestBridge:
         x = geo.origin(3)
         y = geo.point_at(3, 1.2, np.array([0.0, 1.0, 0.0]))
         spec = bm.BridgeSpec(x, y, 0.3)
-        traj = bm.simulate_bridge(spec, 0.3 / 64, seed=9)
-        assert geo.distance(traj.points[-1], y) < np.sqrt(2 * 0.3 / 64) * 5
+        _, pts = bm.simulate_bridge_batch(spec, 0.3 / 64, seed=9, n_paths=1)
+        assert geo.distance(pts[-1, 0], y) < np.sqrt(2 * 0.3 / 64) * 5
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan])
     def test_bad_dt_rejected(self, dt):
@@ -141,9 +148,9 @@ class TestBridge:
         x = geo.origin(3)
         y = geo.point_at(3, 0.8, np.array([1.0, 0, 0]))
         spec = bm.BridgeSpec(x, y, 0.2)
-        a = bm.simulate_bridge(spec, 0.01, seed=4)
-        b = bm.simulate_bridge(spec, 0.01, seed=4)
-        assert np.array_equal(a.points, b.points)
+        _, a = bm.simulate_bridge_batch(spec, 0.01, seed=4, n_paths=1)
+        _, b = bm.simulate_bridge_batch(spec, 0.01, seed=4, n_paths=1)
+        assert np.array_equal(a, b)
 
     def test_excursion_scaling(self):
         x = geo.origin(3)
@@ -277,11 +284,11 @@ def _fail_minimize(fun, x0, **kwargs):
 
 class TestEnergyExcess:
     def test_unconstrained_minimum_is_geodesic(self):
-        e = bm.geodesic_baseline_energy(1.0, d=2, slack=0.0)
+        e = geodesic_baseline_energy(1.0, d=2, slack=0.0)
         assert abs(e - 1.0) < 1e-6
 
     def test_unconstrained_minimum_is_geodesic_d3(self):
-        e = bm.geodesic_baseline_energy(1.0, d=3, slack=0.0)
+        e = geodesic_baseline_energy(1.0, d=3, slack=0.0)
         assert abs(e - 1.0) < 1e-6
 
     def test_no_converged_trial_does_not_hold(self, monkeypatch):
@@ -291,7 +298,7 @@ class TestEnergyExcess:
         assert rep.min_energy is None
         assert rep.holds is False
         with pytest.raises(ConstraintViolation):
-            bm.geodesic_baseline_energy(1.0)
+            geodesic_baseline_energy(1.0)
 
     def test_every_trial_counted(self):
         rep = bm.energy_excess_check(1.0, 0.5, 0.02, 0.001, n_trials=2, seed=3)
@@ -306,7 +313,7 @@ class TestEnergyExcess:
 
     def test_smoothing_blend_shape(self):
         xs = np.linspace(0.0, 3.0, 2001)
-        f = bm.smoothing_blend(xs)
+        f = smoothing_blend(xs)
         assert np.all(np.diff(f) >= -1e-15)
         assert np.max(np.diff(f) / np.diff(xs)) <= 1.0 + 1e-9
         assert np.allclose(f[xs <= 0.25], 0.5)

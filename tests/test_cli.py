@@ -230,6 +230,16 @@ class TestDispatch:
         ("bridge-ldp", ["delta=-1"], 2, "delta"),
         ("energy-bound", ["delta=-1"], 2, "delta"),
         ("long-route-tail", ["N_hops=0"], 2, "N_hops"),
+        # a deviation needs a geodesic of positive length to leave
+        ("energy-bound", ["K=-1"], 2, "K must be positive"),
+        ("energy-bound", ["K=0"], 2, "K must be positive"),
+        # a feasible K, so only the radius is at fault
+        ("fk-localized", ["K=4", "r_peak=-1"], 2, "r_peak must be positive"),
+        ("fk-localized", ["K=4", "delta_tube=0"], 2, "delta_tube must be positive"),
+        # an empty list has no row to run
+        ("field-max-scan", ["R_list=,"], 2, "R_list must list at least one number"),
+        ("exit-check", ["R_list=,"], 2, "R_list must list at least one number"),
+        ("bridge-ldp", ["s_list=,"], 2, "s_list must list at least one number"),
     ])
     def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
                                               sets, status, message):

@@ -7,21 +7,6 @@ from hypam.config import ConstraintViolation
 from hypam.varopt import ModelParams
 
 
-def test_f_eval_examples(params2):
-    assert abs(varopt.f_eval(0.2, 0.371327, params2) - 0.517064) < 1e-5
-    # K -> 0+: both terms vanish
-    assert abs(varopt.f_eval(0.3, 1e-12, params2)) < 1e-5
-    # dominated cost goes negative
-    assert varopt.f_eval(0.1, 10.0, params2) < 0
-
-
-def test_f_eval_domain(params2):
-    with pytest.raises(ConstraintViolation):
-        varopt.f_eval(0.0, 1.0, params2)
-    with pytest.raises(ConstraintViolation):
-        varopt.f_eval(0.5, -1.0, params2)
-
-
 def test_optimize_closed_forms(params2):
     sol = varopt.optimize_f(params2)
     assert sol.eps_star == 0.2
@@ -75,29 +60,6 @@ def test_euclid_growth(params2):
     v1 = varopt.euclid_growth(100.0, ModelParams(2, 1.0))
     v2 = varopt.euclid_growth(100.0, ModelParams(2, 4.0))
     assert abs(v2 / v1 - 2.0) < 1e-12
-
-
-def test_legendre_triple():
-    H, L, rho = varopt.legendre_triple(2.0, 1.0)
-    assert abs(L - 2.0) < 1e-9 and abs(rho - 2.0) < 1e-9
-    assert abs(L - (rho * 2.0 - H)) < 1e-9
-    H2, L2, rho2 = varopt.legendre_triple(1e-8, 2.0)
-    assert max(H2, L2, rho2) < 1e-7
-
-
-def test_peak_height_and_delta_scale():
-    p = ModelParams(2, 1.0)
-    for R in (0.5, 2.0, 7.0):
-        h = varopt.peak_height(R, p)
-        assert abs(h * h / R - 2 * p.a) < 1e-12
-    with pytest.raises(ConstraintViolation):
-        varopt.delta_scale(100.0, p, beta=0.2)
-    # decay exponent ~ -2 beta / 3 once the sqrt correction is small
-    strong = ModelParams(2, 25.0)
-    ts = np.array([1e2, 1e3, 1e4])
-    ds = np.array([varopt.delta_scale(t, strong) for t in ts])
-    slope = np.polyfit(np.log(ts), np.log(ds), 1)[0]
-    assert abs(slope - (-2.0 / 9.0)) < 0.01
 
 
 class TestInequalities:
@@ -174,18 +136,6 @@ class TestRouteConstants:
         assert vals[0] > vals[1] > vals[2] > vals[3] > limit
         # the transient decays like t^(-1/3), so the limit is approached slowly
         assert abs(vals[-1] - limit) < 1e-2 * limit
-
-    def test_feasibility_solver(self):
-        # a feasible (lam, eta) pair exists at the quoted configuration
-        from hypam.field import cluster_constants
-        p = ModelParams(2, 1.0)
-        mu = 1.1 * p.mu0
-        _, eta_delta = cluster_constants(0.5, 2, 2.0, 1.0)
-        eta = 0.9 * eta_delta
-        lam = varopt.find_feasible_lambda(eta, 0.5, 2.0, p, 1.0, alpha=0.9, mu=mu)
-        assert lam is not None and 0 < lam < eta
-        varopt.route_constants(eta, lam, 0.5, 2.0, p, 1.0,
-                               check_constraint=True, alpha=0.9, mu=mu)
 
     def test_constraint_violation_raised(self, params2):
         with pytest.raises(ConstraintViolation):
