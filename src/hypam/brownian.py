@@ -455,10 +455,14 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
     The quantitative parameter relations are validated and reported; with
     ``enforce_constraints`` a violation raises instead, which makes the bound
     term positive and the comparison sharp.  A distance K_star <= 0 raises
-    :class:`ConstraintViolation`: there is no geodesic to deviate from.
+    :class:`ConstraintViolation`: there is no geodesic to deviate from.  So
+    does a negative eta or zeta, the tolerances of the endpoint slack.
     """
     if not K_star > 0:
         raise ConstraintViolation(f"K must be positive (got K={K_star})")
+    for key, val in (("eta", eta), ("zeta", zeta)):
+        if not val >= 0:
+            raise ConstraintViolation(f"{key} must be nonnegative (got {key}={val})")
     constraints_ok = check_eta_zeta(K_star, delta, eta, zeta)
     if enforce_constraints and not constraints_ok:
         raise ConstraintViolation(

@@ -44,7 +44,11 @@ class PlantedPeakPotential:
     background: float = 0.0
 
     def values_at(self, points):
-        rho = geo.distance(np.asarray(points, float), self.center, validate=False)
+        return self.radial(geo.distance(np.asarray(points, float), self.center,
+                                        validate=False))
+
+    def radial(self, rho):
+        """The potential at distance rho from the centre."""
         u = np.clip(rho / self.width, 0.0, 1.0)
         return self.background + self.height * (1.0 - u ** 2) ** 3
 

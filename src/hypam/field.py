@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.linalg import solve_banded, solve_triangular
+from scipy.linalg import eigh_tridiagonal, solve_banded, solve_triangular
 from scipy.linalg.blas import dtbmv
 from scipy.linalg.lapack import dpbtrf, dpotrf
 from scipy.sparse import coo_array, csr_array
@@ -131,11 +131,12 @@ def make_spec(sigma2, R0, bump_shape="poly3", d=2):
     """Covariance profile as the H^d autocorrelation of a compact bump.
 
     ``C(rho) = int k(d(x,z)) k(d(y,z)) vol(dz)`` for d(x,y) = rho, evaluated
-    by 96-point Gauss-Legendre quadrature in geodesic polar coordinates
-    around x and tabulated on 201 uniform rho knots with a clamped cubic
-    spline (zero slope at both ends), stored as its table of cubic pieces
-    built by :func:`_clamped_pieces`, whose arithmetic is that of scipy
-    1.17.1's ``CubicSpline(..., bc_type=((1, 0.0), (1, 0.0)))``.  Scaled so
+    by 96-point Gauss-Legendre quadrature (:func:`_gauss_legendre`) in
+    geodesic polar coordinates around x and tabulated on 201 uniform rho
+    knots with a clamped cubic spline (zero slope at both ends), stored as
+    its table of cubic pieces built by :func:`_clamped_pieces`, whose
+    arithmetic is that of scipy 1.17.1's
+    ``CubicSpline(..., bc_type=((1, 0.0), (1, 0.0)))``.  Scaled so
     C(0) = sigma2.  The table's error is the quadrature's: against a
     384-node rule it is about 1e-8 sigma2 at d = 2 and up to 4e-8 sigma2 at
     d = 4 for the default poly3 bump, and the spline between the knots adds
@@ -185,6 +186,37 @@ def _clamped_pieces(x, y):
     return np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]), axis=1)
 
 
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], bit
+    for bit those of numpy 2.4's ``np.polynomial.legendre.leggauss(n)``.
+
+    The steps are ``leggauss``'s: the eigenvalues of the symmetric companion
+    matrix of P_n, one Newton step, the weights from P_n' and P_(n-1) scaled
+    by their largest magnitudes, symmetrised and normalised to sum to 2.
+    Only the eigen solve differs.  The companion matrix is the tridiagonal
+    Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969), whose eigenvalues
+    LAPACK ``dsterf`` finds directly; ``leggauss``'s dense ``eigvalsh``
+    (``dsyevd``) reduces the same matrix to that same ``dsterf`` call, but
+    wakes a second BLAS thread on the way.
+    """
+    leg = np.polynomial.legendre
+    c = np.array([0] * n + [1])
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    x = eigh_tridiagonal(np.zeros(n), np.arange(1, n) * scl[:n - 1] * scl[1:n],
+                         eigvals_only=True, lapack_driver="sterf")
+    dy = leg.legval(x, c)
+    df = leg.legval(x, leg.legder(c))
+    x -= dy / df
+    fm = leg.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
+
+
 @functools.lru_cache(maxsize=None)
 def _unscaled_profile(R0, bump_shape, d):
     """Read-only rho grid and autocorrelation table of :func:`make_spec`,
@@ -192,10 +224,10 @@ def _unscaled_profile(R0, bump_shape, d):
     bump = _BUMPS[bump_shape]
     n_grid, n_quad = 201, 96
     s = R0 / 2.0
-    r_nodes, r_w = np.polynomial.legendre.leggauss(n_quad)
+    r_nodes, r_w = _gauss_legendre(n_quad)
     r = 0.5 * s * (r_nodes + 1.0)
     rw = 0.5 * s * r_w
-    th_nodes, th_w = np.polynomial.legendre.leggauss(n_quad)
+    th_nodes, th_w = _gauss_legendre(n_quad)
     th = 0.5 * np.pi * (th_nodes + 1.0)
     tw = 0.5 * np.pi * th_w
 

@@ -371,6 +371,33 @@ def oracle_log_exact_h2(t, rho):
             - rho * rho / (4.0 * t) + math.log(head + tail))
 
 
+def oracle_radial_pam_h3(V, t, h, dt, r_max):
+    """``(r, log U)`` of the radial parabolic Anderson model in H^3 through
+    w = sinh(r) U, which turns the radial Laplacian into ``w_rr - w``:
+    ``w_t = w_rr - w + V w``, w = sinh r at t = 0, w(0) = 0 (U stays finite)
+    and w(r_max) = sinh(r_max) (U = 1).  Second differences on the nodes
+    r = h, 2h, .., r_max - h, Crank-Nicolson in ceil(t / dt) equal steps,
+    no rescaling, so only for moderate growth."""
+    from scipy.linalg import solve_banded
+    n = round(r_max / h)
+    r = h * np.arange(1, n)
+    op = np.zeros((3, n - 1))
+    op[0, 1:] = op[2, :-1] = 1.0 / h ** 2
+    op[1] = -2.0 / h ** 2 - 1.0 + V(r)
+    n_steps = math.ceil(t / dt)
+    k = t / n_steps
+    lhs = -0.5 * k * op
+    lhs[1] += 1.0
+    w = np.sinh(r)
+    for _ in range(n_steps):
+        rhs = w + 0.5 * k * op[1] * w
+        rhs[:-1] += 0.5 * k * op[0, 1:] * w[1:]
+        rhs[1:] += 0.5 * k * op[2, :-1] * w[:-1]
+        rhs[-1] += k * math.sinh(n * h) / h ** 2
+        w = solve_banded((1, 1), lhs, rhs)
+    return r, np.log(w / np.sinh(r))
+
+
 def oracle_radial_histogram(d, t, edges, n_paths, dt, seed, stream_id=0):
     """Monte Carlo heat kernel of H^d at time t from the radial SDE: bin
     midpoints, the histogram density of the distance to the start divided

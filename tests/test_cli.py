@@ -240,6 +240,9 @@ class TestDispatch:
         ("field-max-scan", ["R_list=,"], 2, "R_list must list at least one number"),
         ("exit-check", ["R_list=,"], 2, "R_list must list at least one number"),
         ("bridge-ldp", ["s_list=,"], 2, "s_list must list at least one number"),
+        # the endpoint slack's tolerances may be 0, never negative
+        ("energy-bound", ["eta=-1"], 2, "eta must be nonnegative"),
+        ("energy-bound", ["zeta=-1"], 2, "zeta must be nonnegative"),
     ])
     def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
                                               sets, status, message):
@@ -250,6 +253,12 @@ class TestDispatch:
         assert run_cli(tmp_path, *argv) == status
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_energy_bound_accepts_zero_tolerances(self, tmp_path):
+        out = tmp_path / "eb"
+        assert run_cli(tmp_path, "energy-bound", "--out", str(out),
+                       "--set", "eta=0", "--set", "zeta=0") == 0
+        assert json.loads(read(out / "summary.json"))["endpoint_slack"] == 0.0
 
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -394,11 +403,12 @@ def test_readme_examples_pass_validation(tmp_path, monkeypatch, argv):
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.interpolate",
                                     "scipy.optimize", "scipy.integrate",
-                                    "scipy.sparse.csgraph"])
+                                    "scipy.sparse.csgraph", "hypam.exact"])
 def test_import_leaves_out_scipy_stats(module):
     # scipy.stats alone costs about half a second at import, and
     # interpolate, optimize, integrate and csgraph are loaded only where a
-    # run calls them; no hypam module may import them at module level
+    # run calls them; no hypam module may import them at module level, and
+    # the exact solvers serve scripts and tests, never a subcommand
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypam.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run(

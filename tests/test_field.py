@@ -118,6 +118,24 @@ class TestCovarianceSpec:
         assert cached.values is not other.values and cached.values.flags.writeable
         assert not fresh.rho_grid.flags.writeable
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 96, 384])
+    def test_gauss_legendre_is_leggauss(self, n):
+        x, w = fd._gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+    def test_table_needs_no_dense_eigen_solve(self, monkeypatch):
+        # the nodes come from the tridiagonal solve alone, so the table
+        # builds with the dense eigvalsh gone and equals the cached one
+        cached = fd._unscaled_profile(1.0, "poly3", 2)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense eigen solve called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+        rebuilt = fd._unscaled_profile.__wrapped__(1.0, "poly3", 2)
+        assert all(np.array_equal(a, b) for a, b in zip(rebuilt, cached))
+
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.sampled_from([2, 3]), radius=st.floats(0.0, 20.0),
