@@ -20,6 +20,8 @@ from . import geometry as geo
 from .stats import linear_fit, wilson_ci
 
 STEP_SANITY_FACTOR = 50.0   # flag steps longer than 50*sqrt(2*dt)
+_N_CANDIDATES = 16          # forward proposals per bridge step and path
+_N_SEGMENTS = 16            # path nodes of the forced-deviation energy problems
 
 
 @dataclass
@@ -62,29 +64,28 @@ class BridgeSpec:
 def _time_grid(t, dt):
     """The path simulators' grid: n = round(t / dt) steps of dt from time 0,
     ``linspace(0, n * dt, n + 1)``.  Raises :class:`ConstraintViolation`
-    unless dt > 0 and t >= 0 with t / dt finite, which NaN fails too."""
+    unless dt > 0 and t >= 0 with t / dt finite, which NaN fails too, and
+    unless the grid ends at t, to within 1e-9 * t."""
     if not (dt > 0 and 0 <= t / dt < math.inf):
         raise ConstraintViolation("the time grid needs dt > 0 and t >= 0 with "
                                   f"finitely many steps (got t={t}, dt={dt})")
     n = int(round(t / dt))
+    if abs(n * dt - t) > 1e-9 * t:
+        raise ConstraintViolation("the time grid must end at t: t must be a "
+                                  f"whole number of steps dt (got t={t}, dt={dt})")
     return np.linspace(0.0, n * dt, n + 1)
 
 
-def simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0, start=None,
-                      record=True):
-    """Vectorized geodesic random walk; returns (times, points array).
+def simulate_bm_batch(d, t, dt, seed, n_paths, stream_id=0, record=True):
+    """Vectorized geodesic random walk from the base point o; returns
+    (times, points array).
 
     ``points`` has shape (n_steps+1, n_paths, d+1) when ``record`` else only
     the final slice (n_paths, d+1) is returned to save memory.
     """
     times = _time_grid(t, dt)
     n_steps = len(times) - 1
-    if start is None:
-        x = np.tile(geo.origin(d), (n_paths, 1))
-    elif np.ndim(start) == 1:
-        x = np.tile(np.asarray(start, dtype=float), (n_paths, 1))
-    else:
-        x = np.array(start, dtype=float)
+    x = np.tile(geo.origin(d), (n_paths, 1))
     rng = stream(seed, "bm", stream_id)
     scale = math.sqrt(2.0 * dt)
     if record:
@@ -117,9 +118,9 @@ def _radial_drift(r, d, dt, out=None):
     return drift
 
 
-def simulate_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0,
-                          record_max=False):
-    """Euler-Maruyama for the radial SDE; returns final radii (and max).
+def simulate_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0):
+    """Euler-Maruyama for the radial SDE; returns the final radii and each
+    path's running maximum over the grid.
 
     Each step r <- |r + drift * dt + sqrt(2 dt) * z| is taken in place, in
     that operation order, on buffers allocated once."""
@@ -139,11 +140,8 @@ def simulate_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0,
         r += drift
         r += z
         np.abs(r, out=r)
-        if record_max:
-            np.maximum(running_max, r, out=running_max)
-    if record_max:
-        return r, running_max
-    return r
+        np.maximum(running_max, r, out=running_max)
+    return r, running_max
 
 
 @functools.cache
@@ -182,8 +180,7 @@ def exit_stats(d, R_list, t, n_paths, seed, dt=0.01):
     cid = 0
     while done < n_paths:
         m = min(chunk, n_paths - done)
-        _, rmax = simulate_radial_batch(d, t, dt, 0.0, seed, m, stream_id=cid,
-                                        record_max=True)
+        _, rmax = simulate_radial_batch(d, t, dt, 0.0, seed, m, stream_id=cid)
         for j, R in enumerate(R_arr):
             hits[j] += int(np.sum(rmax >= R))
         done += m
@@ -232,10 +229,10 @@ def first_passage_cdf(a, s):
 
 # --- bridges ------------------------------------------------------------------
 
-def simulate_bridge_batch(spec, dt, seed, n_paths, n_candidates=16, stream_id=0):
+def simulate_bridge_batch(spec, dt, seed, n_paths, stream_id=0):
     """Sequential kernel-ratio bridge sampler, vectorized over paths.
 
-    At each grid time a fan of ``n_candidates`` forward proposals (one
+    At each grid time a fan of ``_N_CANDIDATES`` forward proposals (one
     geodesic-walk step each) is reweighted by the transition kernel to the
     pinned endpoint over the remaining time and one is resampled per path.
     The final point is the endpoint itself.  Bias is controlled by dt and the
@@ -257,7 +254,7 @@ def simulate_bridge_batch(spec, dt, seed, n_paths, n_candidates=16, stream_id=0)
     scale = math.sqrt(2.0 * h)
     for i in range(1, n_steps):
         remaining = spec.s - times[i]
-        coeffs = scale * rng.standard_normal((n_paths, n_candidates, d))
+        coeffs = scale * rng.standard_normal((n_paths, _N_CANDIDATES, d))
         cands = geo.frame_step(x[:, None, :], coeffs)
         rho = geo.distance(cands, spec.end[None, None, :], validate=False)
         logw = log_kernel(remaining, rho, d)
@@ -266,7 +263,7 @@ def simulate_bridge_batch(spec, dt, seed, n_paths, n_candidates=16, stream_id=0)
         w /= w.sum(axis=1, keepdims=True)
         u = rng.random((n_paths, 1))
         idx = (np.cumsum(w, axis=1) < u).sum(axis=1)
-        idx = np.minimum(idx, n_candidates - 1)
+        idx = np.minimum(idx, _N_CANDIDATES - 1)
         x = cands[np.arange(n_paths), idx]
         out[i] = x
     out[n_steps] = spec.end
@@ -347,10 +344,6 @@ def check_eta_zeta(K_star, delta, eta, zeta):
           and zeta > 0
           and delta ** 2 / 128.0 - 4.0 * K_star * (5.0 * eta + 2.0 * K_star * zeta) > 0)
     return bool(ok)
-
-
-# path nodes of the forced-deviation energy problems
-_N_SEGMENTS = 16
 
 
 def _offset_path_energy(K_star, d, n):
@@ -438,8 +431,7 @@ def _minimize_energy(energy_of, energy_grad, z0, cons, lim):
                              options={"maxiter": 300, "ftol": 1e-12})
 
 
-def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
-                        enforce_constraints=False):
+def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2):
     """Minimum discrete energy of paths forced off the geodesic.
 
     Paths from o to a point y at distance K_star are parametrized by tangent
@@ -452,9 +444,9 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
     Only converged trials count; if none converges, ``min_energy`` is None
     and the bound does not hold.
 
-    The quantitative parameter relations are validated and reported; with
-    ``enforce_constraints`` a violation raises instead, which makes the bound
-    term positive and the comparison sharp.  A distance K_star <= 0 raises
+    The quantitative parameter relations (:func:`check_eta_zeta`, under which
+    the bound term is positive and the comparison sharp) are reported as
+    ``constraints_ok``, not enforced.  A distance K_star <= 0 raises
     :class:`ConstraintViolation`: there is no geodesic to deviate from.  So
     does a negative eta or zeta, the tolerances of the endpoint slack.
     """
@@ -464,10 +456,6 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2,
         if not val >= 0:
             raise ConstraintViolation(f"{key} must be nonnegative (got {key}={val})")
     constraints_ok = check_eta_zeta(K_star, delta, eta, zeta)
-    if enforce_constraints and not constraints_ok:
-        raise ConstraintViolation(
-            "deviation parameters inadmissible: need delta < K_star and "
-            "eta < min(delta/24, delta^2/(2560*K_star)) with zeta small")
     n = _N_SEGMENTS
     x, y, energy_of, energy_grad = _offset_path_energy(K_star, d, n)
     slack = 3.0 * eta + 2.0 * K_star * zeta

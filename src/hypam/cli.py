@@ -182,6 +182,10 @@ def run_fk(cfg):
 
 
 def run_fk_localized(cfg):
+    # a negative distance would put the peak on the -e1 ray
+    if not cfg.peak_distance >= 0:
+        raise ConstraintViolation("peak_distance must be nonnegative "
+                                  f"(got peak_distance={cfg.peak_distance})")
     center = geo.point_at(cfg.d, cfg.peak_distance, np.eye(cfg.d)[0])
     potential = feynman_kac.PlantedPeakPotential(center, cfg.peak_height,
                                                  width=cfg.R0)

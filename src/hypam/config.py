@@ -27,7 +27,6 @@ COINCIDENT_DISTANCE = float(np.arccosh(1 + 1e-14))  # closer field sites coincid
 MAX_PACKING_CENTERS = 4096      # packing truncates here (recorded on the result)
 MAX_FIELD_SITES = 20000         # conditional-simulation site budget
 MAX_ONESHOT_SITES = 4096        # one-shot Cholesky site budget
-LONG_ROUTE_N_CAP = 8            # convolution recursion depth cap
 
 
 class ConstraintViolation(ValueError):
@@ -35,7 +34,7 @@ class ConstraintViolation(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A configured desk-scale budget (sites, centers, depth) was passed."""
+    """A configured desk-scale budget of field sites was passed."""
 
 
 class FactorizationError(RuntimeError):

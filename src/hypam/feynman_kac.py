@@ -15,8 +15,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 from scipy.special import log_ndtr, logsumexp
 
-from .config import (BudgetExceeded, ConstraintViolation, LONG_ROUTE_N_CAP,
-                     LATTICE_SPACING_FACTOR, stream)
+from .config import ConstraintViolation, LATTICE_SPACING_FACTOR, stream
 from . import geometry as geo
 from .brownian import _time_grid, simulate_bm_batch, radial_drift_bound
 from .field import CovarianceSpec, extend_field, sample_field
@@ -497,16 +496,14 @@ def _log_erfc(x):
     return math.log(2.0) + float(log_ndtr(-x * math.sqrt(2.0)))
 
 
-def j_error_integral(t, m, lam, delta, alpha, mu, K0, r_t_value,
-                     method="erfc"):
+def j_error_integral(t, m, lam, delta, alpha, mu, K0, r_t_value):
     """Log of the factorized route error integral with m legs.
 
     Each leg contributes K0 * int_0^{t^(-5/3)} v^(-3/2) exp(-c/v) dv / sqrt(pi)
     with c = (1-alpha)*lam^2/64 for ordinary legs and, for the first leg,
     c0 = (1-alpha)*(delta/mu)^4/16 - K0*r_t/2 (must be positive: that is the
-    feasibility constraint).  The closed form of each factor is
-    K0 * erfc(sqrt(c * t^(5/3))) / sqrt(c); ``method='quad'`` integrates
-    numerically instead, as an independent route to the same value.
+    feasibility constraint).  Each factor is evaluated in its closed form
+    K0 * erfc(sqrt(c * t^(5/3))) / sqrt(c), in the log domain.
     """
     if m < 1:
         raise ConstraintViolation("need at least one route leg")
@@ -518,19 +515,7 @@ def j_error_integral(t, m, lam, delta, alpha, mu, K0, r_t_value,
     s = t ** (-5.0 / 3.0)
     total = 0.0
     for c in [c0] + [ci] * (m - 1):
-        if method == "erfc":
-            total += math.log(K0) - 0.5 * math.log(c) + _log_erfc(math.sqrt(c / s))
-        elif method == "quad":
-            # int_0^s v^(-3/2) e^(-c/v) dv = e^(-c/s) int_0^inf e^(-cu) (u+1/s)^(-1/2) du
-            # (substitute u = 1/v - 1/s); the right side never underflows.
-            from scipy.integrate import quad
-            val, _ = quad(lambda u, cc=c: math.exp(-cc * u) / math.sqrt(u + 1.0 / s),
-                          0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
-            if val <= 0:
-                raise ArithmeticError("route error factor underflowed in quadrature")
-            total += math.log(K0 / math.sqrt(math.pi) * val) - c / s
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        total += math.log(K0) - 0.5 * math.log(c) + _log_erfc(math.sqrt(c / s))
     return total
 
 
@@ -616,7 +601,7 @@ def route_budget(geom, t, alpha, mu, params, lam, eta, delta, K0, C_R0_hat):
     hat_bound_holds = bool(reduced_sum_hat
                            >= (geom.k_star - r_t) * scale - 1e-9 * max(1.0, scale))
 
-    L_rel = l_star_relaxed(alpha, mu, params, cross_validate=False)
+    L_rel = l_star_relaxed(alpha, mu, params)
     main = L_rel * t ** (5.0 / 3.0)
     k = geom.k_star
 
@@ -717,50 +702,29 @@ class LongRouteReport:
     N: int
     eta: float
     t: float
-    method: str
 
 
-def long_route_tail(eta, N, t, params, K0, method="closed_form", n_grid=4096):
+def long_route_tail(eta, N, t, params, K0):
     """Budget for routes longer than N coarse steps.
 
     The probability factor F is the N-fold convolution of halved-exponent
-    level-crossing densities integrated up to t.  Its closed form (first
-    passage of the summed level by the stability of hitting densities) is
-    2^(N/2) * erfc(N * eta * t^(5/6) / (4 * sqrt(2))); ``method='recursion'``
-    evaluates the convolution recursion on a grid instead.  The full log
-    bound adds -((eta*N)^2/32 - 2*mu0*sqrt(K0)) * t^(5/3); its sign flips
-    exactly at eta*N = sqrt(64 * mu0 * sqrt(K0)).
+    level-crossing densities integrated up to t.  It is evaluated in closed
+    form (first passage of the summed level by the stability of hitting
+    densities): 2^(N/2) * erfc(N * eta * t^(5/6) / (4 * sqrt(2))).  The full
+    log bound adds -((eta*N)^2/32 - 2*mu0*sqrt(K0)) * t^(5/3); its sign flips
+    exactly at eta*N = sqrt(64 * mu0 * sqrt(K0)).  A K0 that is not positive
+    raises :class:`ConstraintViolation`, as :func:`field.cluster_constants`
+    does.
     """
     if N < 1 or eta <= 0 or t <= 0:
         raise ConstraintViolation("need N >= 1, eta > 0, t > 0")
-    if N > LONG_ROUTE_N_CAP and method == "recursion":
-        raise BudgetExceeded(
-            f"convolution recursion capped at N = {LONG_ROUTE_N_CAP}; longer "
-            "routes split multiplicatively: F(t; N1+N2) <= F(t; N1) * F(t; N2) "
-            "* 2^(-(N1+N2)/2) ... use the closed form instead")
+    if not K0 > 0:
+        raise ConstraintViolation(f"K0 must be positive (got K0={K0})")
     a_half = eta * t ** (4.0 / 3.0) / 4.0
-    if method == "closed_form":
-        log_F = 0.5 * N * math.log(2.0) + _log_erfc(N * a_half / math.sqrt(2.0 * t))
-    elif method == "recursion":
-        grid = np.linspace(0.0, t, n_grid + 1)
-        du = grid[1] - grid[0]
-        u = grid[1:]
-        kern = math.sqrt(2.0) * (a_half / (math.sqrt(2.0 * math.pi) * u ** 1.5)
-                                 * np.exp(-a_half ** 2 / (2.0 * u)))
-        conv = kern.copy()
-        for _ in range(N - 1):
-            full = np.convolve(conv, kern)[: len(u)] * du
-            conv = full
-        F = float(np.sum(conv) * du)
-        if F <= 0:
-            raise ArithmeticError("convolution recursion underflowed")
-        log_F = math.log(F)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    log_F = 0.5 * N * math.log(2.0) + _log_erfc(N * a_half / math.sqrt(2.0 * t))
     exponent = (eta * N) ** 2 / 32.0 - 2.0 * params.mu0 * math.sqrt(K0)
     return LongRouteReport(log_F, exponent,
-                           log_F - exponent * t ** (5.0 / 3.0),
-                           N, eta, t, method)
+                           log_F - exponent * t ** (5.0 / 3.0), N, eta, t)
 
 
 def long_route_threshold(params, K0):

@@ -139,17 +139,15 @@ def distance(x, y, validate=True):
     return np.arccosh(np.maximum(1.0, cosh_distance(x, y)))
 
 
-def geodesic_point(x, y, s, validate=True):
+def geodesic_point(x, y, s):
     """Point at fraction ``s`` along the constant-speed geodesic x -> y.
 
     ``s`` may be an array; ``s=0`` gives x and ``s=1`` gives y.  Coincident
-    endpoints are treated as the degenerate geodesic sitting at x.
+    endpoints are treated as the degenerate geodesic sitting at x.  Both
+    endpoints are validated (:func:`check_points`).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if validate:
-        check_points(x)
-        check_points(y)
+    x = check_points(x)
+    y = check_points(y)
     rho = np.asarray(distance(x, y, validate=False))[..., None]
     u = np.where(rho > 1e-14,
                  (y - np.cosh(rho) * x) / np.sinh(np.maximum(rho, 1e-14)), 0.0)
@@ -417,20 +415,16 @@ class BallRegion:
     radius: float
 
 
-@dataclass(frozen=True)
-class AnnulusRegion:
-    """Closed annulus {a <= d(x, o) <= b} around the base point."""
-    inner: float
-    outer: float
-
-
 @dataclass
 class Packing:
     """Greedy maximal r-packing of a region.
 
     ``centers`` are pairwise more than ``2 * radius`` apart and lie in the
-    r-shrunken region, so the corresponding r-balls sit inside the region and
-    the 2r-balls cover the shrunken region when ``maximal`` is True.
+    r-shrunken region, so the corresponding r-balls sit inside the region.
+    ``maximal`` is True when the sampler stopped for want of room: its last
+    4096 uniform candidates all fell within 2r of a center, so the 2r-balls
+    cover all of the shrunken region but a small fraction (one above 2e-3
+    passes that stop with probability below e^-8), not necessarily all of it.
     """
     centers: np.ndarray
     radius: float
@@ -455,43 +449,31 @@ def _cumulative_trapezoid(y, x):
     return out
 
 
-def _radial_sampler(lo, hi, d):
-    """Inverse-CDF sampler for the radial density sinh^{d-1} on [lo, hi],
+def _radial_sampler(hi, d):
+    """Inverse-CDF sampler for the radial density sinh^{d-1} on [0, hi],
     tabulated on 2048 grid points."""
-    if hi <= lo:
-        return lambda rng, n: np.full(n, lo)
-    grid = np.linspace(lo, hi, 2048)
+    if hi <= 0.0:
+        return lambda rng, n: np.full(n, 0.0)
+    grid = np.linspace(0.0, hi, 2048)
     dens = np.sinh(grid) ** (d - 1)
     cdf = _cumulative_trapezoid(dens, grid)
     if cdf[-1] <= 0:  # degenerate near zero radius
-        return lambda rng, n: rng.uniform(lo, hi, n)
+        return lambda rng, n: rng.uniform(0.0, hi, n)
     cdf /= cdf[-1]
     return lambda rng, n: np.interp(rng.random(n), cdf, grid)
 
 
 def sample_region(region, d, rng, n):
-    """Uniform (volume-measure) samples from a region around o."""
-    if isinstance(region, BallRegion):
-        lo, hi = 0.0, region.radius
-    elif isinstance(region, AnnulusRegion):
-        lo, hi = region.inner, region.outer
-    else:
-        raise TypeError(f"unsupported region {region!r}")
-    radii = _radial_sampler(lo, hi, d)(rng, n)
+    """Uniform (volume-measure) samples from a :class:`BallRegion`."""
+    radii = _radial_sampler(region.radius, d)(rng, n)
     return point_at(d, radii, rng.standard_normal((n, d)))
 
 
 def _shrunk(region, r):
-    if isinstance(region, BallRegion):
-        if region.radius < r:
-            raise RegionTooSmall(
-                f"ball radius {region.radius} cannot hold a packing ball of radius {r}")
-        return BallRegion(region.radius - r)
-    if isinstance(region, AnnulusRegion):
-        if region.outer - region.inner < 2.0 * r:
-            return None   # no center fits; an empty packing is the answer
-        return AnnulusRegion(region.inner + r, region.outer - r)
-    raise TypeError(f"unsupported region {region!r}")
+    if region.radius < r:
+        raise RegionTooSmall(
+            f"ball radius {region.radius} cannot hold a packing ball of radius {r}")
+    return BallRegion(region.radius - r)
 
 
 def _greedy_keep(i, j, n, limit):
@@ -532,10 +514,8 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
     if r <= 0:
         raise ValueError("packing radius must be positive")
     inner = _shrunk(region, r)
-    if inner is None:
-        return Packing(np.empty((0, d + 1)), r, region, maximal=True)
     rng = stream(seed, "packing")
-    if isinstance(inner, BallRegion) and inner.radius == 0.0:
+    if inner.radius == 0.0:
         return Packing(origin(d)[None, :], r, region, maximal=True)
     index = _SiteIndex(np.empty((0, d + 1)))
     idle = 0

@@ -3,9 +3,9 @@
 The central object is the profile ``f(eps, K) = (1-eps)*sqrt(2*sigma2*(d-1)*K)
 - K^2/(4*eps)`` whose maximum gives the growth constant on the t^(5/3) scale.
 The module provides the closed-form optimum, an independent grid plus
-golden-section optimizer used to cross-validate it, the relaxed two-parameter
-variant, the route-combinatorics constants, and fuzz harnesses for the
-elementary inequalities used by the route bounds.
+golden-section optimizer that cross-validates it on every call, the relaxed
+two-parameter variant in closed form, the route-combinatorics constants, and
+fuzz harnesses for the elementary inequalities used by the route bounds.
 """
 
 import math
@@ -99,7 +99,7 @@ def _fd_gradient_norm(value, eps, K):
     return float(np.hypot(ge, gk))
 
 
-def optimize_f(params, cross_validate=True):
+def optimize_f(params):
     """Closed-form maximizer of the profile, cross-checked numerically.
 
     The optimum sits at eps = 1/5 (independent of the field strength) and
@@ -117,24 +117,22 @@ def optimize_f(params, cross_validate=True):
         return (1.0 - e) * math.sqrt(2.0 * a * K) - K * K / (4.0 * e)
 
     grad = _fd_gradient_norm(value, eps_star, K_star)
-    gap = 0.0
-    if cross_validate:
-        e_num, K_num, val_num = _search_optimum(value, K_hi=max(5.0 * K_star, 1.0))
-        gap = abs(val_num - L_star)
-        if abs(e_num - eps_star) > 1e-4 or abs(K_num - K_star) > 1e-4 or gap > 1e-6:
-            raise ArithmeticError(
-                "independent search disagrees with closed form: "
-                f"args ({e_num:.8f}, {K_num:.8f}) vs ({eps_star}, {K_star:.8f}), "
-                f"value gap {gap:.3e}")
+    e_num, K_num, val_num = _search_optimum(value, K_hi=max(5.0 * K_star, 1.0))
+    gap = abs(val_num - L_star)
+    if abs(e_num - eps_star) > 1e-4 or abs(K_num - K_star) > 1e-4 or gap > 1e-6:
+        raise ArithmeticError(
+            "independent search disagrees with closed form: "
+            f"args ({e_num:.8f}, {K_num:.8f}) vs ({eps_star}, {K_star:.8f}), "
+            f"value gap {gap:.3e}")
     return VariationalSolution(eps_star, K_star, L_star, gap, grad)
 
 
-def l_star_relaxed(alpha, mu, params, cross_validate=True):
+def l_star_relaxed(alpha, mu, params):
     """Relaxed growth value max over K>0, v in (0,1) of mu*sqrt(K)*(1-v) - alpha*K^2/(4v).
 
     Reduces to the optimum of the base profile at alpha = 1, mu = mu0.  The
-    stationary fraction is v = 1/5 for every (alpha, mu); the closed form is
-    cross-checked against the grid + golden-section search.
+    stationary fraction is v = 1/5 for every (alpha, mu), so the value is
+    in closed form, at K = (4 mu / (25 alpha))^(2/3).
     """
     if not 0.0 < alpha <= 1.0:
         raise ConstraintViolation("alpha must lie in (0, 1]")
@@ -142,15 +140,7 @@ def l_star_relaxed(alpha, mu, params, cross_validate=True):
         raise ConstraintViolation("mu must be positive")
     K_star = (4.0 * mu / (25.0 * alpha)) ** (2.0 / 3.0)
     v_star = 0.2
-    val = mu * math.sqrt(K_star) * (1.0 - v_star) - alpha * K_star ** 2 / (4.0 * v_star)
-    if cross_validate:
-        def value(v, K):
-            return mu * math.sqrt(K) * (1.0 - v) - alpha * K * K / (4.0 * v)
-        _, _, val_num = _search_optimum(value, K_hi=max(5.0 * K_star, 1.0))
-        if abs(val_num - val) > 1e-6:
-            raise ArithmeticError(
-                f"relaxed optimum cross-validation gap {abs(val_num - val):.3e}")
-    return val
+    return mu * math.sqrt(K_star) * (1.0 - v_star) - alpha * K_star ** 2 / (4.0 * v_star)
 
 
 def euclid_growth(t, params):

@@ -154,10 +154,8 @@ def oracle_greedy_packing(region, r, d, seed, max_centers):
     every kept center; the same candidate stream as ``geo.greedy_packing``.
     Returns the centers and whether the packing is maximal."""
     inner = geo._shrunk(region, r)
-    if inner is None:
-        return np.empty((0, d + 1)), True
     rng = stream(seed, "packing")
-    if isinstance(inner, geo.BallRegion) and inner.radius == 0.0:
+    if inner.radius == 0.0:
         return geo.origin(d)[None, :], True
     kept = np.empty((max_centers, d + 1))
     n = 0
@@ -179,7 +177,7 @@ def oracle_covering_probe(packing, d, n_probes=10000, seed=1):
     """Fraction of random shrunken-region probes within 2r of some center,
     from the full probes x centres cosh table."""
     inner = geo._shrunk(packing.region, packing.radius)
-    if inner is None or len(packing) == 0:
+    if len(packing) == 0:
         return 1.0
     rng = stream(seed, "probe")
     probes = geo.sample_region(inner, d, rng, n_probes)
@@ -253,6 +251,50 @@ def oracle_clusters(islands, eta, t):
                   for comp in comps)
 
 
+def oracle_j_error_integral(t, m, lam, delta, alpha, mu, K0, r_t_value):
+    """``feynman_kac.j_error_integral`` with each leg's factor integrated by
+    ``scipy.integrate.quad`` instead of its erfc closed form."""
+    if m < 1:
+        raise ConstraintViolation("need at least one route leg")
+    c0 = (1.0 - alpha) * (delta / mu) ** 4 / 16.0 - K0 * r_t_value / 2.0
+    if c0 <= 0:
+        raise ConstraintViolation(
+            "route error exponent not positive: decrease lam or increase delta")
+    ci = (1.0 - alpha) * lam ** 2 / 64.0
+    s = t ** (-5.0 / 3.0)
+    total = 0.0
+    for c in [c0] + [ci] * (m - 1):
+        # int_0^s v^(-3/2) e^(-c/v) dv = e^(-c/s) int_0^inf e^(-cu) (u+1/s)^(-1/2) du
+        # (substitute u = 1/v - 1/s); the right side never underflows.
+        from scipy.integrate import quad
+        val, _ = quad(lambda u, cc=c: math.exp(-cc * u) / math.sqrt(u + 1.0 / s),
+                      0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
+        if val <= 0:
+            raise ArithmeticError("route error factor underflowed in quadrature")
+        total += math.log(K0 / math.sqrt(math.pi) * val) - c / s
+    return total
+
+
+def oracle_long_route_log_F(eta, N, t, n_grid):
+    """log F of ``feynman_kac.long_route_tail`` from the N-fold convolution
+    recursion of the halved-exponent level-crossing densities on a grid of
+    ``n_grid`` steps of [0, t], instead of the closed form."""
+    a_half = eta * t ** (4.0 / 3.0) / 4.0
+    grid = np.linspace(0.0, t, n_grid + 1)
+    du = grid[1] - grid[0]
+    u = grid[1:]
+    kern = math.sqrt(2.0) * (a_half / (math.sqrt(2.0 * math.pi) * u ** 1.5)
+                             * np.exp(-a_half ** 2 / (2.0 * u)))
+    conv = kern.copy()
+    for _ in range(N - 1):
+        full = np.convolve(conv, kern)[: len(u)] * du
+        conv = full
+    F = float(np.sum(conv) * du)
+    if F <= 0:
+        raise ArithmeticError("convolution recursion underflowed")
+    return math.log(F)
+
+
 def sample_hitting_times(a, dt, t_max, n, rng):
     """First hitting times of level a by standard 1-D BM.
 
@@ -295,8 +337,7 @@ def oracle_radial_drift(r, d, dt):
     return np.where(r < 0.1, near, far)
 
 
-def oracle_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0,
-                        record_max=False):
+def oracle_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0):
     """The radial Euler-Maruyama loop with fresh arrays at every step and
     the two-branch drift, on ``brownian.simulate_radial_batch``'s stream."""
     rng = stream(seed, "radial", stream_id)
@@ -307,7 +348,7 @@ def oracle_radial_batch(d, t, dt, r0, seed, n_paths, stream_id=0,
         r = np.abs(r + oracle_radial_drift(r, d, dt) * dt
                    + scale * rng.standard_normal(n_paths))
         running_max = np.maximum(running_max, r)
-    return (r, running_max) if record_max else r
+    return r, running_max
 
 
 def oracle_annealed_moment(spec, d, t, dt, n_paths, seed):
@@ -403,8 +444,8 @@ def oracle_radial_histogram(d, t, edges, n_paths, dt, seed, stream_id=0):
     midpoints, the histogram density of the distance to the start divided
     by the surface factor ``sphere_area(d) sinh(mid)^(d-1)``, and its
     binomial standard error, on the bins with at least 50 samples."""
-    r = simulate_radial_batch(d, t, dt, 0.0, seed=seed, n_paths=n_paths,
-                              stream_id=stream_id)
+    r, _ = simulate_radial_batch(d, t, dt, 0.0, seed=seed, n_paths=n_paths,
+                                 stream_id=stream_id)
     counts, _ = np.histogram(r, bins=edges)
     mids = 0.5 * (edges[1:] + edges[:-1])
     scale = n_paths * np.diff(edges) * geo.sphere_area(d) * np.sinh(mids) ** (d - 1)
@@ -426,8 +467,7 @@ def oracle_localized_accept(times, pts, eps, t, dt, K, delta_tube, center,
         for i in range(len(times)):
             p = pts[i, j]
             if i <= i_eps:
-                g = geo.geodesic_point(o, center, times[i] / times[i_eps],
-                                       validate=False)
+                g = geo.geodesic_point(o, center, times[i] / times[i_eps])
                 ok = ok and geo.distance(p, g, validate=False) <= delta_tube
                 ok = ok and geo.radius(p) <= K * t ** (4.0 / 3.0)
             if i == i_eps:

@@ -243,6 +243,12 @@ class TestDispatch:
         # the endpoint slack's tolerances may be 0, never negative
         ("energy-bound", ["eta=-1"], 2, "eta must be nonnegative"),
         ("energy-bound", ["zeta=-1"], 2, "zeta must be nonnegative"),
+        # a time grid that does not end at t: zero steps, or a path run past t
+        ("radial-check", ["t=1", "dt=5"], 2, "end at t"),
+        ("exit-check", ["t=2", "dt=0.3"], 2, "end at t"),
+        ("long-route-tail", ["K0=-1"], 2, "K0 must be positive"),
+        ("long-route-tail", ["K0=0"], 2, "K0 must be positive"),
+        ("fk-localized", ["peak_distance=-1.5"], 2, "peak_distance must be nonnegative"),
     ])
     def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
                                               sets, status, message):

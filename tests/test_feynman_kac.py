@@ -13,7 +13,8 @@ from hypam.config import BudgetExceeded, ConstraintViolation, stream
 from hypam.varopt import ModelParams, l_star_relaxed, route_constants
 
 from oracles import (brute_force_reduce, oracle_annealed_moment,
-                     oracle_localized_accept, oracle_nearest_site)
+                     oracle_j_error_integral, oracle_localized_accept,
+                     oracle_long_route_log_F, oracle_nearest_site)
 
 
 class TestReduceWord:
@@ -474,12 +475,10 @@ class TestRouteBudget:
     def test_j_integral_methods_agree(self):
         p, mu, delta, c_hat, consts, err_fn = _route_env()
         for t in (10.0, 20.0, 40.0):
-            a = fk.j_error_integral(t, 3, ROUTE_CFG["lam"], delta,
-                                    ROUTE_CFG["alpha"], mu, ROUTE_CFG["K0"],
-                                    err_fn(t))
-            b = fk.j_error_integral(t, 3, ROUTE_CFG["lam"], delta,
-                                    ROUTE_CFG["alpha"], mu, ROUTE_CFG["K0"],
-                                    err_fn(t), method="quad")
+            args = (t, 3, ROUTE_CFG["lam"], delta, ROUTE_CFG["alpha"], mu,
+                    ROUTE_CFG["K0"], err_fn(t))
+            a = fk.j_error_integral(*args)
+            b = oracle_j_error_integral(*args)
             assert abs(a - b) < 1e-6 * max(1.0, abs(a))
 
     def test_j_decreasing_in_t(self):
@@ -509,10 +508,9 @@ class TestLongRouteTail:
     def test_recursion_matches_closed_form(self):
         p = ModelParams(2, 1.0)
         for N in (2, 4):
-            a = fk.long_route_tail(0.3, N, 10.0, p, 2.0)
-            b = fk.long_route_tail(0.3, N, 10.0, p, 2.0, method="recursion",
-                                   n_grid=8192)
-            assert abs(a.log_F - b.log_F) < 5e-3 * max(1.0, abs(a.log_F))
+            a = fk.long_route_tail(0.3, N, 10.0, p, 2.0).log_F
+            b = oracle_long_route_log_F(0.3, N, 10.0, n_grid=8192)
+            assert abs(a - b) < 5e-3 * max(1.0, abs(a))
 
     def test_exponent_sign_flip(self):
         p = ModelParams(2, 1.0)
@@ -527,8 +525,3 @@ class TestLongRouteTail:
         p = ModelParams(2, 1.0)
         vals = [fk.long_route_tail(0.3, 4, t, p, 2.0).log_F for t in (10, 20, 40)]
         assert vals[0] > vals[1] > vals[2]
-
-    def test_depth_cap(self):
-        p = ModelParams(2, 1.0)
-        with pytest.raises(BudgetExceeded):
-            fk.long_route_tail(0.3, 9, 10.0, p, 2.0, method="recursion")

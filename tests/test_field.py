@@ -306,16 +306,18 @@ class TestExtension:
         # child is the one a deep copy of a gives, as every extension copies
         # its parent's rows
         rng = stream(8, "fork")
+
+        def band(lo, hi, n):   # n points at radii in [lo, hi]
+            return geo.point_at(2, rng.uniform(lo, hi, n), rng.standard_normal((n, 2)))
+
         base = fd.sample_field(spec_unit, geo.sample_region(geo.BallRegion(1.0), 2, rng, 5),
                                seed=1)
-        a = fd.extend_field(base, geo.sample_region(geo.AnnulusRegion(1.5, 2.0), 2, rng, 3),
-                            seed=2)
+        a = fd.extend_field(base, band(1.5, 2.0, 3), seed=2)
         twin = copy.deepcopy(a)
-        b = fd.extend_field(a, geo.sample_region(geo.AnnulusRegion(2.5, 3.0), 2, rng, 4),
-                            seed=3)
+        b = fd.extend_field(a, band(2.5, 3.0, 4), seed=3)
         b_rows = b.sites.copy(), b.values.copy()
         # a second child, adding more rows than its parent holds
-        new = geo.sample_region(geo.AnnulusRegion(3.5, 4.0), 2, rng, 40)
+        new = band(3.5, 4.0, 40)
         c = fd.extend_field(a, new, seed=4)
         want = fd.extend_field(twin, new, seed=4)
         assert np.array_equal(b.sites, b_rows[0]) and np.array_equal(b.values, b_rows[1])

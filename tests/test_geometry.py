@@ -138,8 +138,8 @@ def test_geodesic_convexity():
     ends = geo.sample_region(geo.BallRegion(3.0), 2, rng, 4 * n).reshape(4, n, 3)
     a0, a1, b0, b1 = ends
     s = rng.random(n)
-    pa = geo.geodesic_point(a0, a1, s, validate=False)
-    pb = geo.geodesic_point(b0, b1, s, validate=False)
+    pa = geo.geodesic_point(a0, a1, s)
+    pb = geo.geodesic_point(b0, b1, s)
     lhs = geo.distance(pa, pb, validate=False)
     cap = np.maximum(geo.distance(a0, b0, validate=False),
                      geo.distance(a1, b1, validate=False))
@@ -194,10 +194,6 @@ class TestPacking:
         assert len(p) == 1
         assert np.allclose(p.centers[0], geo.origin(2))
 
-    def test_degenerate_annulus_empty(self):
-        p = geo.greedy_packing(geo.AnnulusRegion(2.0, 2.0), 0.3, 2, seed=0)
-        assert len(p) == 0 and p.maximal
-
     def test_region_too_small(self):
         with pytest.raises(geo.RegionTooSmall):
             geo.greedy_packing(geo.BallRegion(0.2), 0.5, 2, seed=0)
@@ -211,12 +207,16 @@ class TestPacking:
         assert area[5.0] / area[1.0] <= len(p) <= area[5.5] / area[0.5]
 
     def test_separation_and_covering(self):
-        p = geo.greedy_packing(geo.AnnulusRegion(1.0, 3.0), 0.25, 2, seed=3)
+        p = geo.greedy_packing(geo.BallRegion(3.0), 0.25, 2, seed=3)
         prod = -geo.minkowski_dot(p.centers[:, None, :], p.centers[None, :, :])
         dist = np.arccosh(np.maximum(1.0, prod))
         off = dist[~np.eye(len(p), dtype=bool)]
         assert np.min(off) > 2 * 0.25
-        assert oracle_covering_probe(p, 2, n_probes=10000, seed=1) == 1.0
+        # maximal: 8 batches of 512 uniform candidates in a row found no room,
+        # which bounds the uncovered fraction of the shrunken ball but does
+        # not make it 0 (3 of these 10000 probes are uncovered)
+        assert p.maximal
+        assert oracle_covering_probe(p, 2, n_probes=10000, seed=1) >= 1.0 - 2e-3
 
     def test_packing_deterministic(self):
         p1 = geo.greedy_packing(geo.BallRegion(2.0), 0.3, 2, seed=11)
@@ -224,18 +224,14 @@ class TestPacking:
         assert np.array_equal(p1.centers, p2.centers)
 
     @settings(max_examples=40, deadline=None)
-    @given(d=st.sampled_from([2, 3]), inner=st.none() | st.floats(0.0, 3.0),
-           outer=st.floats(0.3, 4.5), frac=st.floats(0.02, 1.0),
-           max_centers=st.integers(1, 700), seed=st.integers(0, 2 ** 31 - 1))
+    @given(d=st.sampled_from([2, 3]), outer=st.floats(0.3, 4.5),
+           frac=st.floats(0.02, 1.0), max_centers=st.integers(1, 700),
+           seed=st.integers(0, 2 ** 31 - 1))
     # one batch holds 512 candidates, so a cap of 600 falls inside a later one
-    @example(d=2, inner=None, outer=5.0, frac=0.05, max_centers=600, seed=1)
-    @example(d=2, inner=1.0, outer=2.0, frac=0.1, max_centers=40, seed=2)
-    def test_matches_one_by_one_oracle(self, d, inner, outer, frac, max_centers,
-                                       seed):
-        # a ball of radius outer, or an annulus of that width from inner
+    @example(d=2, outer=5.0, frac=0.05, max_centers=600, seed=1)
+    def test_matches_one_by_one_oracle(self, d, outer, frac, max_centers, seed):
         r = max(frac * outer, 0.1)
-        region = (geo.BallRegion(outer) if inner is None
-                  else geo.AnnulusRegion(inner, inner + outer))
+        region = geo.BallRegion(outer)
         p = geo.greedy_packing(region, r, d, seed=seed, max_centers=max_centers)
         want, maximal = oracle_greedy_packing(region, r, d, seed, max_centers)
         assert np.array_equal(p.centers, want)

@@ -161,15 +161,6 @@ def test_recursion_from_gaussian_gives_h3():
             assert abs(np.log(p3) - hk.log_exact_h3(t, rho)) < 1e-8
 
 
-def test_semigroup_radial_law():
-    t1, xa = bm.simulate_bm_batch(3, 0.5, 1e-3, seed=21, n_paths=10000, record=False)
-    t2, xb = bm.simulate_bm_batch(3, 0.5, 1e-3, seed=22, n_paths=10000,
-                                  record=False, start=xa)
-    r = np.arccosh(np.maximum(1.0, xb[:, 0]))
-    ks = sps.kstest(r, hk.h3_radial_cdf(1.0))
-    assert ks.pvalue > 0.01
-
-
 class TestBridgeMarginal:
     def test_requires_d3(self):
         x = geo.origin(4)
@@ -201,14 +192,16 @@ class TestBridgeMarginal:
             dens.append(bridge_marginal(0.0, x, 0.2, q, 0.2 * tau, y))
         assert np.argmax(dens) == len(offsets) // 2
 
-    def test_consistent_with_sampler_midpoint(self):
-        # KS of sampled midpoint distances against the marginal's radial law
+    def test_consistent_with_sampler_midpoint(self, monkeypatch):
+        # KS of sampled midpoint distances against the marginal's radial law,
+        # on a fan of 24 proposals: at the programs' 16 the fan's bias shows
+        # at 4000 paths (p = 4e-4 on this seed)
+        monkeypatch.setattr(bm, "_N_CANDIDATES", 24)
         s, D = 0.2, 1.0
         x = geo.origin(3)
         y = geo.point_at(3, D, np.array([1.0, 0, 0]))
         spec = bm.BridgeSpec(x, y, s)
-        _, pts = bm.simulate_bridge_batch(spec, s / 96, seed=4, n_paths=4000,
-                                          n_candidates=24)
+        _, pts = bm.simulate_bridge_batch(spec, s / 96, seed=4, n_paths=4000)
         mid = geo.geodesic_point(x, y, 0.5)
         samples = geo.distance(pts[48], mid[None, :], validate=False)
 

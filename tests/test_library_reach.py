@@ -1,4 +1,5 @@
-"""Every top-level function and class of ``src/hypam`` is reached by a program.
+"""Every top-level function and class of ``src/hypam`` is reached by a
+program, and every option of a library function is set by one.
 
 The programs are the ``hypam`` subcommands (``hypam/cli.py``), the scripts,
 the benchmark (``perfbench/``, with the dotted span targets of
@@ -9,6 +10,13 @@ as it runs at import.  A reached definition reaches every name its body
 mentions.  Names are matched without regard to module, which can only keep
 more code than a precise call graph would.  A definition no root reaches
 runs only in unit tests, and belongs in ``tests/oracles.py`` or nowhere.
+
+An option is a parameter with a default.  A call in the library or in a
+program passes it when it names it, or gives more positional arguments
+than there are parameters before it (a ``*`` or ``**`` argument passes
+every parameter of its kind).  Calls are matched to definitions by name, as
+above, and a method's instance or class argument is not counted.  An option
+no call passes keeps a second path that only unit tests run.
 
 Everything is read with ``ast``; nothing is imported or run.
 """
@@ -25,6 +33,16 @@ KEEP = {
                      "the paper's staying/excursion bound to simulated paths",
     "staying_excursion_split": "checked against that inequality on simulated "
                                "paths by test_split_bound_on_simulated_instances",
+}
+
+# options kept although no program passes them, with the reason
+KEEP_OPTIONS = {
+    "radial_pam(dr)": "the grid step of the exact solver; the convergence "
+                      "studies of ROADMAP items 3, 11 and 12 set it",
+    "radial_pam(dt)": "the time step of the exact solver; the convergence "
+                      "studies of ROADMAP items 3, 11 and 12 set it",
+    "heat_equation_residual(d)": "the residual is checked on both exact "
+                                 "kernels, d = 2 and d = 3; programs check d = 3",
 }
 
 
@@ -55,6 +73,12 @@ def _span_targets():
     return out
 
 
+def _program_paths():
+    return [LIBRARY / "cli.py", ROOT / "tests" / "test_acceptance.py",
+            *sorted((ROOT / "scripts").glob("*.py")),
+            *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
 def test_every_library_definition_is_reached():
     defs = {}   # name -> [(module, node)]
     roots = _span_targets()
@@ -64,9 +88,7 @@ def test_every_library_definition_is_reached():
                 defs.setdefault(stmt.name, []).append((path.stem, stmt))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 roots |= _names(stmt)
-    for path in [LIBRARY / "cli.py", ROOT / "tests" / "test_acceptance.py",
-                 *sorted((ROOT / "scripts").glob("*.py")),
-                 *sorted((ROOT / "perfbench").glob("*.py"))]:
+    for path in _program_paths():
         roots |= _names(ast.parse(path.read_text()))
 
     def walk(names, reached):
@@ -90,3 +112,67 @@ def test_every_library_definition_is_reached():
                        for module, node in entries)
     assert not unreached, ("only unit tests reach these; delete them or move "
                            "them to tests/oracles.py: " + ", ".join(unreached))
+
+
+def _options(node, bound):
+    """(name, positional index or None) of each parameter of a def that has
+    a default; the index leaves out the ``bound`` leading parameters a call
+    does not pass (a method's instance or class)."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    for i in range(len(positional) - len(args.defaults), len(positional)):
+        yield positional[i].arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _library_functions():
+    """(module, call name, node, bound) of each top-level function and each
+    method of a top-level class; a class is called by its own name to reach
+    ``__init__``, and a static method binds nothing."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.stem, stmt.name, stmt, 0
+            elif isinstance(stmt, ast.ClassDef):
+                for sub in stmt.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        static = any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                                     for dec in sub.decorator_list)
+                        name = stmt.name if sub.name == "__init__" else sub.name
+                        yield path.stem, name, sub, 0 if static else 1
+
+
+def test_every_option_is_set_by_a_program():
+    calls = {}   # called name -> [ast.Call]
+    for path in {*sorted(LIBRARY.glob("*.py")), *_program_paths()}:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, option, index):
+        return (any(kw.arg in (option, None) for kw in call.keywords)
+                or index is not None and (
+                    len(call.args) > index
+                    or any(isinstance(a, ast.Starred) for a in call.args)))
+
+    options = {}   # "name(option)" -> [module.function (line)]
+    unset = set()
+    for module, name, node, bound in _library_functions():
+        for option, index in _options(node, bound):
+            key = f"{name}({option})"
+            options.setdefault(key, []).append(f"{module}.{node.name} (line {node.lineno})")
+            if not any(passed(call, option, index) for call in calls.get(name, ())):
+                unset.add(key)
+    assert set(KEEP_OPTIONS) <= set(options), (
+        f"not library options: {sorted(set(KEEP_OPTIONS) - set(options))}")
+    assert not set(KEEP_OPTIONS) - unset, ("a program sets these; drop them from "
+                                          f"KEEP_OPTIONS: {sorted(set(KEEP_OPTIONS) - unset)}")
+    unset = sorted(f"{key} in {where}" for key in unset - set(KEEP_OPTIONS)
+                   for where in options[key])
+    assert not unset, ("only unit tests set these options; drop the option "
+                       "or move its other path to tests/oracles.py: " + ", ".join(unset))

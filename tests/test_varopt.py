@@ -18,39 +18,53 @@ def test_optimize_closed_forms(params2):
 
 
 def test_optimize_scaling_law():
-    base = varopt.optimize_f(ModelParams(2, 1.0), cross_validate=False)
+    base = varopt.optimize_f(ModelParams(2, 1.0))
     for c in (0.37, 2.0, 9.0):
-        scaled = varopt.optimize_f(ModelParams(2, c), cross_validate=False)
+        scaled = varopt.optimize_f(ModelParams(2, c))
         assert scaled.eps_star == base.eps_star == 0.2
         assert abs(scaled.L_star - c ** (2 / 3) * base.L_star) < 1e-9
 
 
 def test_l_star_relaxed_reduction(params2):
-    sol = varopt.optimize_f(params2, cross_validate=False)
+    sol = varopt.optimize_f(params2)
     val = varopt.l_star_relaxed(1.0, params2.mu0, params2)
     assert abs(val - sol.L_star) < 1e-6
+
+
+@pytest.mark.parametrize("alpha, mu_factor", [(1.0, 1.0), (0.9, 1.1), (0.5, 2.0),
+                                              (0.2, 0.5)])
+def test_l_star_relaxed_matches_search(params2, alpha, mu_factor):
+    # the closed form against the grid + golden-section search
+    mu = mu_factor * params2.mu0
+    K_star = (4.0 * mu / (25.0 * alpha)) ** (2.0 / 3.0)
+
+    def value(v, K):
+        return mu * np.sqrt(K) * (1.0 - v) - alpha * K * K / (4.0 * v)
+
+    v_num, K_num, val_num = varopt._search_optimum(value, K_hi=max(5.0 * K_star, 1.0))
+    assert abs(varopt.l_star_relaxed(alpha, mu, params2) - val_num) <= 1e-6
+    assert abs(v_num - 0.2) <= 1e-4 and abs(K_num - K_star) <= 1e-4
 
 
 def test_l_star_relaxed_monotone(params2):
     alphas = np.linspace(0.2, 1.0, 5)
     mus = params2.mu0 * np.linspace(1.0, 2.0, 5)
-    grid = np.array([[varopt.l_star_relaxed(a, m, params2, cross_validate=False)
-                      for m in mus] for a in alphas])
+    grid = np.array([[varopt.l_star_relaxed(a, m, params2) for m in mus]
+                     for a in alphas])
     assert np.all(np.diff(grid, axis=0) < 1e-12)    # decreasing in alpha
     assert np.all(np.diff(grid, axis=1) > -1e-12)   # increasing in mu
 
 
 def test_l_star_relaxed_continuity(params2):
-    sol = varopt.optimize_f(params2, cross_validate=False)
+    sol = varopt.optimize_f(params2)
     near = varopt.l_star_relaxed(0.99, 1.01 * params2.mu0, params2)
     assert abs(near - sol.L_star) <= 0.05 * sol.L_star
-    tight = varopt.l_star_relaxed(1.0 - 1e-4, params2.mu0 * (1.0 + 1e-4), params2,
-                                  cross_validate=False)
+    tight = varopt.l_star_relaxed(1.0 - 1e-4, params2.mu0 * (1.0 + 1e-4), params2)
     assert abs(tight - sol.L_star) <= 1e-3
 
 
 def test_euclid_growth(params2):
-    sol = varopt.optimize_f(params2, cross_validate=False)
+    sol = varopt.optimize_f(params2)
     ratios = [varopt.euclid_growth(t, params2) / (sol.L_star * t ** (5 / 3))
               for t in (1e2, 1e4, 1e6)]
     assert ratios[0] > ratios[1] > ratios[2]
