@@ -420,11 +420,9 @@ class Packing:
     """Greedy maximal r-packing of a region.
 
     ``centers`` are pairwise more than ``2 * radius`` apart and lie in the
-    r-shrunken region, so the corresponding r-balls sit inside the region.
-    ``maximal`` is True when the sampler stopped for want of room: its last
-    4096 uniform candidates all fell within 2r of a center, so the 2r-balls
-    cover all of the shrunken region but a small fraction (one above 2e-3
-    passes that stop with probability below e^-8), not necessarily all of it.
+    r-shrunken region, so the corresponding r-balls sit inside the region
+    and, when ``maximal`` is True, the 2r-balls cover the shrunken region
+    (to the relative ``_GAP_TOL`` of :func:`_fill_gaps`).
     """
     centers: np.ndarray
     radius: float
@@ -495,6 +493,79 @@ def _greedy_keep(i, j, n, limit):
     return np.array(kept, dtype=np.intp)
 
 
+# _fill_gaps drops a cube whose distance bound is below _GAP_TOL * r, and
+# gives up, leaving the cover unproven, past _GAP_WORK cube tests plus
+# candidate pairs: a 2119-center maximal packing in H^3 took 2.7e6, a
+# 2r-ball whose rim is e^(2r) long takes far more.  Its probes are measured
+# in chunks of about _GAP_CHUNK pairs.
+_GAP_TOL = 1e-9
+_GAP_WORK = 1 << 24
+_GAP_CHUNK = 1 << 16
+
+
+def _fill_gaps(index, inner, r, d, max_centers):
+    """``index`` extended by centers until its 2r-balls cover ``inner``, a
+    ball around o, and whether they do (False if ``max_centers`` or
+    ``_GAP_WORK`` came first).  A ball of radius 0 is one cube at o.
+
+    Cubes of half-side h (half-diagonal e) tile the Poincare image of
+    ``inner``, a ball of radius tanh(R/2), from one cube, h halving each
+    round.  A cube's probe p is its center b, or b's radial projection onto
+    the image.  Its points x in the image have |x - p| <= e (2e if
+    projected) and |x| <= m = min(|b| + e, tanh(R/2)), which bound d(x, p)
+    by delta through sinh(d / 2) = |x - p| / sqrt((1 - |x|^2)(1 - |p|^2)).
+    A cube with a center within 2r - delta of its probe is covered.  Probes
+    more than 2r (in cosh) from every center are gaps, and a round's gaps
+    are kept in cube order as :func:`greedy_packing` keeps a batch.  Other
+    cubes are split in 2^d; those with delta below ``_GAP_TOL * r`` are
+    within 2r (1 + _GAP_TOL) of a center and are dropped.
+    """
+    rho = np.tanh(inner.radius / 2.0)
+    rim = 1.0 / np.cosh(inner.radius / 2.0) ** 2   # 1 - rho^2, which may round to 0
+    cosh2r = np.cosh(2.0 * r)
+    corners = np.indices((2,) * d).reshape(d, -1).T * 2.0 - 1.0
+    h, cubes, work, chunk = rho, np.zeros((1, d)), 0, 4096
+    while len(cubes) and len(index.sites) < max_centers:
+        cubes = cubes[np.linalg.norm(np.maximum(np.abs(cubes) - h, 0.0), axis=1)
+                      <= rho]
+        e = h * np.sqrt(d)
+        gaps, split, lo = [], [], 0
+        while lo < len(cubes):
+            part = cubes[lo:lo + chunk]
+            lo += len(part)
+            norm = np.linalg.norm(part, axis=1)
+            inside = norm < rho
+            room = np.where(norm + e < rho, (1.0 - norm - e) * (1.0 + norm + e), rim)
+            room_p = np.where(inside, (1.0 - norm) * (1.0 + norm), rim)
+            # the relative 1e-6 covers the rounding of 1 - |x|^2 and of p
+            delta = (2.0 + 2e-6) * np.arcsinh(np.where(inside, e, 2.0 * e)
+                                              / np.sqrt(room * room_p))
+            depth = np.full(len(part), inner.radius)
+            depth[inside] = np.minimum(2.0 * np.arctanh(norm[inside]), inner.radius)
+            probes = point_at(d, depth, np.where(norm[:, None] > 0.0, part, 1.0))
+            qi, _, cosh = index.pairs(probes, 2.0 * r)
+            best = np.full(len(part), np.inf)
+            np.minimum.at(best, qi, cosh)
+            work += len(part) + len(qi)
+            if work > _GAP_WORK:
+                return index, False
+            gaps.append(probes[best > cosh2r])
+            covered = np.arccosh(np.maximum(1.0, best)) + delta <= 2.0 * r
+            split.append(part[~covered & (delta > _GAP_TOL * r)])
+            chunk = max(64, _GAP_CHUNK * len(part) // max(len(qi), 1))
+        gaps = np.concatenate(gaps)
+        qi, si, cosh = _SiteIndex(gaps).pairs(gaps, 2.0 * r)
+        close = (qi < si) & (cosh <= cosh2r)
+        index = index.extended(gaps[_greedy_keep(qi[close], si[close], len(gaps),
+                                                 max_centers - len(index.sites))])
+        split = np.concatenate(split)
+        if work + (len(split) << d) > _GAP_WORK:
+            return index, False
+        h /= 2.0
+        cubes = (split[:, None, :] + h * corners).reshape(-1, d)
+    return index, len(cubes) == 0
+
+
 def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
     """Randomized greedy maximal r-packing of ``region``.
 
@@ -507,16 +578,18 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
     neither rules out.  Both tests compare the pairs' cosh, the
     ``cosh_distance`` values, with cosh(2r) as a one-by-one scan would, so
     the centers are the scan's.  Sampling stops after 8 consecutive
-    fruitless batches (declared maximal) or at ``max_centers`` (recorded as
-    non-maximal).  Deterministic given ``seed``.
+    fruitless batches or at ``max_centers``.  Random draws leave small gaps
+    uncovered, so :func:`_fill_gaps` then adds centers until the 2r-balls
+    cover the shrunken region (declared maximal).  A packing that reaches
+    ``max_centers``, or whose cover the pass cannot prove within
+    ``_GAP_WORK``, is recorded as non-maximal.  Deterministic given
+    ``seed``.
     """
     batch, patience = 512, 8
     if r <= 0:
         raise ValueError("packing radius must be positive")
     inner = _shrunk(region, r)
     rng = stream(seed, "packing")
-    if inner.radius == 0.0:
-        return Packing(origin(d)[None, :], r, region, maximal=True)
     index = _SiteIndex(np.empty((0, d + 1)))
     idle = 0
     cosh2r = np.cosh(2.0 * r)
@@ -532,5 +605,6 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
                             max_centers - len(index.sites))
         index = index.extended(cands[keep])
         idle = 0 if keep.size else idle + 1
+    index, covered = _fill_gaps(index, inner, r, d, max_centers)
     return Packing(index.sites.copy(), r, region,
-                   maximal=len(index.sites) < max_centers)
+                   maximal=covered and len(index.sites) < max_centers)

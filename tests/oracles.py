@@ -152,6 +152,8 @@ def oracle_profile(R0, bump, d, rho, n_quad=384):
 def oracle_greedy_packing(region, r, d, seed, max_centers):
     """Greedy packing that measures each candidate, in draw order, against
     every kept center; the same candidate stream as ``geo.greedy_packing``.
+    The gap pass that completes a packing short of the cap is the library's
+    ``geo._fill_gaps``, checked by the covering tests on its own.
     Returns the centers and whether the packing is maximal."""
     inner = geo._shrunk(region, r)
     rng = stream(seed, "packing")
@@ -170,7 +172,9 @@ def oracle_greedy_packing(region, r, d, seed, max_centers):
                 n += 1
                 gained = True
         idle = 0 if gained else idle + 1
-    return kept[:n], n < max_centers
+    index, covered = geo._fill_gaps(geo._SiteIndex(kept[:n]), inner, r, d,
+                                    max_centers)
+    return index.sites, covered and len(index.sites) < max_centers
 
 
 def oracle_covering_probe(packing, d, n_probes=10000, seed=1):

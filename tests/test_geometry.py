@@ -206,17 +206,61 @@ class TestPacking:
         area = {R: 2.0 * np.pi * (np.cosh(R) - 1.0) for R in (0.5, 1.0, 5.0, 5.5)}
         assert area[5.0] / area[1.0] <= len(p) <= area[5.5] / area[0.5]
 
-    def test_separation_and_covering(self):
-        p = geo.greedy_packing(geo.BallRegion(3.0), 0.25, 2, seed=3)
+    @staticmethod
+    def check_separated_and_covering(p, d, radius):
         prod = -geo.minkowski_dot(p.centers[:, None, :], p.centers[None, :, :])
         dist = np.arccosh(np.maximum(1.0, prod))
         off = dist[~np.eye(len(p), dtype=bool)]
-        assert np.min(off) > 2 * 0.25
-        # maximal: 8 batches of 512 uniform candidates in a row found no room,
-        # which bounds the uncovered fraction of the shrunken ball but does
-        # not make it 0 (3 of these 10000 probes are uncovered)
+        assert np.min(off) > 2 * p.radius
+        assert np.all(geo.radius(p.centers) <= radius - p.radius)
         assert p.maximal
-        assert oracle_covering_probe(p, 2, n_probes=10000, seed=1) >= 1.0 - 2e-3
+        assert oracle_covering_probe(p, d, n_probes=10000, seed=1) == 1.0
+
+    def test_separation_and_covering(self):
+        # the random draws alone leave 3 of these probes uncovered (2-7 on
+        # seeds 0-7); the gap pass covers every one
+        p = geo.greedy_packing(geo.BallRegion(3.0), 0.25, 2, seed=3)
+        self.check_separated_and_covering(p, 2, 3.0)
+
+    def test_separation_and_covering_d3(self):
+        p = geo.greedy_packing(geo.BallRegion(2.0), 0.25, 3, seed=0)
+        self.check_separated_and_covering(p, 3, 2.0)
+
+    @pytest.mark.parametrize("d, radius, r", [(2, 3.0, 0.25), (3, 1.5, 0.2),
+                                              (2, 6.0, 0.5)])
+    def test_gap_pass_alone_packs_and_covers(self, d, radius, r):
+        # from no center at all, every center comes from the cube pass
+        inner = geo._shrunk(geo.BallRegion(radius), r)
+        index, covered = geo._fill_gaps(geo._SiteIndex(np.empty((0, d + 1))),
+                                        inner, r, d, 10 ** 6)
+        p = geo.Packing(index.sites.copy(), r, geo.BallRegion(radius), covered)
+        self.check_separated_and_covering(p, d, radius)
+
+    def test_gap_pass_stops_at_cap(self):
+        p = geo.greedy_packing(geo.BallRegion(3.0), 0.25, 2, seed=3)
+        capped = geo.greedy_packing(geo.BallRegion(3.0), 0.25, 2, seed=3,
+                                    max_centers=len(p) - 2)
+        assert len(capped) == len(p) - 2 and not capped.maximal
+        assert np.array_equal(capped.centers, p.centers[:len(p) - 2])
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 8, 1 << 10, 1 << 30])
+    def test_gap_pass_chunks_do_not_matter(self, monkeypatch, chunk):
+        # a round's cubes are measured in chunks sized from the pairs found
+        want = geo.greedy_packing(geo.BallRegion(2.0), 0.25, 3, seed=0)
+        monkeypatch.setattr(geo, "_GAP_CHUNK", chunk)
+        got = geo.greedy_packing(geo.BallRegion(2.0), 0.25, 3, seed=0)
+        assert np.array_equal(got.centers, want.centers) and got.maximal
+
+    @pytest.mark.parametrize("work", [256, 4096])
+    def test_gap_pass_out_of_budget_is_not_maximal(self, monkeypatch, work):
+        # a 2r-ball with a long rim (r = 12 in a ball of radius 30) needs
+        # more than the budget; here a small budget stands in, spent inside
+        # a round (256) or at a split (4096)
+        p = geo.greedy_packing(geo.BallRegion(3.0), 0.25, 2, seed=3)
+        monkeypatch.setattr(geo, "_GAP_WORK", work)
+        short = geo.greedy_packing(geo.BallRegion(3.0), 0.25, 2, seed=3)
+        assert not short.maximal
+        assert np.array_equal(short.centers, p.centers[:len(short)])
 
     def test_packing_deterministic(self):
         p1 = geo.greedy_packing(geo.BallRegion(2.0), 0.3, 2, seed=11)
@@ -236,3 +280,5 @@ class TestPacking:
         want, maximal = oracle_greedy_packing(region, r, d, seed, max_centers)
         assert np.array_equal(p.centers, want)
         assert p.maximal == maximal
+        if maximal:
+            assert oracle_covering_probe(p, d, n_probes=2000, seed=seed) == 1.0
