@@ -36,7 +36,7 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
     def step_lengths(self):
-        return geo.distance(self.points[:-1], self.points[1:], validate=False)
+        return geo.distance(self.points[:-1], self.points[1:])
 
     def max_step_ratio(self):
         """Largest step length relative to the sqrt(2*dt) diffusive scale."""
@@ -256,7 +256,7 @@ def simulate_bridge_batch(spec, dt, seed, n_paths, stream_id=0):
         remaining = spec.s - times[i]
         coeffs = scale * rng.standard_normal((n_paths, _N_CANDIDATES, d))
         cands = geo.frame_step(x[:, None, :], coeffs)
-        rho = geo.distance(cands, spec.end[None, None, :], validate=False)
+        rho = geo.distance(cands, spec.end[None, None, :])
         logw = log_kernel(remaining, rho, d)
         logw -= logw.max(axis=1, keepdims=True)
         w = np.exp(logw)
@@ -277,7 +277,7 @@ def bridge_tube_exceedance(spec, delta_half, dt, seed, n_paths, stream_id=0):
                                        stream_id=stream_id)
     fracs = times / spec.s
     gamma = geo.geodesic_point(spec.start, spec.end, fracs)   # (n_steps+1, d+1)
-    dev = geo.distance(pts, gamma[:, None, :], validate=False)
+    dev = geo.distance(pts, gamma[:, None, :])
     return int(np.count_nonzero(np.max(dev, axis=0) > delta_half))
 
 
@@ -318,7 +318,7 @@ def path_energy(points):
     if pts.ndim == 1 or len(pts) < 2:
         raise ConstraintViolation("need at least two points")
     v = np.linspace(0.0, 1.0, len(pts))
-    seg = geo.distance(pts[:-1], pts[1:], validate=False)
+    seg = geo.distance(pts[:-1], pts[1:])
     return float(np.sum(seg ** 2 / np.diff(v)))
 
 
@@ -333,7 +333,6 @@ class EnergyExcessReport:
     endpoint_slack: float
     deviation: float
     constraints_ok: bool
-    n_segments: int
     n_converged: int
 
 
@@ -384,7 +383,7 @@ def _offset_path_energy(K_star, d, n):
     def energy_grad(z):
         z = z.reshape(n, d)
         pts = nodes(z)
-        D = geo.distance(pts[:-1], pts[1:], validate=False)
+        D = geo.distance(pts[:-1], pts[1:])
         w = 2.0 * n * np.divide(D, np.sinh(D), out=np.ones(n), where=D > 0.0)
         low = pts * lower
         grad_pts = w[:, None] * low[:-1]      # segment i-1 ends at node i
@@ -483,4 +482,4 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2):
                     best = float(res.fun)
     holds = best is not None and best >= bound - 1e-2
     return EnergyExcessReport(best, bound, holds, base, slack, dev,
-                              constraints_ok, n, n_converged)
+                              constraints_ok, n_converged)

@@ -9,7 +9,8 @@ byte-identical outputs; re-running from a manifest reproduces the run.
 
 Exit codes: 0 success, 2 constraint violation (a region too small to pack
 included) or config error (a ``subcommand`` override included), 3 budget
-exceeded or a failed covariance factorisation or heat-kernel calibration.
+exceeded or a failed covariance factorisation, heat-kernel calibration or
+cross-check of the variational optimum.
 """
 
 import argparse
@@ -195,11 +196,13 @@ def run_fk_localized(cfg):
 
 
 def run_route_budget(cfg):
+    if not cfg.mu_factor > 0:
+        raise ConstraintViolation("mu_factor must be positive "
+                                  f"(got mu_factor={cfg.mu_factor})")
     params = _params(cfg)
     mu = cfg.mu_factor * params.mu0
     consts, _ = varopt.route_constants(cfg.eta, cfg.lam, cfg.delta, cfg.K0,
                                        params, cfg.C_R0_hat,
-                                       check_constraint=True,
                                        alpha=cfg.alpha, mu=mu)
     rng = stream(cfg.seed, "route-fuzz")
     rows = []
@@ -261,8 +264,8 @@ def run(subcommand, cfg):
     except ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, FactorizationError,
-            heatkernel.CalibrationFailed) as exc:
+    except (BudgetExceeded, FactorizationError, heatkernel.CalibrationFailed,
+            varopt.CrossCheckFailed) as exc:
         print(f"budget exceeded or numerical failure: {exc}", file=sys.stderr)
         return 3
     # written only after a successful run, so a failed run into a reused

@@ -24,7 +24,6 @@ LATTICE_SPACING_FACTOR = 0.25               # default site spacing, in units of 
 COINCIDENT_DISTANCE = float(np.arccosh(1 + 1e-14))  # closer field sites coincide
 
 # --- budgets ---------------------------------------------------------------
-MAX_PACKING_CENTERS = 4096      # packing truncates here (recorded on the result)
 MAX_FIELD_SITES = 20000         # conditional-simulation site budget
 MAX_ONESHOT_SITES = 4096        # one-shot Cholesky site budget
 
@@ -234,12 +233,10 @@ def _config_text(val):
     return str(val)
 
 
-def format_config(cfg, subcommand=None):
-    """Render a config (plus optional subcommand) back to flat text that
-    :func:`parse_config` reads back to the same config."""
-    lines = []
-    if subcommand is not None:
-        lines.append(f"subcommand = {subcommand}")
+def format_config(cfg, subcommand):
+    """Render a config and its subcommand back to flat text that
+    :func:`parse_config` reads back to the same config and subcommand."""
+    lines = [f"subcommand = {subcommand}"]
     for key, val in asdict(cfg).items():
         lines.append(f"{key} = {_config_text(val)}")
     return "\n".join(lines) + "\n"

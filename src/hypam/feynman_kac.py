@@ -40,16 +40,14 @@ class PlantedPeakPotential:
     center: np.ndarray
     height: float
     width: float
-    background: float = 0.0
 
     def values_at(self, points):
-        return self.radial(geo.distance(np.asarray(points, float), self.center,
-                                        validate=False))
+        return self.radial(geo.distance(np.asarray(points, float), self.center))
 
     def radial(self, rho):
         """The potential at distance rho from the centre."""
         u = np.clip(rho / self.width, 0.0, 1.0)
-        return self.background + self.height * (1.0 - u ** 2) ** 3
+        return self.height * (1.0 - u ** 2) ** 3
 
 
 class LazyFieldEvaluator:
@@ -329,11 +327,11 @@ def fk_localized_lower(potential, d, t, eps, K, delta_tube, peak_center, seed,
 
     # per-path checks over all paths at once; arrays are (steps, paths)
     early = pts[: i_eps + 1]
-    ok_tube = (np.all(geo.distance(early, gamma[:, None, :], validate=False)
+    ok_tube = (np.all(geo.distance(early, gamma[:, None, :])
                       <= delta_tube, axis=0)
                & np.all(geo.radius(early) <= ball_radius, axis=0))
-    ok_enter = geo.distance(pts[i_eps], peak_center, validate=False) <= r_peak
-    ok_stay = np.all(geo.distance(pts[i_eps:], peak_center, validate=False)
+    ok_enter = geo.distance(pts[i_eps], peak_center) <= r_peak
+    ok_stay = np.all(geo.distance(pts[i_eps:], peak_center)
                      <= 2.0 * r_peak, axis=0)
     meta = {"seed": seed, "eps": eps, "K": K, "delta_tube": delta_tube,
             "r_peak": r_peak}
@@ -381,8 +379,7 @@ def route_extract(traj, clusters, lam, t):
         if time > t + 1e-12:
             break
         if state is not None:
-            dmin = float(np.min(geo.distance(cluster_sites[state], pts[k],
-                                             validate=False)))
+            dmin = float(np.min(geo.distance(cluster_sites[state], pts[k])))
             if dmin <= exit_radius:
                 continue
             exits.append(float(time))
@@ -441,9 +438,7 @@ class StayingSplit:
     xi_integral_bound: float
     xi_integral: float
     k_star: float
-    max_abs_xi_visited: float
     precondition_holds: bool
-    route: Route
 
 
 def staying_excursion_split(traj, clusters, fieldr, lam, delta, t, mu):
@@ -477,17 +472,16 @@ def staying_excursion_split(traj, clusters, fieldr, lam, delta, t, mu):
         if c.label in visited:
             pts = fieldr.sites[np.asarray(c.site_indices)]
             dmax = max(dmax, float(np.max(geo.distance(
-                pts, geo.origin(fieldr.d), validate=False))))
+                pts, geo.origin(fieldr.d)))))
     k_star = dmax / t ** (4.0 / 3.0)
     bound = (delta * t ** (5.0 / 3.0)
              + mu * math.sqrt(k_star) * t ** (2.0 / 3.0) * staying_time)
     level = mu * math.sqrt(k_star * t ** (4.0 / 3.0))
     threshold = delta * t ** (2.0 / 3.0)
-    max_abs = float(np.max(np.abs(vals)))
     exc_ok = bool(np.all(vals[~staying_mask] <= threshold + 1e-12))
     stay_ok = bool(np.all(np.abs(vals[staying_mask]) <= level + 1e-12))
     return StayingSplit(staying_time, excursion_time, bound, xi_integral,
-                        k_star, max_abs, exc_ok and stay_ok, route)
+                        k_star, exc_ok and stay_ok)
 
 
 # --- route budgets ----------------------------------------------------------------
@@ -533,15 +527,10 @@ class RouteGeometry:
 class RouteBudgetReport:
     log_bound: float
     main_term: float
-    error_term: float
-    geom_term: float            # staying value at the geometry's own distance scale
     f_style_value: float        # sup_v of mu*sqrt(K)*(1-v) - alpha*K^2/(4v) at K = k_star
-    reduced_sum_hat: float
-    chain_lhs: float            # reduced gap sum (uncorrected)
-    chain_slack: float          # cluster-size slack of the chained-gap bound
     k_star: float
-    trian_holds: bool
-    hat_bound_holds: bool       # reduced_sum_hat >= (k_star - R_t) * t^(4/3)
+    trian_holds: bool           # chained-gap bound on the furthest visited distance
+    hat_bound_holds: bool       # corrected gap sum >= (k_star - R_t) * t^(4/3)
     m: int
     m_reduced: int
 
@@ -553,14 +542,12 @@ def route_budget(geom, t, alpha, mu, params, lam, eta, delta, K0, C_R0_hat):
     integral), the uniform bound over admissible geometries.  Per-geometry
     data is reported alongside: the chained-gap inequality relating the
     furthest visited distance to the reduced gap sum plus cluster-size
-    slack, the corrected gap sum against (k_star - R_t) * t^(4/3), the
+    slack, the corrected gap sum against (k_star - R_t) * t^(4/3), and the
     variational value at the geometry's own distance scale (never above the
-    main term), and the staying value built from the corrected gap sum with
-    the R_t discount that the error integral absorbs.
+    main term).
     """
     consts, err_fn = route_constants(eta, lam, delta, K0, params, C_R0_hat,
-                                     check_constraint=True,
-                                     alpha=alpha, mu=mu)
+                                     alpha, mu)
     word = list(geom.word)
     gaps = np.asarray(geom.gaps, dtype=float)
     m = len(word)
@@ -609,21 +596,11 @@ def route_budget(geom, t, alpha, mu, params, lam, eta, delta, K0, C_R0_hat):
         return mu * math.sqrt(k) * (1.0 - v) - alpha * k * k / (4.0 * v)
 
     _, f_val = _golden_max(f_style, 1e-9, 1.0 - 1e-9)
-
-    disc = max(k * k - 2.0 * k * r_t, 0.0)
-
-    def staying_value(v):
-        return mu * math.sqrt(k) * (1.0 - v) - alpha * disc / (4.0 * v)
-
-    _, geom_val = _golden_max(staying_value, 1e-9, 1.0 - 1e-9)
     err = j_error_integral(t, m, lam, delta, alpha, mu, K0, r_t)
     t53 = t ** (5.0 / 3.0)
     return RouteBudgetReport(
-        log_bound=delta * t53 + main + err,
-        main_term=main, error_term=err,
-        geom_term=float(geom_val) * t53, f_style_value=float(f_val) * t53,
-        reduced_sum_hat=reduced_sum_hat, chain_lhs=chain_lhs,
-        chain_slack=chain_slack, k_star=k,
+        log_bound=delta * t53 + main + err, main_term=main,
+        f_style_value=float(f_val) * t53, k_star=k,
         trian_holds=trian_holds, hat_bound_holds=hat_bound_holds,
         m=m, m_reduced=m_reduced)
 
@@ -699,7 +676,6 @@ class LongRouteReport:
     log_F: float
     exponent: float
     log_bound: float
-    N: int
     eta: float
     t: float
 
@@ -724,7 +700,7 @@ def long_route_tail(eta, N, t, params, K0):
     log_F = 0.5 * N * math.log(2.0) + _log_erfc(N * a_half / math.sqrt(2.0 * t))
     exponent = (eta * N) ** 2 / 32.0 - 2.0 * params.mu0 * math.sqrt(K0)
     return LongRouteReport(log_F, exponent,
-                           log_F - exponent * t ** (5.0 / 3.0), N, eta, t)
+                           log_F - exponent * t ** (5.0 / 3.0), eta, t)
 
 
 def long_route_threshold(params, K0):

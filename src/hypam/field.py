@@ -68,7 +68,6 @@ class CovarianceSpec:
     """
     sigma2: float
     R0: float
-    bump_shape: str
     d: int
     rho_grid: np.ndarray
     values: np.ndarray
@@ -156,8 +155,8 @@ def make_spec(sigma2, R0, bump_shape="poly3", d=2):
     vals = table.copy()
     vals *= sigma2 / vals[0]
     vals[-1] = 0.0
-    return CovarianceSpec(float(sigma2), float(R0), bump_shape, d,
-                          rho_grid, vals, _clamped_pieces(rho_grid, vals))
+    return CovarianceSpec(float(sigma2), float(R0), d, rho_grid, vals,
+                          _clamped_pieces(rho_grid, vals))
 
 
 def _clamped_pieces(x, y):
@@ -359,15 +358,12 @@ class FieldRealization:
     new realization.  One-shot draws and hand-built realizations hold plain
     arrays and build their neighbour index on first use; an extension's
     sites are those of its index, its parent's extended
-    (``geometry._SiteIndex.extended``), and its values are read-only.  ``h``
-    records the lattice spacing of packed sites, read only as
-    :func:`detect_islands`' default adjacency scale.
+    (``geometry._SiteIndex.extended``), and its values are read-only.
     """
     spec: CovarianceSpec
     sites: np.ndarray          # (n, d+1) hyperboloid coordinates
     values: np.ndarray         # (n,)
     d: int
-    h: float | None = None     # lattice spacing when sites come from a packing
     meta: dict = dfield(default_factory=dict)
     _index: geo._SiteIndex | None = dfield(default=None, init=False, repr=False,
                                        compare=False)
@@ -413,7 +409,7 @@ def tilted_sample(spec, sites, h, seed):
         raise ConstraintViolation("tilt height must be nonnegative")
     base = sample_field(spec, sites, seed)
     d = base.d
-    dist_o = geo.distance(np.asarray(sites, dtype=float), geo.origin(d), validate=False)
+    dist_o = geo.distance(np.asarray(sites, dtype=float), geo.origin(d))
     mean = (h / spec.sigma2) * spec.cov(dist_o)
     return FieldRealization(spec, base.sites, base.values + mean, d,
                             meta={**base.meta, "tilt": h})
@@ -469,7 +465,7 @@ def extend_field(fieldr, new_sites, seed):
     values = np.concatenate([fieldr.values, new_values])
     values.flags.writeable = False
     out = FieldRealization(
-        spec, index.sites, values, fieldr.d, h=fieldr.h,
+        spec, index.sites, values, fieldr.d,
         meta={**fieldr.meta, "extensions": fieldr.meta.get("extensions", 0) + 1,
               "jitter": max(fieldr.meta.get("jitter", 0.0), jit)})
     out._index = index
@@ -559,7 +555,6 @@ class IslandSet:
     """Super-level connected components on the site lattice."""
     islands: list               # list of sorted site-index lists
     site_indices: np.ndarray    # all super-threshold site indices
-    threshold: float
     h: float
     t: float
     delta: float
@@ -569,26 +564,22 @@ class IslandSet:
         return len(self.islands)
 
 
-def detect_islands(fieldr, delta, t, h=None):
+def detect_islands(fieldr, delta, t, h):
     """Connected components of {xi > delta * t^(2/3)} on the site lattice.
 
-    Two super-threshold sites are adjacent when within 2h (pairs found
-    through the neighbour index); islands are the connected components of
-    that graph, each a sorted site-index list, ordered by lowest site.  h
-    defaults to the realization's recorded lattice spacing.
+    Two super-threshold sites are adjacent when within 2h, h the lattice
+    spacing (pairs found through the neighbour index); islands are the
+    connected components of that graph, each a sorted site-index list,
+    ordered by lowest site.
     """
     if delta <= 0 or t <= 0:
         raise ConstraintViolation("need delta > 0 and t > 0")
-    h = h if h is not None else fieldr.h
-    if h is None:
-        raise ConstraintViolation("island detection needs the lattice spacing h")
-    thr = delta * t ** (2.0 / 3.0)
-    super_idx = np.flatnonzero(fieldr.values > thr)
+    super_idx = np.flatnonzero(fieldr.values > delta * t ** (2.0 / 3.0))
     if super_idx.size == 0:
-        return IslandSet([], super_idx, thr, h, t, delta, fieldr)
+        return IslandSet([], super_idx, h, t, delta, fieldr)
     i, j, _ = geo._SiteIndex(fieldr.sites[super_idx]).close_pairs(2.0 * h)
     islands = [super_idx[g].tolist() for g in _components(super_idx.size, i, j)]
-    return IslandSet(islands, super_idx, thr, h, t, delta, fieldr)
+    return IslandSet(islands, super_idx, h, t, delta, fieldr)
 
 
 @dataclass
@@ -605,7 +596,6 @@ class ClusterSet:
     clusters: list
     eta: float
     t: float
-    link_distance: float
     field: FieldRealization
     h: float
 
@@ -651,12 +641,12 @@ def build_clusters(islands, eta, t):
     for label, grp in enumerate(groups):
         site_idx = sorted(idx for g in grp for idx in islands.islands[g])
         pts = fieldr.sites[np.asarray(site_idx)]
-        dist = geo.distance(pts[:, None, :], pts[None, :, :], validate=False)
+        dist = geo.distance(pts[:, None, :], pts[None, :, :])
         diameter = float(np.max(dist)) if len(site_idx) > 1 else 0.0
         center_local = int(np.argmin(np.max(dist, axis=1)))
         clusters.append(Cluster(label, site_idx, grp,
                                 site_idx[center_local], diameter))
-    return ClusterSet(clusters, eta, t, link, fieldr, islands.h)
+    return ClusterSet(clusters, eta, t, fieldr, islands.h)
 
 
 def cluster_constants(delta, d, K0, C_R0_hat):

@@ -28,8 +28,7 @@ import numpy as np
 from scipy import special
 from scipy.spatial import cKDTree
 
-from .config import (ConstraintViolation, HYPERBOLOID_ATOL,
-                     MAX_PACKING_CENTERS, stream)
+from .config import ConstraintViolation, HYPERBOLOID_ATOL, stream
 
 
 class InvalidPoint(ValueError):
@@ -131,11 +130,10 @@ def _polar_cosh(a, b):
     return np.cosh(r1 - r2) + 0.5 * s1 * s2 * cross
 
 
-def distance(x, y, validate=True):
-    """Hyperbolic distance arccosh(cosh d), clamped to the valid domain."""
-    if validate:
-        check_points(x)
-        check_points(y)
+def distance(x, y):
+    """Hyperbolic distance arccosh(cosh d), clamped to the valid domain.
+    The points are not checked; :func:`check_points` runs where points come
+    in (:func:`geodesic_point`, ``brownian.BridgeSpec``)."""
     return np.arccosh(np.maximum(1.0, cosh_distance(x, y)))
 
 
@@ -148,7 +146,7 @@ def geodesic_point(x, y, s):
     """
     x = check_points(x)
     y = check_points(y)
-    rho = np.asarray(distance(x, y, validate=False))[..., None]
+    rho = np.asarray(distance(x, y))[..., None]
     u = np.where(rho > 1e-14,
                  (y - np.cosh(rho) * x) / np.sinh(np.maximum(rho, 1e-14)), 0.0)
     sr = np.asarray(s, dtype=float)[..., None] * rho
@@ -390,7 +388,7 @@ class _SiteIndex:
         if self._tree_n < len(self.sites):
             tail = self._ball[self._tree_n:]
             near.append(self._tree_n + np.argmin(_gap2(ball, tail), axis=1))
-        bound = np.min([distance(points, self.sites[k], validate=False)
+        bound = np.min([distance(points, self.sites[k])
                         for k in near], axis=0)
         return self.nearest_within(points, np.maximum(bound, 1e-3))[:2]
 
@@ -426,7 +424,6 @@ class Packing:
     """
     centers: np.ndarray
     radius: float
-    region: object
     maximal: bool
 
     def __len__(self):
@@ -566,7 +563,7 @@ def _fill_gaps(index, inner, r, d, max_centers):
     return index, len(cubes) == 0
 
 
-def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
+def greedy_packing(region, r, d, seed, max_centers):
     """Randomized greedy maximal r-packing of ``region``.
 
     Candidates are drawn volume-uniformly from the r-shrunken region in
@@ -606,5 +603,5 @@ def greedy_packing(region, r, d, seed=0, max_centers=MAX_PACKING_CENTERS):
         index = index.extended(cands[keep])
         idle = 0 if keep.size else idle + 1
     index, covered = _fill_gaps(index, inner, r, d, max_centers)
-    return Packing(index.sites.copy(), r, region,
+    return Packing(index.sites.copy(), r,
                    maximal=covered and len(index.sites) < max_centers)

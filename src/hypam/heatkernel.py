@@ -169,28 +169,26 @@ class CalibrationFailed(RuntimeError):
     pass
 
 
-def calibrate(d, t_grid=None, rho_grid=None):
+# the (t, rho) grid of :func:`calibrate`
+_T_GRID = np.geomspace(0.1, 10.0, 25)
+_RHO_GRID = np.linspace(0.0, 20.0, 81)
+
+
+def calibrate(d):
     """Fit the sandwich constants of the comparison profile.
 
     The exact kernel of H^d (d = 2 or 3, :func:`_exact_log_kernel`) is
-    divided by the profile on the full (t, rho) grid; other dimensions raise
-    :class:`KernelUnavailable`.  Fails (:class:`CalibrationFailed`) on an
-    empty grid and when the fitted spread C2/C1 exceeds 100.
+    divided by the profile on the full grid of 25 geometric t in [0.1, 10]
+    and 81 uniform rho in [0, 20]; other dimensions raise
+    :class:`KernelUnavailable`.  Fails (:class:`CalibrationFailed`) when the
+    fitted spread C2/C1 exceeds 100.
     """
     log_exact = _exact_log_kernel(d)
     ratio_cap = 100.0
-    if t_grid is None:
-        t_grid = np.geomspace(0.1, 10.0, 25)
-    if rho_grid is None:
-        rho_grid = np.linspace(0.0, 20.0, 81)
-    t_grid = np.asarray(t_grid, dtype=float)
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    if t_grid.size == 0 or rho_grid.size == 0:
-        raise CalibrationFailed("empty t or rho grid")
-    grid_spec = {"t": [float(t_grid[0]), float(t_grid[-1]), int(t_grid.size)],
-                 "rho": [float(rho_grid[0]), float(rho_grid[-1]), int(rho_grid.size)],
+    grid_spec = {"t": [float(_T_GRID[0]), float(_T_GRID[-1]), int(_T_GRID.size)],
+                 "rho": [float(_RHO_GRID[0]), float(_RHO_GRID[-1]), int(_RHO_GRID.size)],
                  "reference": "exact"}
-    tt, rr = np.meshgrid(t_grid, rho_grid, indexing="ij")
+    tt, rr = np.meshgrid(_T_GRID, _RHO_GRID, indexing="ij")
     ratios = np.exp(log_exact(tt, rr) - log_comparison_fn(tt, rr, d)).ravel()
     if not np.all(np.isfinite(ratios)) or np.any(ratios <= 0):
         raise CalibrationFailed("reference/comparison ratio unbounded on grid")

@@ -16,6 +16,10 @@ import numpy as np
 from .config import ConstraintViolation, count, stream
 
 
+class CrossCheckFailed(ArithmeticError):
+    """The independent search disagrees with a closed-form optimum."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Dimension and field variance; everything else derives from these."""
@@ -93,9 +97,12 @@ def _search_optimum(value, K_hi):
 
 
 def _fd_gradient_norm(value, eps, K):
+    """Central-difference gradient norm; the K step stays below K / 2 so
+    that no evaluation reaches a negative K."""
     h = 1e-5
+    hk = min(h, K / 2.0)
     ge = (value(eps + h, K) - value(eps - h, K)) / (2.0 * h)
-    gk = (value(eps, K + h) - value(eps, K - h)) / (2.0 * h)
+    gk = (value(eps, K + hk) - value(eps, K - hk)) / (2.0 * hk)
     return float(np.hypot(ge, gk))
 
 
@@ -105,8 +112,8 @@ def optimize_f(params):
     The optimum sits at eps = 1/5 (independent of the field strength) and
     K = 2^(5/3) / 5^(4/3) * a^(1/3), giving the value
     3 * 2^(4/3) / 5^(5/3) * a^(2/3) with a = sigma2 * (d-1).
-    Raises if an independent grid + golden-section search disagrees beyond
-    1e-4 in the arguments or 1e-6 in the value.
+    Raises :class:`CrossCheckFailed` if an independent grid + golden-section
+    search disagrees beyond 1e-4 in the arguments or 1e-6 in the value.
     """
     a = params.a
     eps_star = 0.2
@@ -120,7 +127,7 @@ def optimize_f(params):
     e_num, K_num, val_num = _search_optimum(value, K_hi=max(5.0 * K_star, 1.0))
     gap = abs(val_num - L_star)
     if abs(e_num - eps_star) > 1e-4 or abs(K_num - K_star) > 1e-4 or gap > 1e-6:
-        raise ArithmeticError(
+        raise CrossCheckFailed(
             "independent search disagrees with closed form: "
             f"args ({e_num:.8f}, {K_num:.8f}) vs ({eps_star}, {K_star:.8f}), "
             f"value gap {gap:.3e}")
@@ -254,7 +261,6 @@ class RouteConstants:
     N_eta: float
     N_hat_lam: float
     L_delta: float
-    eta_delta: float
 
     def n_eta_count(self):
         return count(self.N_eta)
@@ -263,15 +269,14 @@ class RouteConstants:
         return count(self.N_hat_lam)
 
 
-def route_constants(eta, lam, delta, K0, params, C_R0_hat,
-                    check_constraint=False, alpha=None, mu=None):
+def route_constants(eta, lam, delta, K0, params, C_R0_hat, alpha, mu):
     """Route-length caps, cluster constants and the route error term.
 
     Returns ``(RouteConstants, error_fn)`` where ``error_fn(t)`` evaluates the
     geometric slack R_t(lam, eta, delta) = lam*(N_eta*L_delta*(6*L_delta+1/2)
     + 2*L_delta) + N_eta*L_delta*(1/2 + C_Q*t)*t^(-4/3) picked up when route
-    gaps are chained together.  With ``check_constraint`` the feasibility
-    condition linking (lam, eta) to (alpha, mu, delta) is enforced.
+    gaps are chained together.  The feasibility condition linking (lam, eta)
+    to (alpha, mu, delta) is enforced.
     """
     from .field import cluster_constants
     from .brownian import radial_drift_bound
@@ -289,13 +294,10 @@ def route_constants(eta, lam, delta, K0, params, C_R0_hat,
     def error_fn(t):
         return lam * bracket + N_eta * L_delta * (0.5 + C_Q * t) * t ** (-4.0 / 3.0)
 
-    if check_constraint:
-        if alpha is None or mu is None:
-            raise ConstraintViolation("feasibility check needs alpha and mu")
-        lhs = (1.0 - alpha) / 16.0 * (delta / mu) ** 4
-        rhs = lam * K0 / 2.0 * bracket
-        if not lhs > rhs:
-            raise ConstraintViolation(
-                "route-error budget infeasible: (1-alpha)/16*(delta/mu)^4 = "
-                f"{lhs:.3e} must exceed lam*K0/2*bracket = {rhs:.3e}")
-    return RouteConstants(N_eta, N_hat, L_delta, eta_delta), error_fn
+    lhs = (1.0 - alpha) / 16.0 * (delta / mu) ** 4
+    rhs = lam * K0 / 2.0 * bracket
+    if not lhs > rhs:
+        raise ConstraintViolation(
+            "route-error budget infeasible: (1-alpha)/16*(delta/mu)^4 = "
+            f"{lhs:.3e} must exceed lam*K0/2*bracket = {rhs:.3e}")
+    return RouteConstants(N_eta, N_hat, L_delta), error_fn

@@ -177,10 +177,10 @@ def oracle_greedy_packing(region, r, d, seed, max_centers):
     return index.sites, covered and len(index.sites) < max_centers
 
 
-def oracle_covering_probe(packing, d, n_probes=10000, seed=1):
-    """Fraction of random shrunken-region probes within 2r of some center,
-    from the full probes x centres cosh table."""
-    inner = geo._shrunk(packing.region, packing.radius)
+def oracle_covering_probe(packing, region, d, n_probes=10000, seed=1):
+    """Fraction of random probes of the packing's shrunken region within 2r
+    of some center, from the full probes x centres cosh table."""
+    inner = geo._shrunk(region, packing.radius)
     if len(packing) == 0:
         return 1.0
     rng = stream(seed, "probe")
@@ -472,12 +472,12 @@ def oracle_localized_accept(times, pts, eps, t, dt, K, delta_tube, center,
             p = pts[i, j]
             if i <= i_eps:
                 g = geo.geodesic_point(o, center, times[i] / times[i_eps])
-                ok = ok and geo.distance(p, g, validate=False) <= delta_tube
+                ok = ok and geo.distance(p, g) <= delta_tube
                 ok = ok and geo.radius(p) <= K * t ** (4.0 / 3.0)
             if i == i_eps:
-                ok = ok and geo.distance(p, center, validate=False) <= r_peak
+                ok = ok and geo.distance(p, center) <= r_peak
             if i >= i_eps:
-                ok = ok and geo.distance(p, center, validate=False) <= 2.0 * r_peak
+                ok = ok and geo.distance(p, center) <= 2.0 * r_peak
         out.append(bool(ok))
     return np.array(out)
 
@@ -501,8 +501,7 @@ def oracle_conditioning_set(fieldr, new_sites):
     scan of every site: those within ``COND_RADIUS_FACTOR * R0`` of the new
     block, ascending, or the ``COND_SITE_CAP`` nearest, nearest first."""
     cond_radius = COND_RADIUS_FACTOR * fieldr.spec.R0
-    dist_on = geo.distance(fieldr.sites[:, None, :], new_sites[None, :, :],
-                           validate=False)
+    dist_on = geo.distance(fieldr.sites[:, None, :], new_sites[None, :, :])
     near = np.flatnonzero(np.min(dist_on, axis=1) <= cond_radius)
     if near.size > COND_SITE_CAP:
         order = np.argsort(np.min(dist_on[near], axis=1))
@@ -574,9 +573,9 @@ def bridge_marginal(t_a, x, t_b, q, t_mid, y, d=3):
     s1 = t_mid - t_a
     s2 = t_b - t_mid
     s = t_b - t_a
-    r1 = geo.distance(x, y, validate=False)
-    r2 = geo.distance(y, q, validate=False)
-    r = geo.distance(x, q, validate=False)
+    r1 = geo.distance(x, y)
+    r2 = geo.distance(y, q)
+    r = geo.distance(x, q)
     return float(np.exp(log_p(s1, r1) + log_p(s2, r2) - log_p(s, r)))
 
 

@@ -96,8 +96,7 @@ def test_c05_h3_kernel_suite():
     r = np.arccosh(np.maximum(1.0, x[:, 0]))
     ks = sps.kstest(r, hk.h3_radial_cdf(1.0))
     assert ks.pvalue > 0.01
-    cal = hk.calibrate(3, t_grid=np.geomspace(0.1, 10.0, 25),
-                       rho_grid=np.linspace(0.0, 20.0, 81))
+    cal = hk.calibrate(3)
     assert cal.C2 / cal.C1 <= 100.0
     elapsed = time.time() - start
     assert elapsed < 300.0
@@ -187,11 +186,10 @@ def test_c10_cluster_oracles(spec_unit):
     for trial in range(100):
         n = int(rng.integers(50, 501))
         sites = geo.sample_region(geo.BallRegion(3.0), 2, rng, n)
-        f = fd.FieldRealization(spec_unit, sites, rng.normal(0.0, 1.0, n), 2,
-                                h=0.25)
+        f = fd.FieldRealization(spec_unit, sites, rng.normal(0.0, 1.0, n), 2)
         t_par = float(rng.uniform(0.5, 2.0))
         delta = float(rng.uniform(0.2, 0.8))
-        isl = fd.detect_islands(f, delta, t_par)
+        isl = fd.detect_islands(f, delta, t_par, h=0.25)
         assert sorted(isl.islands) == oracle_islands(f, delta, t_par, 0.25)
         if len(isl) > 0:
             eta = float(rng.uniform(0.05, 0.4))
@@ -282,7 +280,6 @@ def test_c14_upper_bound_machinery():
     c_hat = 1.01 * 2 * 1 * K0 / (0.2 * delta ** 2)
     alpha, eta, lam = 0.05, 2.0, 0.05
     consts, err_fn = varopt.route_constants(eta, lam, delta, K0, p, c_hat,
-                                            check_constraint=True,
                                             alpha=alpha, mu=mu)
     rng = stream(117, "accept")
     for _ in range(1000):

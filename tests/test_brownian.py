@@ -160,7 +160,7 @@ class TestBridge:
         for s in s_list:
             spec = bm.BridgeSpec(x, x, s)
             _, pts = bm.simulate_bridge_batch(spec, s / 64, seed=2, n_paths=800)
-            dev = geo.distance(pts, x[None, None, :], validate=False)
+            dev = geo.distance(pts, x[None, None, :])
             means.append(np.mean(np.max(dev, axis=0)))
         slope = np.polyfit(np.log(s_list), np.log(means), 1)[0]
         assert abs(slope - 0.5) <= 0.1
@@ -173,8 +173,7 @@ class TestBridge:
         for s in (0.4, 0.2, 0.1):
             spec = bm.BridgeSpec(x, y, s)
             times, pts = bm.simulate_bridge_batch(spec, s / 64, seed=3, n_paths=800)
-            m = float(np.mean(geo.distance(pts[len(times) // 2], mid[None, :],
-                                           validate=False)))
+            m = float(np.mean(geo.distance(pts[len(times) // 2], mid[None, :])))
             assert prev is None or m < prev
             prev = m
 
@@ -187,8 +186,8 @@ class TestBridge:
                                          n_paths=4000)
         _, p2 = bm.simulate_bridge_batch(bm.BridgeSpec(y, x, s), s / 96, seed=5,
                                          n_paths=4000)
-        d1 = geo.distance(p1[48], mid[None, :], validate=False)
-        d2 = geo.distance(p2[48], mid[None, :], validate=False)
+        d1 = geo.distance(p1[48], mid[None, :])
+        d2 = geo.distance(p2[48], mid[None, :])
         assert sps.ks_2samp(d1, d2).pvalue > 0.01
 
 
@@ -254,7 +253,7 @@ class TestEnergyGradient:
         x, y, energy_of, energy_grad = bm._offset_path_energy(1.0, d, 16)
         z = _offset_coeffs(d, scale, seed=int(1e3 * scale))
         nodes = geo.frame_step(geo.geodesic_point(x, y, np.linspace(0, 1, 17))[1:], z)
-        assert geo.distance(nodes[9], nodes[10], validate=False) < 1e-7
+        assert geo.distance(nodes[9], nodes[10]) < 1e-7
         z = z.ravel()
         assert _rel_err(energy_grad(z), optimize.approx_fprime(z, energy_of)) < 1e-5
 

@@ -45,9 +45,9 @@ class TestConfigParsing:
     def test_round_trip_str_values(self, text):
         for key in ("kernel_shape", "mode", "R_list", "s_list", "out"):
             cfg = RunConfig(**{key: text})
-            assert parse_config(format_config(cfg))[0] == cfg
+            assert parse_config(format_config(cfg, "fk"))[0] == cfg
         # a value that needs no quotes is written as its plain text
-        assert "out = plain/dir\n" in format_config(RunConfig(out="plain/dir"))
+        assert "out = plain/dir\n" in format_config(RunConfig(out="plain/dir"), "fk")
 
     def test_malformed_quoted_value(self):
         with pytest.raises(ValueError, match=":2: malformed quoted value"):
@@ -249,6 +249,11 @@ class TestDispatch:
         ("long-route-tail", ["K0=-1"], 2, "K0 must be positive"),
         ("long-route-tail", ["K0=0"], 2, "K0 must be positive"),
         ("fk-localized", ["peak_distance=-1.5"], 2, "peak_distance must be nonnegative"),
+        # mu = mu_factor * mu0 divides the route-error exponent
+        ("route-budget", ["mu_factor=0"], 2, "mu_factor must be positive"),
+        ("route-budget", ["mu_factor=-1"], 2, "mu_factor must be positive"),
+        # too weak a field for the independent search: a numerical failure
+        ("optimize", ["sigma2=1e-40"], 3, "independent search disagrees"),
     ])
     def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
                                               sets, status, message):

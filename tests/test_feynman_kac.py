@@ -249,8 +249,8 @@ def _two_cluster_setup(spec_unit):
     low = np.vstack([geo.point_at(2, r, ex) for r in (0.3, 0.6, 1.3, 1.45, 1.6, 1.75, 2.25)])
     sites = np.vstack([sa, sb, low])
     vals = np.concatenate([np.full(4, 5.0), np.full(7, 0.2)])
-    f = fd.FieldRealization(spec_unit, sites, vals, 2, h=0.16)
-    isl = fd.detect_islands(f, delta=1.0, t=1.0)
+    f = fd.FieldRealization(spec_unit, sites, vals, 2)
+    isl = fd.detect_islands(f, delta=1.0, t=1.0, h=0.16)
     cl = fd.build_clusters(isl, eta=0.3, t=1.0)
     lab = {}
     for c in cl.clusters:
@@ -389,8 +389,7 @@ def test_split_bound_on_simulated_instances(spec_unit):
     n_pre = 0
     for k in range(6):
         f = fd.sample_field(spec_unit, packing.centers, seed=300 + k)
-        f.h = spacing
-        isl = fd.detect_islands(f, delta=0.8, t=t_par)
+        isl = fd.detect_islands(f, delta=0.8, t=t_par, h=spacing)
         if len(isl) == 0:
             continue
         cl = fd.build_clusters(isl, eta=0.05, t=t_par)
@@ -415,7 +414,6 @@ def _route_env():
     c_hat = 1.01 * 2 * 1 * ROUTE_CFG["K0"] / (0.2 * delta ** 2)   # L_delta = 0.2
     consts, err_fn = route_constants(ROUTE_CFG["eta"], ROUTE_CFG["lam"], delta,
                                      ROUTE_CFG["K0"], p, c_hat,
-                                     check_constraint=True,
                                      alpha=ROUTE_CFG["alpha"], mu=mu)
     return p, mu, delta, c_hat, consts, err_fn
 

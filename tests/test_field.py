@@ -379,8 +379,8 @@ class TestExtension:
                                                        rng, 32)])
         new = []
         for p in cand[rng.permutation(len(cand))]:
-            if (np.min(geo.distance(old, p, validate=False)) >= 0.05
-                    and all(geo.distance(q, p, validate=False) >= 0.05
+            if (np.min(geo.distance(old, p)) >= 0.05
+                    and all(geo.distance(q, p) >= 0.05
                             for q in new)):
                 new.append(p)
             if len(new) == n_new:
@@ -425,7 +425,7 @@ class TestJitterLadder:
         # sigma2 = 4 Cholesky's pivots 4 - 2 * 2 are exactly zero
         grid = np.linspace(0.0, R0, 801)
         vals = np.full(801, sigma2)
-        spec = fd.CovarianceSpec(sigma2, R0, "poly3", 2, grid, vals,
+        spec = fd.CovarianceSpec(sigma2, R0, 2, grid, vals,
                                  fd._clamped_pieces(grid, vals))
         sites = geo.sample_region(geo.BallRegion(0.2), 2, stream(8, "rank-one"), 5)
         return spec, sites, np.full((5, 5), sigma2)
@@ -494,7 +494,7 @@ class TestBandRoot:
         ring = geo.point_at(2, np.full(20, 3.0),
                             np.c_[np.cos(np.arange(20) * 0.3),
                                   np.sin(np.arange(20) * 0.3)])
-        gaps = geo.distance(ring[:, None, :], ring[None, :, :], validate=False)
+        gaps = geo.distance(ring[:, None, :], ring[None, :, :])
         assert np.min(gaps[np.triu_indices(20, 1)]) > spec_unit.R0
         dense = {len(s): fd._lattice_factor(spec_unit, s)[0]
                  for s in (geo.origin(2)[None, :], ring)}
@@ -606,31 +606,25 @@ class TestIslandsClusters:
     def _field(self, spec, values, radius=3.0, n=None, seed=0):
         rng = stream(seed, "icl")
         sites = geo.sample_region(geo.BallRegion(radius), 2, rng, len(values))
-        return fd.FieldRealization(spec, sites, np.asarray(values, float), 2, h=0.25)
+        return fd.FieldRealization(spec, sites, np.asarray(values, float), 2)
 
     def test_empty(self, spec_unit):
         f = self._field(spec_unit, [-1.0, -2.0, 0.1], seed=1)
-        isl = fd.detect_islands(f, delta=1.0, t=1.0)
+        isl = fd.detect_islands(f, delta=1.0, t=1.0, h=0.25)
         assert len(isl) == 0
 
     def test_singleton(self, spec_unit):
         f = self._field(spec_unit, [-1.0, 5.0, 0.1], seed=2)
-        isl = fd.detect_islands(f, delta=1.0, t=1.0)
+        isl = fd.detect_islands(f, delta=1.0, t=1.0, h=0.25)
         assert len(isl) == 1 and isl.islands[0] == [1]
-
-    def test_requires_spacing(self, spec_unit):
-        f = fd.FieldRealization(spec_unit, geo.origin(2)[None, :],
-                                np.array([3.0]), 2, h=None)
-        with pytest.raises(ConstraintViolation):
-            fd.detect_islands(f, 1.0, 1.0)
 
     def test_two_islands_far_apart_two_clusters(self, spec_unit):
         ex = np.array([1.0, 0.0])
         t = 1.0
         eta = 0.3
         sites = np.vstack([geo.point_at(2, 0.5, ex), geo.point_at(2, 2.5, ex)])
-        f = fd.FieldRealization(spec_unit, sites, np.array([5.0, 5.0]), 2, h=0.25)
-        isl = fd.detect_islands(f, 1.0, t)
+        f = fd.FieldRealization(spec_unit, sites, np.array([5.0, 5.0]), 2)
+        isl = fd.detect_islands(f, 1.0, t, h=0.25)
         assert len(isl) == 2
         cl = fd.build_clusters(isl, eta, t)   # separation 2.0 > 2 * 0.3
         assert len(cl) == 2
@@ -639,8 +633,8 @@ class TestIslandsClusters:
         ex = np.array([1.0, 0.0])
         radii = [0.5, 0.64, 0.78, 0.92]      # spaced at eta * t^(4/3) / 2 = 0.15
         sites = np.vstack([geo.point_at(2, r, ex) for r in radii])
-        f = fd.FieldRealization(spec_unit, sites, np.full(4, 5.0), 2, h=0.05)
-        isl = fd.detect_islands(f, 1.0, 1.0)
+        f = fd.FieldRealization(spec_unit, sites, np.full(4, 5.0), 2)
+        isl = fd.detect_islands(f, 1.0, 1.0, h=0.05)
         assert len(isl) == 4
         cl = fd.build_clusters(isl, eta=0.3, t=1.0)
         assert len(cl) == 1
@@ -648,8 +642,8 @@ class TestIslandsClusters:
     def test_cluster_invariants(self, spec_unit):
         rng = stream(11, "ci")
         sites = geo.sample_region(geo.BallRegion(3.0), 2, rng, 200)
-        f = fd.FieldRealization(spec_unit, sites, rng.normal(0, 1, 200), 2, h=0.25)
-        isl = fd.detect_islands(f, 0.3, 1.0)
+        f = fd.FieldRealization(spec_unit, sites, rng.normal(0, 1, 200), 2)
+        isl = fd.detect_islands(f, 0.3, 1.0, h=0.25)
         thr = 0.3
         for g in isl.islands:
             assert np.all(f.values[np.asarray(g)] > thr)
@@ -660,13 +654,12 @@ class TestIslandsClusters:
                 for j in range(i + 1, len(cl)):
                     a = f.sites[np.asarray(cl.clusters[i].site_indices)]
                     b = f.sites[np.asarray(cl.clusters[j].site_indices)]
-                    dmin = np.min(geo.distance(a[:, None, :], b[None, :, :],
-                                               validate=False))
-                    assert dmin > cl.link_distance
+                    dmin = np.min(geo.distance(a[:, None, :], b[None, :, :]))
+                    assert dmin > 0.2     # the link distance eta * t^(4/3)
 
     def test_report_schema(self, spec_unit):
         f = self._field(spec_unit, [5.0, -1.0, 4.0], seed=3)
-        isl = fd.detect_islands(f, 1.0, 1.0)
+        isl = fd.detect_islands(f, 1.0, 1.0, h=0.25)
         cl = fd.build_clusters(isl, 0.2, 1.0)
         rep = cl.report()
         assert set(rep) == {"clusters"}
@@ -699,7 +692,7 @@ class TestNeighbourIndex:
         # beyond every site's reach
         queries = np.vstack([geo.origin(d)[None, :], sites[::7], sites[-1:],
                              geo.sample_region(geo.BallRegion(radius + 2.0), d, rng, 60)])
-        f = fd.FieldRealization(spec_unit, sites, np.zeros(len(sites)), d, h=h)
+        f = fd.FieldRealization(spec_unit, sites, np.zeros(len(sites)), d)
         want_idx, want_dist = oracle_nearest_site(sites, queries)
         idx, dist = f.nearest_site(queries)
         assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
@@ -739,7 +732,7 @@ class TestNeighbourIndex:
             # every pair within h
             qi, si, cosh = index.pairs(queries, h)
             assert np.all((np.diff(qi) > 0) | ((np.diff(qi) == 0) & (np.diff(si) > 0)))
-            near = geo.distance(queries[:, None, :], sites[None, :k, :], validate=False) <= h
+            near = geo.distance(queries[:, None, :], sites[None, :k, :]) <= h
             assert near[qi, si].sum() == near.sum()
             assert np.array_equal(cosh, geo.cosh_distance(queries[qi], sites[si]))
             i, j, dist = index.close_pairs(h)
@@ -763,8 +756,8 @@ class TestNeighbourIndex:
     def test_partition_matches_dense(self, spec_unit, d, radius, n, h, eta, seed):
         sites, rng = self._sites(d, radius, n, seed)
         values = rng.normal(0.0, 1.0, len(sites))
-        f = fd.FieldRealization(spec_unit, sites, values, d, h=h)
-        isl = fd.detect_islands(f, 0.3, 1.0)
+        f = fd.FieldRealization(spec_unit, sites, values, d)
+        isl = fd.detect_islands(f, 0.3, 1.0, h=h)
         assert sorted(isl.islands) == oracle_islands(f, 0.3, 1.0, h)
         cl = fd.build_clusters(isl, eta, 1.0)
         assert sorted(c.site_indices for c in cl.clusters) == oracle_clusters(isl, eta, 1.0)
@@ -785,7 +778,7 @@ class TestNeighbourIndex:
         x = geo.point_at(d, r, direction)
         step = {"in": -direction, "out": direction, "any": other}[way]
         y = geo.frame_step(x, 10.0 ** log_step * step)
-        dist = geo.distance(x, y, validate=False)
+        dist = geo.distance(x, y)
         for a, b in ((x, y), (y, x)):
             _, si = geo._SiteIndex(b[None, :]).candidates(a[None, :], dist)
             assert si.tolist() == [0]
@@ -816,8 +809,8 @@ class TestNeighbourIndex:
         # so do 1 and 2, so the cluster holding island 0 must come first
         along = geo.point_at(2, np.array([0.0, 5.0, 5.3, 0.3]),
                              np.tile([1.0, 0.0], (4, 1)))
-        f = fd.FieldRealization(spec_unit, along, np.full(4, 5.0), 2, h=0.01)
-        isl = fd.detect_islands(f, 1.0, 1.0)
+        f = fd.FieldRealization(spec_unit, along, np.full(4, 5.0), 2)
+        isl = fd.detect_islands(f, 1.0, 1.0, h=0.01)
         assert isl.islands == [[0], [1], [2], [3]]
         cl = fd.build_clusters(isl, 0.4, 1.0)
         assert [(c.label, c.island_ids) for c in cl.clusters] == [(0, [0, 3]),
@@ -829,7 +822,7 @@ def test_factorization_failure_on_invalid_profile():
     # jitter ladder must refuse to paper over it
     grid = np.linspace(0.0, 10.0, 801)
     vals = np.cos(6.0 * grid)
-    fake = fd.CovarianceSpec(1.0, 10.0, "poly3", 2, grid, vals,
+    fake = fd.CovarianceSpec(1.0, 10.0, 2, grid, vals,
                              fd._clamped_pieces(grid, vals))
     sites = geo.sample_region(geo.BallRegion(4.0), 2, stream(13, "bad"), 40)
     with pytest.raises(fd.FactorizationError):
@@ -841,7 +834,7 @@ def test_extension_failure_on_invalid_profile():
     # sites, then 20 new ones, through the dense kernel's ladder
     grid = np.linspace(0.0, 10.0, 801)
     vals = np.cos(6.0 * grid)
-    fake = fd.CovarianceSpec(1.0, 10.0, "poly3", 2, grid, vals,
+    fake = fd.CovarianceSpec(1.0, 10.0, 2, grid, vals,
                              fd._clamped_pieces(grid, vals))
     sites = geo.sample_region(geo.BallRegion(4.0), 2, stream(13, "bad"), 40)
     base = fd.FieldRealization(fake, sites[:20], np.zeros(20), 2)

@@ -73,17 +73,6 @@ def test_calibrate_exact_d3():
     assert cal.C2 / cal.C1 <= 100.0
 
 
-def test_calibrate_degenerate_grid():
-    cal = hk.calibrate(3, t_grid=[1.0], rho_grid=[2.0])
-    assert cal.C1 == cal.C2
-
-
-@pytest.mark.parametrize("grids", [{"t_grid": []}, {"rho_grid": []}])
-def test_calibrate_empty_grid_fails_typed(grids):
-    with pytest.raises(hk.CalibrationFailed, match="empty"):
-        hk.calibrate(3, **grids)
-
-
 def test_calibrate_exact_d2_matches_direct_form():
     # the full default grid, every ratio from McKean's kernel against the
     # direct-form oracle: the same extremes to 1e-9, deterministically
@@ -203,7 +192,7 @@ class TestBridgeMarginal:
         spec = bm.BridgeSpec(x, y, s)
         _, pts = bm.simulate_bridge_batch(spec, s / 96, seed=4, n_paths=4000)
         mid = geo.geodesic_point(x, y, 0.5)
-        samples = geo.distance(pts[48], mid[None, :], validate=False)
+        samples = geo.distance(pts[48], mid[None, :])
 
         rs = np.linspace(1e-9, 1.5, 500)
         dens = []

@@ -1,5 +1,6 @@
 """Every top-level function and class of ``src/hypam`` is reached by a
-program, and every option of a library function is set by one.
+program, every option of a library function is set by one, and every field
+of a library dataclass is read by one.
 
 The programs are the ``hypam`` subcommands (``hypam/cli.py``), the scripts,
 the benchmark (``perfbench/``, with the dotted span targets of
@@ -16,7 +17,12 @@ program passes it when it names it, or gives more positional arguments
 than there are parameters before it (a ``*`` or ``**`` argument passes
 every parameter of its kind).  Calls are matched to definitions by name, as
 above, and a method's instance or class argument is not counted.  An option
-no call passes keeps a second path that only unit tests run.
+no call passes keeps a second path that only unit tests run.  A dataclass
+field with a default is an option of the class's constructor.
+
+A field is read when library or program code loads it as an attribute of
+that name (matched by name, as above).  A field nothing reads is filled on
+every call for unit tests or for no one.
 
 Everything is read with ``ast``; nothing is imported or run.
 """
@@ -43,6 +49,21 @@ KEEP_OPTIONS = {
                       "studies of ROADMAP items 3, 11 and 12 set it",
     "heat_equation_residual(d)": "the residual is checked on both exact "
                                  "kernels, d = 2 and d = 3; programs check d = 3",
+}
+
+
+# dataclasses whose fields are exempt from the read check, with the reason
+WHOLE = {
+    "FitReport": "serialised whole through asdict in FitReport.to_dict",
+    "RunConfig": "serialised whole through asdict in format_config; its "
+                 "fields are the config keys users set",
+    "StayingSplit": "built only by the KEEP'd staying_excursion_split",
+}
+
+# dataclasses whose defaulted fields are exempt from the option check
+FREE_DEFAULTS = {
+    "RunConfig": "its fields are the config keys users set; the defaults are "
+                 "the values of the keys a run does not set",
 }
 
 
@@ -127,21 +148,56 @@ def _options(node, bound):
             yield arg.arg, None
 
 
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if (isinstance(target, ast.Name) and target.id == "dataclass"
+                or isinstance(target, ast.Attribute) and target.attr == "dataclass"):
+            return True
+    return False
+
+
+def _dataclasses():
+    """(module, class node) of each top-level dataclass of the library."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef) and _is_dataclass(stmt):
+                yield path.stem, stmt
+
+
+def _fields(node):
+    """(name, has default, in ``__init__``) of each field of a dataclass, in
+    order; ``field(init=False)`` leaves a field out of ``__init__``."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            init = not (isinstance(stmt.value, ast.Call) and any(
+                kw.arg == "init" and isinstance(kw.value, ast.Constant)
+                and kw.value.value is False for kw in stmt.value.keywords))
+            yield stmt.target.id, stmt.value is not None, init
+
+
 def _library_functions():
-    """(module, call name, node, bound) of each top-level function and each
-    method of a top-level class; a class is called by its own name to reach
-    ``__init__``, and a static method binds nothing."""
+    """(module, call name, node, options) of each top-level function, each
+    method of a top-level class and each dataclass but those in
+    ``FREE_DEFAULTS``; ``options`` lists ``(option, positional index or
+    None)``.  A class is called by its own name to reach ``__init__`` or its
+    dataclass constructor, and a static method binds nothing."""
+    for module, node in _dataclasses():
+        if node.name not in FREE_DEFAULTS:
+            init = [(name, default) for name, default, in_init in _fields(node) if in_init]
+            yield module, node.name, node, [(name, i) for i, (name, default)
+                                            in enumerate(init) if default]
     for path in sorted(LIBRARY.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield path.stem, stmt.name, stmt, 0
+                yield path.stem, stmt.name, stmt, list(_options(stmt, 0))
             elif isinstance(stmt, ast.ClassDef):
                 for sub in stmt.body:
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         static = any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
                                      for dec in sub.decorator_list)
                         name = stmt.name if sub.name == "__init__" else sub.name
-                        yield path.stem, name, sub, 0 if static else 1
+                        yield path.stem, name, sub, list(_options(sub, 0 if static else 1))
 
 
 def test_every_option_is_set_by_a_program():
@@ -162,8 +218,8 @@ def test_every_option_is_set_by_a_program():
 
     options = {}   # "name(option)" -> [module.function (line)]
     unset = set()
-    for module, name, node, bound in _library_functions():
-        for option, index in _options(node, bound):
+    for module, name, node, node_options in _library_functions():
+        for option, index in node_options:
             key = f"{name}({option})"
             options.setdefault(key, []).append(f"{module}.{node.name} (line {node.lineno})")
             if not any(passed(call, option, index) for call in calls.get(name, ())):
@@ -176,3 +232,19 @@ def test_every_option_is_set_by_a_program():
                    for where in options[key])
     assert not unset, ("only unit tests set these options; drop the option "
                        "or move its other path to tests/oracles.py: " + ", ".join(unset))
+
+
+def test_every_field_is_read_by_a_program():
+    read = set()
+    for path in {*sorted(LIBRARY.glob("*.py")), *_program_paths()}:
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    classes = list(_dataclasses())
+    exempt = set(WHOLE) | set(FREE_DEFAULTS)
+    assert exempt <= {node.name for _, node in classes}, (
+        f"not library dataclasses: {sorted(exempt - {node.name for _, node in classes})}")
+    unread = sorted(f"{module}.{node.name}.{field} (line {node.lineno})"
+                    for module, node in classes if node.name not in WHOLE
+                    for field, _, _ in _fields(node) if field not in read)
+    assert not unread, ("no program reads these fields; delete them with the "
+                        "code that fills them: " + ", ".join(unread))

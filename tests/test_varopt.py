@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypam import varopt
+from hypam import field as fd, varopt
 from hypam.config import ConstraintViolation
 from hypam.varopt import ModelParams
 
@@ -15,6 +15,20 @@ def test_optimize_closed_forms(params2):
     assert abs(sol.L_star - 3 * 2 ** (4 / 3) / 5 ** (5 / 3) * a ** (2 / 3)) < 1e-12
     assert sol.gradient_norm <= 1e-6
     assert sol.grid_gap <= 1e-6
+
+
+def test_optimize_tiny_field_strength():
+    # K* is about 8e-6 at sigma2 = 1e-14, below the 1e-5 finite-difference
+    # step, so a fixed K step would evaluate the profile at a negative K
+    for sigma2 in (1e-14, 1e-20):
+        sol = varopt.optimize_f(ModelParams(2, sigma2))
+        assert sol.K_star < 1e-5 and sol.grid_gap <= 1e-6
+
+
+def test_optimize_failed_cross_check_is_typed():
+    # at this strength the independent search cannot resolve the optimum
+    with pytest.raises(varopt.CrossCheckFailed, match="disagrees"):
+        varopt.optimize_f(ModelParams(2, 1e-40))
 
 
 def test_optimize_scaling_law():
@@ -126,23 +140,32 @@ class TestInequalities:
 
 
 class TestRouteConstants:
+    # the constants do not depend on (alpha, mu); these pass the route-error
+    # feasibility check at every (eta, lam, delta) below
+    ALPHA, MU = 0.5, 0.01
+
+    def consts(self, eta, lam, delta, params):
+        return varopt.route_constants(eta, lam, delta, 1.0, params, 1.0,
+                                      alpha=self.ALPHA, mu=self.MU)
+
     def test_worked_example(self, params2):
-        consts, _ = varopt.route_constants(1e-3, 1e-4, 1.0, 1.0, params2, 1.0)
+        consts, _ = self.consts(1e-3, 1e-4, 1.0, params2)
         assert abs(consts.L_delta - 2.02) < 1e-12
-        assert abs(consts.eta_delta - 0.0275) < 5e-5
+        _, eta_delta = fd.cluster_constants(1.0, params2.d, 1.0, 1.0)
+        assert abs(eta_delta - 0.0275) < 5e-5
 
     def test_eta_halving_doubles_cap(self, params2):
-        c1, _ = varopt.route_constants(1e-3, 1e-4, 1.0, 1.0, params2, 1.0)
-        c2, _ = varopt.route_constants(5e-4, 1e-4, 1.0, 1.0, params2, 1.0)
+        c1, _ = self.consts(1e-3, 1e-4, 1.0, params2)
+        c2, _ = self.consts(5e-4, 1e-4, 1.0, params2)
         assert abs(c2.N_eta - 2.0 * c1.N_eta) < 1e-9
 
     def test_delta_scaling(self, params2):
-        c1, _ = varopt.route_constants(1e-4, 1e-5, 1.0, 1.0, params2, 1.0)
-        c2, _ = varopt.route_constants(1e-4, 1e-5, 0.5, 1.0, params2, 1.0)
+        c1, _ = self.consts(1e-4, 1e-5, 1.0, params2)
+        c2, _ = self.consts(1e-4, 1e-5, 0.5, params2)
         assert abs(c2.L_delta - 4.0 * c1.L_delta) < 1e-9
 
     def test_error_term_limit(self, params2):
-        consts, err_fn = varopt.route_constants(1e-3, 1e-4, 1.0, 1.0, params2, 1.0)
+        consts, err_fn = self.consts(1e-3, 1e-4, 1.0, params2)
         bracket = (consts.N_eta * consts.L_delta * (6 * consts.L_delta + 0.5)
                    + 2 * consts.L_delta)
         limit = 1e-4 * bracket
@@ -154,5 +177,4 @@ class TestRouteConstants:
     def test_constraint_violation_raised(self, params2):
         with pytest.raises(ConstraintViolation):
             varopt.route_constants(1e-3, 0.5e-3, 0.5, 2.0, params2, 1.0,
-                                   check_constraint=True, alpha=0.9,
-                                   mu=1.1 * params2.mu0)
+                                   alpha=0.9, mu=1.1 * params2.mu0)
