@@ -35,7 +35,7 @@ def main():
     header = "      " + " ".join(f"{f:>8.2f}" for f in factors)
     print(header)
     for a in alphas:
-        row = [l_star_relaxed(a, f * p.mu0, p) / base for f in factors]
+        row = [l_star_relaxed(a, f * p.mu0) / base for f in factors]
         print(f"{a:5.2f} " + " ".join(f"{v:8.4f}" for v in row))
 
 

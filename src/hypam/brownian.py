@@ -35,15 +35,12 @@ class Trajectory:
         if np.any(np.diff(self.times) <= 0) and len(self.times) > 1:
             raise ValueError("times must be strictly increasing")
 
-    def step_lengths(self):
-        return geo.distance(self.points[:-1], self.points[1:])
-
     def max_step_ratio(self):
         """Largest step length relative to the sqrt(2*dt) diffusive scale."""
         if len(self.times) < 2:
             return 0.0
-        dts = np.diff(self.times)
-        return float(np.max(self.step_lengths() / np.sqrt(2.0 * dts)))
+        steps = geo.distance(self.points[:-1], self.points[1:])
+        return float(np.max(steps / np.sqrt(2.0 * np.diff(self.times))))
 
 
 @dataclass(frozen=True)
@@ -270,17 +267,6 @@ def simulate_bridge_batch(spec, dt, seed, n_paths, stream_id=0):
     return times, out
 
 
-def bridge_tube_exceedance(spec, delta_half, dt, seed, n_paths, stream_id=0):
-    """Number of the ``n_paths`` bridges with sup_v d(bridge_v, geodesic_v)
-    > delta_half on the sampling grid."""
-    times, pts = simulate_bridge_batch(spec, dt, seed, n_paths,
-                                       stream_id=stream_id)
-    fracs = times / spec.s
-    gamma = geo.geodesic_point(spec.start, spec.end, fracs)   # (n_steps+1, d+1)
-    dev = geo.distance(pts, gamma[:, None, :])
-    return int(np.count_nonzero(np.max(dev, axis=0) > delta_half))
-
-
 def bridge_ldp_decay(x, y, delta, s_list, n_paths, seed):
     """Small-time decay of the bridge tube-exceedance probability.
 
@@ -293,8 +279,10 @@ def bridge_ldp_decay(x, y, delta, s_list, n_paths, seed):
     xs, ys = [], []
     for k, s in enumerate(s_list):
         spec = BridgeSpec(np.asarray(x, float), np.asarray(y, float), float(s))
-        hits = bridge_tube_exceedance(spec, delta / 2.0, s / 64, seed, n_paths,
-                                      stream_id=k)
+        times, pts = simulate_bridge_batch(spec, s / 64, seed, n_paths, stream_id=k)
+        gamma = geo.geodesic_point(spec.start, spec.end, times / spec.s)
+        dev = np.max(geo.distance(pts, gamma[:, None, :]), axis=0)
+        hits = int(np.count_nonzero(dev > delta / 2.0))
         p = hits / n_paths
         lo, hi = wilson_ci(hits, n_paths)
         rows.append({"s": float(s), "p_hat": p, "hits": hits, "n": n_paths,
@@ -326,128 +314,53 @@ def path_energy(points):
 
 @dataclass
 class EnergyExcessReport:
-    min_energy: float | None    # None when no SLSQP trial converged
+    min_energy: float
     bound: float
     holds: bool
     base_distance: float
     endpoint_slack: float
     deviation: float
     constraints_ok: bool
-    n_converged: int
 
 
 def check_eta_zeta(K_star, delta, eta, zeta):
     """Quantitative admissibility of the deviation parameters."""
     ok = (delta < K_star
-          and eta < min(delta / 24.0, delta ** 2 / (2560.0 * K_star))
+          and eta < min(delta / 24.0, delta * delta / (2560.0 * K_star))
           and zeta > 0
-          and delta ** 2 / 128.0 - 4.0 * K_star * (5.0 * eta + 2.0 * K_star * zeta) > 0)
+          and delta * delta / 128.0 - 4.0 * K_star * (5.0 * eta + 2.0 * K_star * zeta) > 0)
     return bool(ok)
 
 
-def _offset_path_energy(K_star, d, n):
-    """Endpoints o, y at distance K_star, and the energy of offset paths with
-    its exact gradient.
+def energy_excess_check(K_star, delta, eta, zeta):
+    """Exact minimum discrete energy of paths forced off the geodesic.
 
-    Node i of the path (i = 1..n) is the geodesic step from the uniform node
-    gamma(i/n) of [o, y] with orthonormal-frame coefficients z[i-1]; node 0
-    is o.  ``energy_of`` and ``energy_grad`` take the flattened (n, d)
-    coefficients.  The energy is n * sum_i D_i^2 over segment lengths D_i,
-    and its gradient is the chain rule through three maps:
+    Paths of n = ``_N_SEGMENTS`` segments run from o toward y, d(o, y) =
+    K_star, with energy n sum_i D_i^2.  Node j, for some j in {n/4, n/2,
+    3n/4}, lies at least r = delta/4 from the geodesic node gamma_j, and the
+    end node within sigma = 3 eta + 2 K_star zeta of y.  With s = j K_star / n
+    and m = n - j, the least energy at node j is E_j = (K_star - sigma)_+^2
+    if min(sigma, K_star) j / n >= r, else n [(s - r)^2 / j + (K_star - s + r
+    - sigma)_+^2 / m], and ``min_energy`` = min_j E_j, whatever d.  Proof:
 
-    - a segment [a, b] has cosh D = a0 b0 - a_s.b_s, so
-      d(D^2)/da = 2 (D / sinh D) (b0, -b_s), with D / sinh D -> 1 as D -> 0;
-    - each node satisfies the constraint a0 = sqrt(1 + |a_s|^2), which folds
-      the time component of a node's gradient into the spatial one as
-      a_s / a0;
-    - ``frame_step`` from gamma = (g0, g_s) has spatial part
-      cosh(r) g_s + f(r) T_s z with r = |z|, f(r) = sinh(r) / r and
-      T_s = I + g_s g_s^T / (1 + g0), so
-      dx_s/dz = f(r) (g_s z^T + T_s) + (f'(r) / r) (T_s z) z^T.  That is
-      sinh(r) g_s zhat^T + f(r) T_s + f'(r) (T_s z) zhat^T, written so that
-      r = 0 needs no direction; f'(r) / r -> 1/3 there.
-    """
-    x = geo.origin(d)
-    y = geo.point_at(d, K_star, np.eye(d)[0])
-    gamma = geo.geodesic_point(x, y, np.linspace(0.0, 1.0, n + 1))[1:]
-    gs = gamma[:, 1:]
-    gs_scaled = gs / (1.0 + gamma[:, :1])
-    lower = np.r_[1.0, -np.ones(d)]          # p -> (p0, -p_s)
+    1. Between fixed nodes, n sum D_i^2 is least on equally spaced geodesic
+       nodes (Cauchy-Schwarz, as in ``varopt.chain_bound``).  So only the
+       deviated node p and the end node q are free; q is best on [p, y] at
+       distance sigma from y.
+    2. The reduced energy a^2/j + (b - sigma)_+^2/m, a = d(o, p), b = d(p, y),
+       is geodesically convex in p, and its free minimiser lies on [o, y] at
+       distance min(sigma, K_star) j / n from gamma_j.  Outside the deviation
+       ball it is the answer; else the minimum is on the sphere S(gamma_j, r).
+    3. There, with c the cosine of the angle to the geodesic, a^2 and b^2 are
+       concave in c (law of cosines; arccosh(u)^2 is concave), a^2/j + b^2/m
+       is equal at c = +-1 as s/j = (K_star - s)/m, and b^2 - (b - sigma)_+^2
+       grows with b, largest at c = -1.  So the node steps back: c = -1.
 
-    def nodes(z):
-        return np.vstack([x, geo.frame_step(gamma, z.reshape(n, d))])
-
-    def energy_of(z):
-        return path_energy(nodes(z))
-
-    def energy_grad(z):
-        z = z.reshape(n, d)
-        pts = nodes(z)
-        D = geo.distance(pts[:-1], pts[1:])
-        w = 2.0 * n * np.divide(D, np.sinh(D), out=np.ones(n), where=D > 0.0)
-        low = pts * lower
-        grad_pts = w[:, None] * low[:-1]      # segment i-1 ends at node i
-        grad_pts[:-1] += w[1:, None] * low[2:]
-        grad_s = grad_pts[:, 1:] + grad_pts[:, :1] * pts[1:, 1:] / pts[1:, :1]
-        r = np.sqrt(np.sum(z * z, axis=1))
-        rs = np.maximum(r, 1e-2)
-        small = r < 1e-2
-        r2 = r * r
-        f = np.where(small, 1.0 + r2 / 6.0 + r2 * r2 / 120.0, np.sinh(rs) / rs)
-        h = np.where(small, 1.0 / 3.0 + r2 / 30.0 + r2 * r2 / 840.0,
-                     (rs * np.cosh(rs) - np.sinh(rs)) / rs ** 3)
-        g_dot_grad = np.sum(gs * grad_s, axis=1, keepdims=True)
-        t_grad = grad_s + gs_scaled * g_dot_grad
-        t_z = z + gs_scaled * np.sum(gs * z, axis=1, keepdims=True)
-        out = (f[:, None] * (z * g_dot_grad + t_grad)
-               + (h * np.sum(t_z * grad_s, axis=1))[:, None] * z)
-        return out.ravel()
-
-    return x, y, energy_of, energy_grad
-
-
-def _node_norm_constraint(n, d, k, sign, offset):
-    """SLSQP inequality sign * |z_k| + offset >= 0 with its exact Jacobian,
-    sign * z_k / |z_k| in block k (zero at z_k = 0) and zero elsewhere."""
-    def fun(z):
-        return sign * np.linalg.norm(z.reshape(n, d)[k]) + offset
-
-    def jac(z):
-        out = np.zeros((n, d))
-        zk = z.reshape(n, d)[k]
-        r = np.linalg.norm(zk)
-        if r > 0.0:
-            out[k] = sign * zk / r
-        return out.ravel()
-
-    return {"type": "ineq", "fun": fun, "jac": jac}
-
-
-def _minimize_energy(energy_of, energy_grad, z0, cons, lim):
-    from scipy import optimize
-    return optimize.minimize(energy_of, z0, jac=energy_grad, method="SLSQP",
-                             constraints=cons, bounds=[(-lim, lim)] * z0.size,
-                             options={"maxiter": 300, "ftol": 1e-12})
-
-
-def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2):
-    """Minimum discrete energy of paths forced off the geodesic.
-
-    Paths from o to a point y at distance K_star are parametrized by tangent
-    offsets at uniform nodes; they must deviate at least delta/4 from the
-    geodesic at some node while ending within 3*eta + 2*K_star*zeta of y.
-    The constrained minimum is compared against
-    d(x,y)^2 + delta^2/128 - 4*K_star*(5*eta + 2*K_star*zeta).  SLSQP gets
-    the exact energy gradient of ``_offset_path_energy`` and the exact
-    constraint Jacobians, so no objective call goes to finite differences.
-    Only converged trials count; if none converges, ``min_energy`` is None
-    and the bound does not hold.
-
-    The quantitative parameter relations (:func:`check_eta_zeta`, under which
-    the bound term is positive and the comparison sharp) are reported as
-    ``constraints_ok``, not enforced.  A distance K_star <= 0 raises
-    :class:`ConstraintViolation`: there is no geodesic to deviate from.  So
-    does a negative eta or zeta, the tolerances of the endpoint slack.
+    ``holds`` when the minimum is at least K_star^2 + delta^2/128 -
+    4 K_star (5 eta + 2 K_star zeta) - 1e-2; products, not powers, give inf
+    for a huge K_star.  :func:`check_eta_zeta` is reported as
+    ``constraints_ok``, not enforced.  K_star <= 0 and a negative eta or zeta
+    raise :class:`ConstraintViolation`.
     """
     if not K_star > 0:
         raise ConstraintViolation(f"K must be positive (got K={K_star})")
@@ -456,30 +369,17 @@ def energy_excess_check(K_star, delta, eta, zeta, n_trials, seed, d=2):
             raise ConstraintViolation(f"{key} must be nonnegative (got {key}={val})")
     constraints_ok = check_eta_zeta(K_star, delta, eta, zeta)
     n = _N_SEGMENTS
-    x, y, energy_of, energy_grad = _offset_path_energy(K_star, d, n)
     slack = 3.0 * eta + 2.0 * K_star * zeta
     dev = delta / 4.0
-    base = float(geo.distance(x, y))
-    bound = base ** 2 + delta ** 2 / 128.0 - 4.0 * K_star * (5.0 * eta + 2.0 * K_star * zeta)
-    endpoint = _node_norm_constraint(n, d, n - 1, -1.0, slack)
-
-    rng = stream(seed, "energy")
-    best = None
-    n_converged = 0
-    candidate_nodes = sorted({n // 4, n // 2, (3 * n) // 4} - {0})
-    for j in candidate_nodes:
-        deviated = _node_norm_constraint(n, d, j - 1, 1.0, -dev)
-        for trial in range(max(1, n_trials)):
-            z0 = 1e-3 * rng.standard_normal(n * d)
-            z0 = z0.reshape(n, d)
-            sign = 1.0 if trial % 2 == 0 else -1.0
-            z0[j - 1, -1] = sign * dev * 1.05      # start on the deviated side
-            res = _minimize_energy(energy_of, energy_grad, z0.ravel(),
-                                   [deviated, endpoint], base + 2.0)
-            if res.success:
-                n_converged += 1
-                if best is None or res.fun < best:
-                    best = float(res.fun)
-    holds = best is not None and best >= bound - 1e-2
-    return EnergyExcessReport(best, bound, holds, base, slack, dev,
-                              constraints_ok, n_converged)
+    ahead = max(K_star - slack, 0.0)
+    energies = []
+    for j in (n // 4, n // 2, 3 * n // 4):
+        s, m = j * K_star / n, n - j
+        rest = max(K_star - s + dev - slack, 0.0)
+        energies.append(ahead * ahead if min(slack, K_star) * j / n >= dev
+                        else n * ((s - dev) * (s - dev) / j + rest * rest / m))
+    min_energy = min(energies)
+    bound = (K_star * K_star + delta * delta / 128.0
+             - 4.0 * K_star * (5.0 * eta + 2.0 * K_star * zeta))
+    return EnergyExcessReport(min_energy, bound, min_energy >= bound - 1e-2,
+                              K_star, slack, dev, constraints_ok)

@@ -9,8 +9,8 @@ byte-identical outputs; re-running from a manifest reproduces the run.
 
 Exit codes: 0 success, 2 constraint violation (a region too small to pack
 included) or config error (a ``subcommand`` override included), 3 budget
-exceeded or a failed covariance factorisation, heat-kernel calibration or
-cross-check of the variational optimum.
+exceeded, a failed covariance factorisation, heat-kernel calibration or
+cross-check of the variational optimum, or a NaN or infinity in the summary.
 """
 
 import argparse
@@ -45,10 +45,14 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_json(path, obj):
+def _json_text(obj):   # strict JSON: a NaN or an infinity raises ValueError
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default,
+                      allow_nan=False) + "\n"
+
+
+def write_json(path, text):
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _json_default(o):
@@ -150,13 +154,11 @@ def run_bridge_ldp(cfg):
 
 
 def run_energy_bound(cfg):
-    rep = brownian.energy_excess_check(cfg.K, cfg.delta, cfg.eta, cfg.zeta,
-                                       n_trials=2, seed=cfg.seed, d=cfg.d)
+    rep = brownian.energy_excess_check(cfg.K, cfg.delta, cfg.eta, cfg.zeta)
     return (["min_energy", "bound", "holds"],
             [[rep.min_energy, rep.bound, rep.holds]],
             {"min_energy": rep.min_energy, "bound": rep.bound,
-             "holds": rep.holds, "n_converged": rep.n_converged,
-             "constraints_ok": rep.constraints_ok,
+             "holds": rep.holds, "constraints_ok": rep.constraints_ok,
              "base_distance": rep.base_distance,
              "endpoint_slack": rep.endpoint_slack, "deviation": rep.deviation})
 
@@ -268,6 +270,11 @@ def run(subcommand, cfg):
             varopt.CrossCheckFailed) as exc:
         print(f"budget exceeded or numerical failure: {exc}", file=sys.stderr)
         return 3
+    try:
+        text = _json_text(summary)
+    except ValueError as exc:
+        print(f"numerical failure: summary is not strict JSON: {exc}", file=sys.stderr)
+        return 3
     # written only after a successful run, so a failed run into a reused
     # --out leaves the previous run's three files together
     try:
@@ -275,7 +282,7 @@ def run(subcommand, cfg):
         with open(os.path.join(cfg.out, "manifest.cfg"), "w") as fh:
             fh.write(format_config(cfg, subcommand))
         write_csv(os.path.join(cfg.out, "data.csv"), header, rows)
-        write_json(os.path.join(cfg.out, "summary.json"), summary)
+        write_json(os.path.join(cfg.out, "summary.json"), text)
     except OSError as exc:
         print(f"config error: cannot write --out {cfg.out!r}: {exc}",
               file=sys.stderr)

@@ -588,7 +588,7 @@ def route_budget(geom, t, alpha, mu, params, lam, eta, delta, K0, C_R0_hat):
     hat_bound_holds = bool(reduced_sum_hat
                            >= (geom.k_star - r_t) * scale - 1e-9 * max(1.0, scale))
 
-    L_rel = l_star_relaxed(alpha, mu, params)
+    L_rel = l_star_relaxed(alpha, mu)
     main = L_rel * t ** (5.0 / 3.0)
     k = geom.k_star
 
@@ -690,17 +690,21 @@ def long_route_tail(eta, N, t, params, K0):
     log bound adds -((eta*N)^2/32 - 2*mu0*sqrt(K0)) * t^(5/3); its sign flips
     exactly at eta*N = sqrt(64 * mu0 * sqrt(K0)).  A K0 that is not positive
     raises :class:`ConstraintViolation`, as :func:`field.cluster_constants`
-    does.
+    does, and so do an eta or a t so large that a power of them overflows.
     """
     if N < 1 or eta <= 0 or t <= 0:
         raise ConstraintViolation("need N >= 1, eta > 0, t > 0")
     if not K0 > 0:
         raise ConstraintViolation(f"K0 must be positive (got K0={K0})")
-    a_half = eta * t ** (4.0 / 3.0) / 4.0
+    try:
+        a_half = eta * t ** (4.0 / 3.0) / 4.0
+        exponent = (eta * N) ** 2 / 32.0 - 2.0 * params.mu0 * math.sqrt(K0)
+        t_scale = t ** (5.0 / 3.0)
+    except OverflowError:
+        raise ConstraintViolation("eta and t must keep (eta*N)^2 and t^(5/3) "
+                                  f"finite (got eta={eta}, N={N}, t={t})") from None
     log_F = 0.5 * N * math.log(2.0) + _log_erfc(N * a_half / math.sqrt(2.0 * t))
-    exponent = (eta * N) ** 2 / 32.0 - 2.0 * params.mu0 * math.sqrt(K0)
-    return LongRouteReport(log_F, exponent,
-                           log_F - exponent * t ** (5.0 / 3.0), eta, t)
+    return LongRouteReport(log_F, exponent, log_F - exponent * t_scale, eta, t)
 
 
 def long_route_threshold(params, K0):

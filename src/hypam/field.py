@@ -654,10 +654,18 @@ def cluster_constants(delta, d, K0, C_R0_hat):
 
     L_delta = 1.01 * 2 (d-1) K0 / (C_hat * delta^2);
     eta_delta = 0.99 * min(1 / (4 L_delta^2), C_hat^2 delta^4 / (36 (d-1)^2)).
+    Arguments that are not positive, d < 2, and arguments for which a power
+    over- or underflows raise :class:`ConstraintViolation`.
     """
-    if min(delta, K0, C_R0_hat) <= 0 or d < 2:
-        raise ConstraintViolation("all cluster-constant arguments must be positive, d >= 2")
-    L_delta = 1.01 * 2.0 * (d - 1) * K0 / (C_R0_hat * delta ** 2)
-    eta_delta = 0.99 * min(1.0 / (4.0 * L_delta ** 2),
-                           C_R0_hat ** 2 * delta ** 4 / (36.0 * (d - 1) ** 2))
+    try:
+        L_delta = 1.01 * 2.0 * (d - 1) * K0 / (C_R0_hat * delta ** 2)
+        eta_delta = 0.99 * min(1.0 / (4.0 * L_delta ** 2),
+                               C_R0_hat ** 2 * delta ** 4 / (36.0 * (d - 1) ** 2))
+    except (OverflowError, ZeroDivisionError):
+        eta_delta = 0.0
+    # an infinite L_delta gives eta_delta = 0
+    if min(delta, K0, C_R0_hat) <= 0 or d < 2 or not 0.0 < eta_delta < math.inf:
+        raise ConstraintViolation(
+            "cluster constants need positive delta, K0 and C_R0_hat, d >= 2, and "
+            f"finite positive values (got delta={delta}, K0={K0}, C_R0_hat={C_R0_hat})")
     return L_delta, eta_delta

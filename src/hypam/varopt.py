@@ -134,7 +134,7 @@ def optimize_f(params):
     return VariationalSolution(eps_star, K_star, L_star, gap, grad)
 
 
-def l_star_relaxed(alpha, mu, params):
+def l_star_relaxed(alpha, mu):
     """Relaxed growth value max over K>0, v in (0,1) of mu*sqrt(K)*(1-v) - alpha*K^2/(4v).
 
     Reduces to the optimum of the base profile at alpha = 1, mu = mu0.  The

@@ -5,14 +5,15 @@ available (explicit scans, BFS, transitive closure, step-by-step simulation)
 so the production implementations are checked against something that shares
 no code with them.  The last section holds the checks that the unit tests
 compare the library against (a bridge's midpoint density and its
-normalisation, the law-of-cosines side, the unconstrained path-energy
-minimum, the drift bound's smoothing blend and the Poincare-ball distance);
-no program of the package runs them.
+normalisation, the law-of-cosines side, the path-energy minima by SLSQP,
+the drift bound's smoothing blend and the Poincare-ball distance); no
+program of the package runs them.
 """
 
 import math
 
 import numpy as np
+from scipy import optimize
 from scipy.interpolate import CubicSpline
 
 from hypam import brownian as bm, geometry as geo, heatkernel as hk
@@ -601,6 +602,120 @@ def bridge_marginal_normalization(t_a, t_b, t_mid, D, n_r=400, n_theta=200):
     return 2.0 * np.pi * trapezoid(inner, r)
 
 
+def offset_path_energy(K_star, d, n):
+    """Endpoints o, y at distance K_star, and the energy of offset paths with
+    its exact gradient.
+
+    Node i of the path (i = 1..n) is the geodesic step from the uniform node
+    gamma(i/n) of [o, y] with orthonormal-frame coefficients z[i-1]; node 0
+    is o.  ``energy_of`` and ``energy_grad`` take the flattened (n, d)
+    coefficients.  The energy is n * sum_i D_i^2 over segment lengths D_i,
+    and its gradient is the chain rule through three maps:
+
+    - a segment [a, b] has cosh D = a0 b0 - a_s.b_s, so
+      d(D^2)/da = 2 (D / sinh D) (b0, -b_s), with D / sinh D -> 1 as D -> 0;
+    - each node satisfies the constraint a0 = sqrt(1 + |a_s|^2), which folds
+      the time component of a node's gradient into the spatial one as
+      a_s / a0;
+    - ``frame_step`` from gamma = (g0, g_s) has spatial part
+      cosh(r) g_s + f(r) T_s z with r = |z|, f(r) = sinh(r) / r and
+      T_s = I + g_s g_s^T / (1 + g0), so
+      dx_s/dz = f(r) (g_s z^T + T_s) + (f'(r) / r) (T_s z) z^T.  That is
+      sinh(r) g_s zhat^T + f(r) T_s + f'(r) (T_s z) zhat^T, written so that
+      r = 0 needs no direction; f'(r) / r -> 1/3 there.
+    """
+    x = geo.origin(d)
+    y = geo.point_at(d, K_star, np.eye(d)[0])
+    gamma = geo.geodesic_point(x, y, np.linspace(0.0, 1.0, n + 1))[1:]
+    gs = gamma[:, 1:]
+    gs_scaled = gs / (1.0 + gamma[:, :1])
+    lower = np.r_[1.0, -np.ones(d)]          # p -> (p0, -p_s)
+
+    def nodes(z):
+        return np.vstack([x, geo.frame_step(gamma, z.reshape(n, d))])
+
+    def energy_of(z):
+        return bm.path_energy(nodes(z))
+
+    def energy_grad(z):
+        z = z.reshape(n, d)
+        pts = nodes(z)
+        D = geo.distance(pts[:-1], pts[1:])
+        w = 2.0 * n * np.divide(D, np.sinh(D), out=np.ones(n), where=D > 0.0)
+        low = pts * lower
+        grad_pts = w[:, None] * low[:-1]      # segment i-1 ends at node i
+        grad_pts[:-1] += w[1:, None] * low[2:]
+        grad_s = grad_pts[:, 1:] + grad_pts[:, :1] * pts[1:, 1:] / pts[1:, :1]
+        r = np.sqrt(np.sum(z * z, axis=1))
+        rs = np.maximum(r, 1e-2)
+        small = r < 1e-2
+        r2 = r * r
+        f = np.where(small, 1.0 + r2 / 6.0 + r2 * r2 / 120.0, np.sinh(rs) / rs)
+        h = np.where(small, 1.0 / 3.0 + r2 / 30.0 + r2 * r2 / 840.0,
+                     (rs * np.cosh(rs) - np.sinh(rs)) / rs ** 3)
+        g_dot_grad = np.sum(gs * grad_s, axis=1, keepdims=True)
+        t_grad = grad_s + gs_scaled * g_dot_grad
+        t_z = z + gs_scaled * np.sum(gs * z, axis=1, keepdims=True)
+        out = (f[:, None] * (z * g_dot_grad + t_grad)
+               + (h * np.sum(t_z * grad_s, axis=1))[:, None] * z)
+        return out.ravel()
+
+    return x, y, energy_of, energy_grad
+
+
+def node_norm_constraint(n, d, k, sign, offset):
+    """SLSQP inequality sign * |z_k| + offset >= 0 with its exact Jacobian,
+    sign * z_k / |z_k| in block k (zero at z_k = 0) and zero elsewhere."""
+    def fun(z):
+        return sign * np.linalg.norm(z.reshape(n, d)[k]) + offset
+
+    def jac(z):
+        out = np.zeros((n, d))
+        zk = z.reshape(n, d)[k]
+        r = np.linalg.norm(zk)
+        if r > 0.0:
+            out[k] = sign * zk / r
+        return out.ravel()
+
+    return {"type": "ineq", "fun": fun, "jac": jac}
+
+
+def minimize_energy(energy_of, energy_grad, z0, cons, lim):
+    return optimize.minimize(energy_of, z0, jac=energy_grad, method="SLSQP",
+                             constraints=cons, bounds=[(-lim, lim)] * z0.size,
+                             options={"maxiter": 300, "ftol": 1e-12})
+
+
+def slsqp_energy_excess(K_star, delta, eta, zeta, d, n_trials, seed):
+    """``brownian.energy_excess_check``'s minimum found by local search.
+
+    SLSQP minimises the energy of ``offset_path_energy`` over the frame
+    offsets, with the deviation of at least delta/4 at node j in {n/4, n/2,
+    3n/4} and the endpoint slack 3*eta + 2*K_star*zeta as constraints, from
+    ``n_trials`` small random starts per node, alternately on either side
+    of the geodesic.  Returns the least energy of the converged runs, or
+    None if none converges.  A local search: a converged run may stop above
+    the minimum.
+    """
+    n = bm._N_SEGMENTS
+    x, y, energy_of, energy_grad = offset_path_energy(K_star, d, n)
+    dev = delta / 4.0
+    endpoint = node_norm_constraint(n, d, n - 1, -1.0, 3.0 * eta + 2.0 * K_star * zeta)
+    rng = stream(seed, "energy")
+    best = None
+    for j in (n // 4, n // 2, 3 * n // 4):
+        deviated = node_norm_constraint(n, d, j - 1, 1.0, -dev)
+        for trial in range(n_trials):
+            z0 = 1e-3 * rng.standard_normal((n, d))
+            z0[j - 1, -1] = (1.0 if trial % 2 == 0 else -1.0) * dev * 1.05
+            res = minimize_energy(energy_of, energy_grad, z0.ravel(),
+                                  [deviated, endpoint],
+                                  float(geo.distance(x, y)) + 2.0)
+            if res.success and (best is None or res.fun < best):
+                best = float(res.fun)
+    return best
+
+
 def geodesic_baseline_energy(K_star, d=2, slack=0.0):
     """Unconstrained minimum of ``energy_excess_check``'s discrete energy
     with optional endpoint slack.
@@ -608,10 +723,10 @@ def geodesic_baseline_energy(K_star, d=2, slack=0.0):
     Raises ``ConstraintViolation`` when SLSQP does not converge.
     """
     n = bm._N_SEGMENTS
-    x, y, energy_of, energy_grad = bm._offset_path_energy(K_star, d, n)
-    res = bm._minimize_energy(energy_of, energy_grad, np.zeros(n * d),
-                              [bm._node_norm_constraint(n, d, n - 1, -1.0, slack)],
-                              float(geo.distance(x, y)) + 2.0)
+    x, y, energy_of, energy_grad = offset_path_energy(K_star, d, n)
+    res = minimize_energy(energy_of, energy_grad, np.zeros(n * d),
+                          [node_norm_constraint(n, d, n - 1, -1.0, slack)],
+                          float(geo.distance(x, y)) + 2.0)
     if not res.success:
         raise ConstraintViolation(f"geodesic baseline SLSQP failed: {res.message}")
     return float(res.fun)

@@ -258,7 +258,7 @@ def test_c12_localized_lower_bound():
 
 
 def test_c13_ldp_suite():
-    rep = bm.energy_excess_check(1.0, 0.5, 0.02, 0.001, n_trials=2, seed=115, d=2)
+    rep = bm.energy_excess_check(1.0, 0.5, 0.02, 0.001)
     assert rep.min_energy >= rep.bound - 1e-2
     x = geo.origin(3)
     y = geo.point_at(3, 1.0, np.array([1.0, 0.0, 0.0]))

@@ -5,8 +5,9 @@ from scipy import integrate, optimize, stats as sps
 from hypam import brownian as bm, geometry as geo
 from hypam.config import ConstraintViolation, stream
 
-from oracles import (geodesic_baseline_energy, oracle_radial_batch,
-                     oracle_radial_drift, smoothing_blend)
+from oracles import (geodesic_baseline_energy, node_norm_constraint,
+                     offset_path_energy, oracle_radial_batch,
+                     oracle_radial_drift, slsqp_energy_excess, smoothing_blend)
 
 
 def _trajectory(d, t, dt, seed):
@@ -250,7 +251,7 @@ class TestEnergyGradient:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 0.5])
     def test_energy_gradient_matches_finite_differences(self, d, scale):
-        x, y, energy_of, energy_grad = bm._offset_path_energy(1.0, d, 16)
+        x, y, energy_of, energy_grad = offset_path_energy(1.0, d, 16)
         z = _offset_coeffs(d, scale, seed=int(1e3 * scale))
         nodes = geo.frame_step(geo.geodesic_point(x, y, np.linspace(0, 1, 17))[1:], z)
         assert geo.distance(nodes[9], nodes[10]) < 1e-7
@@ -262,24 +263,42 @@ class TestEnergyGradient:
     def test_constraint_jacobians_match_finite_differences(self, d, scale):
         z = _offset_coeffs(d, scale, seed=7).ravel()
         for k, sign, offset in ((7, 1.0, -0.125), (15, -1.0, 0.062)):
-            con = bm._node_norm_constraint(16, d, k, sign, offset)
+            con = node_norm_constraint(16, d, k, sign, offset)
             jac = con["jac"](z)
             assert np.count_nonzero(jac) == d
             assert _rel_err(jac, optimize.approx_fprime(z, con["fun"])) < 1e-5
         # the r = 0 node takes the zero subgradient
-        assert not np.any(bm._node_norm_constraint(16, d, 3, 1.0, 0.0)["jac"](z))
+        assert not np.any(node_norm_constraint(16, d, 3, 1.0, 0.0)["jac"](z))
 
     def test_gradient_on_the_geodesic(self):
         # interior nodes are stationary; moving the endpoint along the
         # geodesic (frame direction 1) changes the energy at rate 2 K
-        g = bm._offset_path_energy(1.3, 3, 16)[3](np.zeros(48)).reshape(16, 3)
+        g = offset_path_energy(1.3, 3, 16)[3](np.zeros(48)).reshape(16, 3)
         assert np.max(np.abs(g[:-1])) < 1e-12
         assert np.allclose(g[-1], [2.6, 0.0, 0.0], rtol=0.0, atol=1e-12)
 
 
-def _fail_minimize(fun, x0, **kwargs):
-    return optimize.OptimizeResult(x=x0, fun=0.0, success=False,
-                                   message="forced failure")
+# (K, delta, eta, zeta): the acceptance gate's case; a free minimiser outside
+# the deviation ball (first case of the closed form); a deviation r = 1
+# larger than s = 0.375 at node 4; zero tolerances; and a spread of others
+EXCESS_CASES = [(1.0, 0.5, 0.02, 0.001), (1.0, 0.04, 0.02, 0.001),
+                (1.5, 4.0, 0.02, 0.001), (2.0, 1.0, 0.05, 0.01),
+                (3.0, 0.8, 0.01, 0.002), (0.5, 0.3, 0.01, 0.0),
+                (5.0, 2.0, 0.1, 0.01), (1.0, 3.0, 0.0, 0.0),
+                (2.5, 0.2, 0.2, 0.05), (0.3, 0.1, 0.0, 0.0)]
+
+
+def _axis_path(K, delta, eta, zeta, j, d, n=16):
+    """The minimiser the closed form describes for deviation at node j: its
+    17 nodes on the geodesic's axis, at signed distances from o."""
+    sigma, r, s = 3.0 * eta + 2.0 * K * zeta, delta / 4.0, j * K / n
+    if min(sigma, K) * j / n >= r:
+        pos = np.linspace(0.0, max(K - sigma, 0.0), n + 1)
+    else:
+        end = s - r + max(K - s + r - sigma, 0.0)
+        pos = np.r_[np.linspace(0.0, s - r, j + 1),
+                    np.linspace(s - r, end, n - j + 1)[1:]]
+    return geo.point_at(d, pos, np.eye(d)[0])   # pos < 0 lies behind o
 
 
 class TestEnergyExcess:
@@ -291,18 +310,34 @@ class TestEnergyExcess:
         e = geodesic_baseline_energy(1.0, d=3, slack=0.0)
         assert abs(e - 1.0) < 1e-6
 
-    def test_no_converged_trial_does_not_hold(self, monkeypatch):
-        monkeypatch.setattr(optimize, "minimize", _fail_minimize)
-        rep = bm.energy_excess_check(1.0, 0.5, 0.02, 0.001, n_trials=2, seed=1)
-        assert rep.n_converged == 0
-        assert rep.min_energy is None
-        assert rep.holds is False
-        with pytest.raises(ConstraintViolation):
-            geodesic_baseline_energy(1.0)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_form_matches_slsqp(self, d):
+        converged = 0
+        for case in EXCESS_CASES:
+            found = slsqp_energy_excess(*case, d=d, n_trials=2, seed=0)
+            if found is not None:
+                converged += 1
+                exact = bm.energy_excess_check(*case).min_energy
+                assert abs(found - exact) <= 1e-9 * exact, case
+        assert converged == len(EXCESS_CASES)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_axis_path_attains_minimum(self, d):
+        for K, delta, eta, zeta in EXCESS_CASES:
+            rep = bm.energy_excess_check(K, delta, eta, zeta)
+            y = geo.point_at(d, K, np.eye(d)[0])
+            gamma = geo.geodesic_point(geo.origin(d), y, np.linspace(0.0, 1.0, 17))
+            attained = []
+            for j in (4, 8, 12):
+                pts = _axis_path(K, delta, eta, zeta, j, d)
+                assert geo.distance(pts[j], gamma[j]) >= rep.deviation - 1e-12
+                assert geo.distance(pts[-1], y) <= rep.endpoint_slack + 1e-12
+                attained.append(bm.path_energy(pts))
+            assert abs(min(attained) - rep.min_energy) <= 1e-9 * rep.min_energy
 
     def test_every_trial_counted(self):
-        rep = bm.energy_excess_check(1.0, 0.5, 0.02, 0.001, n_trials=2, seed=3)
-        assert rep.n_converged == 6 and rep.holds
+        rep = bm.energy_excess_check(1.0, 0.5, 0.02, 0.001)
+        assert rep.holds
         # inadmissible deviation parameters are reported, not refused
         assert not rep.constraints_ok
 

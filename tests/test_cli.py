@@ -8,7 +8,6 @@ import subprocess
 import sys
 
 import pytest
-from scipy import optimize
 
 import hypam
 from hypam import cli
@@ -180,18 +179,6 @@ class TestDispatch:
         assert status == 2
         assert key in capsys.readouterr().err
 
-    def test_energy_bound_without_convergence_writes_null(self, tmp_path,
-                                                          monkeypatch):
-        monkeypatch.setattr(optimize, "minimize",
-                            lambda fun, x0, **kw: optimize.OptimizeResult(
-                                x=x0, fun=0.0, success=False, message="forced"))
-        out = tmp_path / "eb"
-        assert run_cli(tmp_path, "energy-bound", "--out", str(out)) == 0
-        summary = read_strict_json(out / "summary.json")
-        assert summary["min_energy"] is None
-        assert summary["n_converged"] == 0
-        assert summary["holds"] is False
-
     @pytest.mark.parametrize("sub,sets,status,message", [
         ("field-max-scan", ["n_reps=0"], 2, "n_reps"),
         ("field-max-scan", ["site_cap=0"], 2, "site_cap"),
@@ -254,6 +241,17 @@ class TestDispatch:
         ("route-budget", ["mu_factor=-1"], 2, "mu_factor must be positive"),
         # too weak a field for the independent search: a numerical failure
         ("optimize", ["sigma2=1e-40"], 3, "independent search disagrees"),
+        # a power of eta or t past the floating-point range
+        ("long-route-tail", ["eta=1e300"], 2, "eta"),
+        ("long-route-tail", ["t=1e300"], 2, "t=1e+300"),
+        # the cluster cap's square underflows or overflows
+        ("route-budget", ["C_R0_hat=1e300"], 2, "C_R0_hat"),
+        ("route-budget", ["C_R0_hat=1e-300"], 2, "C_R0_hat"),
+        ("clusters", ["C_R0_hat=1e300"], 2, "C_R0_hat"),
+        ("clusters", ["C_R0_hat=1e-300"], 2, "C_R0_hat"),
+        # K^2 and delta^2 overflow: a summary strict JSON cannot hold
+        ("energy-bound", ["K=1e200"], 3, "not strict JSON"),
+        ("energy-bound", ["delta=1e200"], 3, "not strict JSON"),
     ])
     def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
                                               sets, status, message):
@@ -264,6 +262,26 @@ class TestDispatch:
         assert run_cli(tmp_path, *argv) == status
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_energy_bound_far_endpoint_is_strict_json(self, tmp_path):
+        out = tmp_path / "eb"
+        assert run_cli(tmp_path, "energy-bound", "--out", str(out),
+                       "--set", "K=800") == 0
+        summary = read_strict_json(out / "summary.json")
+        assert summary["base_distance"] == 800.0
+        assert math.isfinite(summary["bound"]) and math.isfinite(summary["min_energy"])
+
+    def test_non_finite_summary_exits_3_and_keeps_out(self, tmp_path, capsys,
+                                                      monkeypatch):
+        out = tmp_path / "o"
+        assert run_cli(tmp_path, "optimize", "--out", str(out)) == 0
+        before = {f: read(out / f) for f in ("manifest.cfg", "data.csv", "summary.json")}
+        monkeypatch.setitem(cli.SUBCOMMANDS, "optimize",
+                            lambda cfg: (["x"], [[1.0]], {"x": float("nan")}))
+        assert run_cli(tmp_path, "optimize", "--out", str(out),
+                       "--set", "sigma2=0.5") == 3
+        assert "not strict JSON" in capsys.readouterr().err
+        assert {f: read(out / f) for f in before} == before
 
     def test_energy_bound_accepts_zero_tolerances(self, tmp_path):
         out = tmp_path / "eb"

@@ -73,7 +73,7 @@ class TestPlainEstimator:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = fk.fk_estimate(800.0, 2, 1.25, 0.01, 4, seed=0)
-            cli.write_json(tmp_path / "summary.json", est.summary())
+            cli.write_json(tmp_path / "summary.json", cli._json_text(est.summary()))
 
         def reject(token):
             raise ValueError(f"invalid JSON constant {token}")
@@ -427,7 +427,7 @@ class TestRouteBudget:
         rep = fk.route_budget(g, ROUTE_CFG["t"], ROUTE_CFG["alpha"], mu, p,
                               ROUTE_CFG["lam"], ROUTE_CFG["eta"], delta,
                               ROUTE_CFG["K0"], c_hat)
-        lrel = l_star_relaxed(ROUTE_CFG["alpha"], mu, p)
+        lrel = l_star_relaxed(ROUTE_CFG["alpha"], mu)
         assert abs(rep.main_term - lrel * ROUTE_CFG["t"] ** (5 / 3)) < 1e-9
 
     def test_single_cluster_bound_dominates_profile_value(self):

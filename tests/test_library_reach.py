@@ -1,6 +1,7 @@
 """Every top-level function and class of ``src/hypam`` is reached by a
-program, every option of a library function is set by one, and every field
-of a library dataclass is read by one.
+program, every option of a library function is set by one, every field
+of a library dataclass is read by one, and every parameter of a library
+function is read in its body.
 
 The programs are the ``hypam`` subcommands (``hypam/cli.py``), the scripts,
 the benchmark (``perfbench/``, with the dotted span targets of
@@ -23,6 +24,10 @@ field with a default is an option of the class's constructor.
 A field is read when library or program code loads it as an attribute of
 that name (matched by name, as above).  A field nothing reads is filled on
 every call for unit tests or for no one.
+
+A parameter is read when the body of its function (``def``, nested ones
+and methods included) loads its name.  A parameter nothing reads makes
+every caller compute an argument for no one.
 
 Everything is read with ``ast``; nothing is imported or run.
 """
@@ -248,3 +253,20 @@ def test_every_field_is_read_by_a_program():
                     for field, _, _ in _fields(node) if field not in read)
     assert not unread, ("no program reads these fields; delete them with the "
                         "code that fills them: " + ", ".join(unread))
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                              *args.kwonlyargs, args.vararg,
+                                              args.kwarg) if arg is not None]
+                loaded = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                          if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+                unread += [f"{path.stem}.{node.name}({param}) (line {node.lineno})"
+                           for param in params if param not in loaded]
+    assert not unread, ("these parameters are never read; drop them from the "
+                        "function and its callers: " + ", ".join(unread))

@@ -41,7 +41,7 @@ def test_optimize_scaling_law():
 
 def test_l_star_relaxed_reduction(params2):
     sol = varopt.optimize_f(params2)
-    val = varopt.l_star_relaxed(1.0, params2.mu0, params2)
+    val = varopt.l_star_relaxed(1.0, params2.mu0)
     assert abs(val - sol.L_star) < 1e-6
 
 
@@ -56,14 +56,14 @@ def test_l_star_relaxed_matches_search(params2, alpha, mu_factor):
         return mu * np.sqrt(K) * (1.0 - v) - alpha * K * K / (4.0 * v)
 
     v_num, K_num, val_num = varopt._search_optimum(value, K_hi=max(5.0 * K_star, 1.0))
-    assert abs(varopt.l_star_relaxed(alpha, mu, params2) - val_num) <= 1e-6
+    assert abs(varopt.l_star_relaxed(alpha, mu) - val_num) <= 1e-6
     assert abs(v_num - 0.2) <= 1e-4 and abs(K_num - K_star) <= 1e-4
 
 
 def test_l_star_relaxed_monotone(params2):
     alphas = np.linspace(0.2, 1.0, 5)
     mus = params2.mu0 * np.linspace(1.0, 2.0, 5)
-    grid = np.array([[varopt.l_star_relaxed(a, m, params2) for m in mus]
+    grid = np.array([[varopt.l_star_relaxed(a, m) for m in mus]
                      for a in alphas])
     assert np.all(np.diff(grid, axis=0) < 1e-12)    # decreasing in alpha
     assert np.all(np.diff(grid, axis=1) > -1e-12)   # increasing in mu
@@ -71,9 +71,9 @@ def test_l_star_relaxed_monotone(params2):
 
 def test_l_star_relaxed_continuity(params2):
     sol = varopt.optimize_f(params2)
-    near = varopt.l_star_relaxed(0.99, 1.01 * params2.mu0, params2)
+    near = varopt.l_star_relaxed(0.99, 1.01 * params2.mu0)
     assert abs(near - sol.L_star) <= 0.05 * sol.L_star
-    tight = varopt.l_star_relaxed(1.0 - 1e-4, params2.mu0 * (1.0 + 1e-4), params2)
+    tight = varopt.l_star_relaxed(1.0 - 1e-4, params2.mu0 * (1.0 + 1e-4))
     assert abs(tight - sol.L_star) <= 1e-3
 
 
