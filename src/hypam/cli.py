@@ -1,11 +1,11 @@
 """Experiment harness: config parsing, dispatch, manifests, CSV/JSON output.
 
-Every run resolves a flat key-value config (defaults, then ``--config`` file,
-then ``HYPAM_*`` environment variables, then ``--set``, each applying exactly
-the keys it gives), validates it, runs the subcommand, and only then writes a
-``manifest.cfg`` echoing the resolved values plus the subcommand, a
-``data.csv`` and a ``summary.json``.  Identical config and seed give
-byte-identical outputs; re-running from a manifest reproduces the run.
+Every run resolves a flat key-value config from its command line alone
+(defaults, ``--config`` file, each ``--set``, then ``--seed`` and ``--out``,
+each applying exactly the keys it gives), checks the keys all subcommands
+share, runs the subcommand, which checks those only it reads, and only then
+writes ``manifest.cfg``, ``data.csv`` and ``summary.json``.  Identical config
+and seed give byte-identical outputs; re-running a manifest reproduces them.
 
 Exit codes: 0 success, 2 constraint violation (a region too small to pack
 included) or config error (a ``subcommand`` override included), 3 budget
@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -99,7 +99,23 @@ def run_field_max_scan(cfg):
              "spacing": cfg.spacing_factor * cfg.R0, "n_reps": cfg.n_reps})
 
 
+def _check_t(t, *exponents):
+    """Refuse a t that is not positive or whose t ** e overflows, e in exponents."""
+    if not t > 0:
+        raise ConstraintViolation(f"t must be positive (got t={t})")
+    for e in exponents:
+        try:
+            t ** e
+        except OverflowError:
+            raise ConstraintViolation(f"t^{e:.4g} overflows (got t={t})") from None
+
+
 def run_clusters(cfg):
+    _check_t(cfg.t, 4.0 / 3.0)
+    _, eta_delta = field.cluster_constants(cfg.delta, cfg.d, cfg.K0, cfg.C_R0_hat)
+    if not cfg.eta < eta_delta:
+        raise ConstraintViolation("eta must lie below the admissible cluster threshold "
+                                  f"eta_delta={eta_delta:.6g} (got eta={cfg.eta})")
     spec = field.make_spec(cfg.sigma2, cfg.R0, cfg.kernel_shape, cfg.d)
     spacing = cfg.spacing_factor * cfg.R0
     region = geo.BallRegion(min(cfg.K0 * cfg.t ** (4.0 / 3.0), 6.0))
@@ -185,10 +201,12 @@ def run_fk(cfg):
 
 
 def run_fk_localized(cfg):
-    # a negative distance would put the peak on the -e1 ray
-    if not cfg.peak_distance >= 0:
-        raise ConstraintViolation("peak_distance must be nonnegative "
-                                  f"(got peak_distance={cfg.peak_distance})")
+    # a negative distance would put the peak on the -e1 ray; past far_peak,
+    # squaring its cosh coordinate overflows
+    far_peak = float(np.arccosh(np.sqrt(np.finfo(float).max)))
+    if not 0 <= cfg.peak_distance <= far_peak:
+        raise ConstraintViolation("peak_distance must be nonnegative and at most "
+                                  f"{far_peak:.6g} (got {cfg.peak_distance})")
     center = geo.point_at(cfg.d, cfg.peak_distance, np.eye(cfg.d)[0])
     potential = feynman_kac.PlantedPeakPotential(center, cfg.peak_height,
                                                  width=cfg.R0)
@@ -201,6 +219,7 @@ def run_route_budget(cfg):
     if not cfg.mu_factor > 0:
         raise ConstraintViolation("mu_factor must be positive "
                                   f"(got mu_factor={cfg.mu_factor})")
+    _check_t(cfg.t, 5.0 / 3.0, -5.0 / 3.0)   # the extreme powers routes take
     params = _params(cfg)
     mu = cfg.mu_factor * params.mu0
     consts, _ = varopt.route_constants(cfg.eta, cfg.lam, cfg.delta, cfg.K0,
@@ -252,8 +271,6 @@ SUBCOMMANDS = {
     "long-route-tail": run_long_route_tail,
 }
 
-_NEEDS_CLUSTER_SCALES = {"clusters", "route-budget"}
-
 
 def run(subcommand, cfg):
     """Dispatch one subcommand; returns the process exit status."""
@@ -261,7 +278,7 @@ def run(subcommand, cfg):
         print(f"unknown subcommand: {subcommand}", file=sys.stderr)
         return 2
     try:
-        cfg.validate(need_cluster_scales=subcommand in _NEEDS_CLUSTER_SCALES)
+        cfg.validate()
         header, rows, summary = SUBCOMMANDS[subcommand](cfg)
     except ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
@@ -302,12 +319,6 @@ def main(argv=None):
                         metavar="KEY=VALUE", help="single config override")
     args = parser.parse_args(argv)
 
-    # overrides, one key=value item each: HYPAM_<KEY> env vars, then --set, in
-    # order; env names match field names case-insensitively (HYPAM_R0 sets R0)
-    names = {f.name.lower(): f.name for f in fields(RunConfig)}
-    overrides = [(k, f"{names.get(k[6:].lower(), k[6:].lower())}={v}")
-                 for k, v in sorted(os.environ.items()) if k.startswith("HYPAM_")]
-    overrides += [("--set", item) for item in args.set]
     try:
         if args.config:
             with open(args.config) as fh:
@@ -317,14 +328,12 @@ def main(argv=None):
                                  f"not match {args.subcommand!r}")
         else:
             cfg = RunConfig()
-        pairs = dict(_parse_item(item, where) for where, item in overrides)
+        pairs = dict(_parse_item(item, "--set") for item in args.set)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        pairs["seed"] = args.seed
-    if args.out is not None:
-        pairs["out"] = args.out
+    pairs.update((key, val) for key, val in (("seed", args.seed), ("out", args.out))
+                 if val is not None)
     return run(args.subcommand, replace(cfg, **pairs))
 
 

@@ -74,9 +74,9 @@ def count(x):
 class RunConfig:
     """Flat, typed configuration for the experiment harness.
 
-    One instance covers every subcommand; each subcommand reads the subset it
-    needs.  Validation happens before dispatch and raises
-    :class:`ConstraintViolation` with a message naming the violated rule.
+    One instance covers every subcommand.  :meth:`validate` checks the keys
+    they share before dispatch, each subcommand the keys only it reads; both
+    raise :class:`ConstraintViolation` with a message naming the violated rule.
     """
 
     d: int = 2
@@ -133,7 +133,7 @@ class RunConfig:
             raise ConstraintViolation(f"{key} entries must be finite, got {text!r}")
         return values
 
-    def validate(self, need_cluster_scales=False):
+    def validate(self):
         for f in fields(self):
             val = getattr(self, f.name)
             if f.type is float and not np.isfinite(val):
@@ -151,17 +151,6 @@ class RunConfig:
                 raise ConstraintViolation(f"{key} must be at least 1")
         if self.spacing_factor <= 0:
             raise ConstraintViolation("spacing_factor must be positive")
-        if need_cluster_scales:
-            if self.t <= 0:
-                raise ConstraintViolation(f"t must be positive (got t={self.t})")
-            from . import field as _field
-            _, eta_delta = _field.cluster_constants(
-                self.delta, self.d, self.K0, self.C_R0_hat)
-            if not self.eta < eta_delta:
-                raise ConstraintViolation(
-                    "eta must lie below the admissible cluster threshold "
-                    f"eta_delta(delta)={eta_delta:.6g} (got eta={self.eta})")
-        return self
 
 
 def _parse_item(item, where):
@@ -173,8 +162,6 @@ def _parse_item(item, where):
     if not eq:
         raise ValueError(f"{where}: expected 'key = value', got {item!r}")
     key = key.strip()
-    if key == "lambda":   # friendlier alias for the reserved word
-        key = "lam"
     types = {f.name: f.type for f in fields(RunConfig)}
     if key not in types:
         raise ValueError(f"{where}: unknown config key {key!r}")

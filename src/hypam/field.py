@@ -151,6 +151,9 @@ def make_spec(sigma2, R0, bump_shape="poly3", d=2):
     if not (float(d).is_integer() and d >= 2):
         raise ConstraintViolation(f"dimension d must be an integer >= 2, got {d!r}")
     d = int(d)
+    big = np.finfo(float).max / 2.0   # for cosh(1.5 R0) and sinh(R0/2)^(d-1)
+    if R0 > min(math.acosh(big) / 1.5, 2.0 * math.asinh(big ** (1.0 / (d - 1)))):
+        raise ConstraintViolation(f"R0={R0} overflows the quadrature's cosh or sinh")
     rho_grid, table = _unscaled_profile(float(R0), bump_shape, d)
     vals = table.copy()
     vals *= sigma2 / vals[0]
@@ -300,8 +303,8 @@ def _band_root(spec, sites):
     pairs' covariances into a fresh band and LAPACK ``dpbtrf`` factors it,
     so no n x n array is formed.  The dense kernel of :func:`_lattice_factor`
     stays apart because this order cannot keep an extension's conditioning
-    sites first.  With no pair (kd = 0) the order is the identity and the
-    root is sqrt(C(0)), the dense factor's diagonal, with no factorisation.
+    sites first.  With no pair the order is the identity, and kd = 0 makes
+    ``dpbtrf``'s root sqrt(C(0)), the dense factor's diagonal, bit for bit.
     """
     n = len(sites)
     if n > MAX_ONESHOT_SITES:
@@ -328,9 +331,7 @@ def _band_root(spec, sites):
         band = np.zeros((n, kd + 1)).T      # Fortran order, as dpbtrf writes
         band[0] = spec.cov(0.0) + shift
         band[row - col, col] = vals
-        if kd:
-            return dpbtrf(band, lower=1, overwrite_ab=1)
-        return np.sqrt(np.abs(band)), int(not np.all(band > 0))
+        return dpbtrf(band, lower=1, overwrite_ab=1)
 
     root, jit = _jitter_ladder(spec, factor)
     return perm, root, jit
@@ -339,12 +340,8 @@ def _band_root(spec, sites):
 def _band_draw(perm, root, z):
     """Values of a :func:`_band_root` draw from standard normals z of shape
     (n,) or (reps, n): ``values[..., perm] = B z``, one BLAS ``dtbmv`` band
-    product per row of z.  A diagonal root (no pair) scales z by sqrt(C(0)),
-    the dense draw's arithmetic, with no BLAS call."""
+    product per row of z."""
     values = np.empty_like(z)
-    if len(root) == 1:
-        values[..., perm] = root[0] * z
-        return values
     for zr, out in zip(np.atleast_2d(z), np.atleast_2d(values)):
         out[perm] = dtbmv(len(root) - 1, root, zr, lower=1)
     return values
@@ -499,6 +496,11 @@ def max_scan(spec, d, R_list, spacing, n_reps, seed, site_cap=2048):
     """
     if spacing > spec.R0 / 2.0:
         raise ConstraintViolation("spacing must be at most R0/2")
+    # below big: cosh of site gaps up to 2R, and two summed knots of sinh^(d-1)
+    big = np.finfo(float).max / 2.0
+    far = min(math.acosh(big) / 2.0, math.asinh((big / 2.0) ** (1.0 / (d - 1))))
+    if max(R_list) > far:
+        raise ConstraintViolation(f"R_list entries must be at most {far:.6g} at d={d}")
     eps = 0.5
     rows = []
     for k, R in enumerate(R_list):

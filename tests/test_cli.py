@@ -14,6 +14,11 @@ from hypam import cli
 from hypam.config import RunConfig, format_config, parse_config
 
 
+# route-budget constants for which the route-error budget is feasible
+FEASIBLE_ROUTE = ["K0=40", "alpha=0.05", "mu_factor=1.05", "delta=9.1537",
+                  "C_R0_hat=4.8216", "eta=2.0", "lam=0.05", "n_reps=8"]
+
+
 def run_cli(tmp_path, *argv):
     return cli.main(list(argv))
 
@@ -65,8 +70,9 @@ class TestConfigParsing:
             parse_config("just some words")
 
     def test_lambda_alias(self):
-        cfg, _ = parse_config("lambda = 0.25")
-        assert cfg.lam == 0.25
+        # lam has one name: lambda is an unknown key, not an alias
+        with pytest.raises(ValueError, match="unknown config key 'lambda'"):
+            parse_config("lambda = 0.25")
 
     def test_comments_and_blanks(self):
         cfg, _ = parse_config("# comment\n\nd = 4   # trailing\n")
@@ -252,6 +258,15 @@ class TestDispatch:
         # K^2 and delta^2 overflow: a summary strict JSON cannot hold
         ("energy-bound", ["K=1e200"], 3, "not strict JSON"),
         ("energy-bound", ["delta=1e200"], 3, "not strict JSON"),
+        # a t whose powers overflow, refused before any power of it
+        ("clusters", ["t=1e300"], 2, "t=1e+300"),
+        ("route-budget", FEASIBLE_ROUTE + ["t=1e300"], 2, "t=1e+300"),
+        ("route-budget", FEASIBLE_ROUTE + ["t=1e-300"], 2, "t=1e-300"),
+        # radii past the float range of hyperboloid coordinates
+        ("fk-localized", ["peak_distance=800"], 2, "peak_distance"),
+        ("field-max-scan", ["R_list=800"], 2, "R_list"),
+        ("field-max-scan", ["R_list=400", "d=3"], 2, "R_list"),
+        ("fk", ["R0=1e300"], 2, "R0"),
     ])
     def test_bad_sizes_exit_without_traceback(self, tmp_path, capsys, sub,
                                               sets, status, message):
@@ -358,14 +373,6 @@ class TestDispatch:
         summary = read_strict_json(out / "summary.json")
         assert summary["ratio"] is None and summary["mean_radius"] == 0.0
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        out = tmp_path / "env"
-        monkeypatch.setenv("HYPAM_N_PATHS", "13")
-        assert run_cli(tmp_path, "radial-check", "--out", str(out),
-                       "--seed", "1", "--set", "t=0.1") == 0
-        summary = json.loads(read(out / "summary.json"))
-        assert summary["n_paths"] == 13
-
     @pytest.mark.parametrize("sub,sets,r2_null", [
         # two radii: a two-point fit has an infinite half-width
         ("exit-check", ["R_list=5,7", "t=2", "dt=0.01", "n_paths=20000"], False),
@@ -458,8 +465,8 @@ def test_same_seed_digest_script_runs_every_call():
                      and node.targets[0].id == "CALLS")
     names = [call[0] for call in ast.literal_eval(calls)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypam.__file__)))
-    env = {k: v for k, v in os.environ.items() if not k.startswith("HYPAM_")}
-    res = subprocess.run([sys.executable, script], env=dict(env, PYTHONPATH=src),
+    res = subprocess.run([sys.executable, script],
+                         env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stdout + res.stderr
     lines = [line.split(" ") for line in res.stdout.splitlines()]
@@ -469,7 +476,8 @@ def test_same_seed_digest_script_runs_every_call():
 
 
 class TestOverrides:
-    """defaults < --config < HYPAM_* < --set, applying exactly the keys given."""
+    """defaults < --config < --set < --seed and --out, applying exactly the
+    keys given; nothing else sets a key."""
 
     def resolved(self, tmp_path, *argv):
         out = tmp_path / "o"
@@ -490,18 +498,18 @@ class TestOverrides:
         cfg = self.resolved(tmp_path, "--config", str(base), "--set", "d=2")
         assert cfg.d == 2 and cfg.sigma2 == 0.5
 
-    def test_env_then_set(self, tmp_path, monkeypatch):
-        base = tmp_path / "base.cfg"
-        base.write_text("d = 3\nn_paths = 50\n")
-        monkeypatch.setenv("HYPAM_D", "2")
-        monkeypatch.setenv("HYPAM_N_PATHS", "13")
-        cfg = self.resolved(tmp_path, "--config", str(base),
-                            "--set", "n_paths=1000")
-        assert cfg.d == 2 and cfg.n_paths == 1000
-
-    def test_env_names_match_case_insensitively(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPAM_R0", "0.75")
-        assert self.resolved(tmp_path).R0 == 0.75
+    def test_environment_sets_nothing(self, tmp_path, monkeypatch):
+        # HYPAM_* variables name keys fk reads, and move no output byte
+        out = tmp_path / "fk"
+        argv = ["fk", "--out", str(out), "--set", "t=0.02", "--set", "dt=0.0002"]
+        names = ("manifest.cfg", "data.csv", "summary.json")
+        assert run_cli(tmp_path, *argv) == 0
+        before = [read(out / name) for name in names]
+        monkeypatch.setenv("HYPAM_SEED", "5")
+        monkeypatch.setenv("HYPAM_N_PATHS", "7")
+        monkeypatch.setenv("HYPAM_KERNEL_SHAPE", "cosine")
+        assert run_cli(tmp_path, *argv) == 0
+        assert [read(out / name) for name in names] == before
 
     def test_set_value_taken_verbatim(self, tmp_path):
         # '#' starts a comment in a config file, not in an override
@@ -520,19 +528,8 @@ class TestOverrides:
         assert read(out / "manifest.cfg") == manifest
         assert not (tmp_path / "o").exists()
 
-    def test_env_newline_adds_no_key(self, tmp_path, monkeypatch, capsys):
-        # the whole value is one int field's text, not a second line
-        monkeypatch.setenv("HYPAM_N_PATHS", "13\nd=3")
-        assert run_cli(tmp_path, "optimize", "--out", str(tmp_path / "o")) == 2
-        assert "'n_paths'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("source", ["env", "set"])
-    def test_subcommand_override_exit_2(self, tmp_path, monkeypatch, source):
+    def test_subcommand_override_exit_2(self, tmp_path):
         # only a --config manifest may name the subcommand
-        argv = ["optimize", "--out", str(tmp_path / "o")]
-        if source == "env":
-            monkeypatch.setenv("HYPAM_SUBCOMMAND", "fk")
-        else:
-            argv += ["--set", "subcommand=fk"]
-        assert run_cli(tmp_path, *argv) == 2
+        assert run_cli(tmp_path, "optimize", "--out", str(tmp_path / "o"),
+                       "--set", "subcommand=fk") == 2
         assert not (tmp_path / "o").exists()

@@ -485,11 +485,11 @@ class TestBandRoot:
     def test_no_pair_keeps_dense_arithmetic(self, spec_unit, monkeypatch):
         # one site, and 20 sites on a circle of radius 3, pairwise farther
         # apart than R0: the draw is the dense factor's sqrt(C(0)) z, bit for
-        # bit, with no ordering and no band factorisation
+        # bit, through a band of half-width 0 and with no ordering
         from scipy.sparse import csgraph
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a draw with no pair needs no band factor")
+            raise AssertionError("a draw with no pair needs no ordering")
 
         ring = geo.point_at(2, np.full(20, 3.0),
                             np.c_[np.cos(np.arange(20) * 0.3),
@@ -498,8 +498,6 @@ class TestBandRoot:
         assert np.min(gaps[np.triu_indices(20, 1)]) > spec_unit.R0
         dense = {len(s): fd._lattice_factor(spec_unit, s)[0]
                  for s in (geo.origin(2)[None, :], ring)}
-        monkeypatch.setattr(fd, "dpbtrf", refuse)
-        monkeypatch.setattr(fd, "dtbmv", refuse)
         monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", refuse)
         for sites in (geo.origin(2)[None, :], ring):
             for seed in range(10):
